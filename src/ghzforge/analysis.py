@@ -135,13 +135,16 @@ def eta_product_exact(d: int) -> Fraction:
     return eta1_exact(d) * Fraction(num, den)
 
 
-def predicted_prob_exact(d: int, n: int, feedforward: bool = True) -> Fraction:
+def predicted_prob_for_options(
+    d: int, n: int, feedforward: bool, odd_n_mode: str | None = None
+) -> Fraction:
     """Closed-form success probability of the full chain.
 
-    With feedforward every pair-analysis outcome and every Fourier outcome is
-    corrected (probability 1 each); without it only HH/VV pairs are kept
-    (one factor 1/2 per auxiliary stage) and odd-n reduction keeps the single
-    uniform-superposition outcome (factor 1/d).
+    With feedforward every pair-analysis outcome is corrected (probability 1
+    each); without it only HH/VV pairs are kept (one factor 1/2 per auxiliary
+    stage).  For odd n, ``single_outcome`` keeps the one uniform-superposition
+    Fourier outcome (factor 1/d) and ``full_fourier`` corrects every outcome;
+    ``None`` pairs the odd-n mode with ``feedforward`` (full when it is on).
     """
     _check_params(d, n)
     sources = -(n // -2)  # ceil(n/2)
@@ -149,28 +152,14 @@ def predicted_prob_exact(d: int, n: int, feedforward: bool = True) -> Fraction:
     p = Fraction(1, d ** (sources - 1)) * Fraction(1, 2**n_aux)
     if not feedforward:
         p *= Fraction(1, 2**n_aux)
-        if n % 2 == 1:
-            p *= Fraction(1, d)
+    single = not feedforward if odd_n_mode is None else odd_n_mode == "single_outcome"
+    if n % 2 == 1 and single:
+        p *= Fraction(1, d)
     return p
 
 
 def predicted_prob(d: int, n: int, feedforward: bool = True) -> float:
-    return float(predicted_prob_exact(d, n, feedforward))
-
-
-def predicted_prob_for_options(
-    d: int, n: int, feedforward: bool, odd_n_mode: str
-) -> Fraction:
-    """Prediction for a possibly mixed choice of pair-analysis and odd-n modes."""
-    _check_params(d, n)
-    sources = -(n // -2)
-    n_aux = aux_count(d, n)
-    p = Fraction(1, d ** (sources - 1)) * Fraction(1, 2**n_aux)
-    if not feedforward:
-        p *= Fraction(1, 2**n_aux)
-    if n % 2 == 1 and odd_n_mode == "single_outcome":
-        p *= Fraction(1, d)
-    return p
+    return float(predicted_prob_for_options(d, n, feedforward))
 
 
 DIAGONAL = "diagonal"
@@ -343,7 +332,6 @@ def oracle_run(
             tuples = survivors
 
     # odd-photon reduction: measure the first photon of the even chain out
-    photon_count = 2 * sources
     drop_first = n % 2 == 1
     if drop_first:
         p_reduce = 1.0 if odd_n_mode == "full_fourier" else 1.0 / d
@@ -352,43 +340,26 @@ def oracle_run(
         prob_chosen *= p_reduce
         prob_ff *= 1.0
         prob_filtered *= 1.0 / d
-        photon_count -= 1
 
+    photons = list(range(1 if drop_first else 0, 2 * sources))
     nsq = sum(abs(a) ** 2 for a in tuples.values())
-    if nsq == 0.0:
-        final = PhotonicState({}, 0.0)
-        fid = 0.0
-        prob_chosen = prob_filtered = prob_ff = 0.0
-    else:
+    final = PhotonicState({}, 0.0)
+    if nsq > 0.0:
+        # the oracle's own 1/sqrt(norm): the report takes the fidelity of the
+        # amplitudes it is given, so raw ones would round differently
         scale = 1.0 / math.sqrt(nsq)
-        first = 1 if drop_first else 0
-        photons = list(range(first, 2 * sources))
         kets = []
         for t, a in tuples.items():
             modes = [(photon * d + t[photon // 2], states.H) for photon in photons]
             kets.append((ket(*modes), a * scale))
         final = states.make_state(kets, branch_prob=prob_chosen)
-        groups = [[p * d + i for i in range(d)] for p in photons]
-        fid = fidelity(final, ghz_reference(d, photon_count, groups))
-
     predicted = (
         float(predicted_prob_for_options(d, n, feedforward, odd_n_mode))
         if input_coeffs is None
         else None
     )
-    return RunReport(
-        d=d,
-        n=n,
-        backend="oracle",
-        feedforward=feedforward,
-        final_state=final,
-        prob=prob_chosen,
-        prob_filtered=prob_filtered,
-        prob_feedforward=prob_ff,
-        predicted_prob=predicted,
-        trace=trace,
-        stage_labels=labels,
-        fidelity=fid,
-        prob_matches=None if predicted is None else abs(prob_chosen - predicted) <= 1e-6,
-        fidelity_matches=None if predicted is None else fid >= 1.0 - 1e-6,
+    return RunReport.build(
+        "oracle", d, n, feedforward, final,
+        [[p * d + i for i in range(d)] for p in photons],
+        (prob_chosen, prob_filtered, prob_ff), predicted, trace, labels,
     )

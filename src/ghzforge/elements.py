@@ -16,60 +16,126 @@ Elements are applied in second quantization: each creation operator is
 substituted by its image and the product re-expanded, so bosonic
 ``sqrt(n!)`` factors for multiply-occupied modes come out exactly (this is
 what makes two photons bunching on one port interfere correctly).
+
+Circuit steps form one table: every step class derives from ``Step``, carries
+its circuit-file tag (``{"elem": "pbs"}``, or an ``elem``/``kind`` pair for
+the post-selections defined in ``measurement``) and lets its dataclass fields,
+in order, drive serialisation, parsing and the port bookkeeping of
+``Circuit.validate``.  Only ``Inject`` (its state) and ``CoincidenceSelect``
+(its port groups) override those defaults.  ``Step.apply`` returns the new
+state and, for a post-selection, its probability (``None`` otherwise).
+Optical steps reach the ``apply_*`` functions through module globals at call
+time, so replacing ``elements.apply_pbs`` changes what every circuit does.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, Sequence
 
 from . import states
-from .errors import BDCollision, PortCollision
+from .errors import BDCollision, EmptyState, InvalidParameters, PortCollision
 from .states import FockTerm, Mode, PhotonicState, eps
+
+_FIELD_PARSERS = {"int": int, "float": float, "str": str}
+
+
+class Step:
+    """One circuit step; the direct subclasses of this class are the step table.
+
+    Every ``int`` field is a port.  Field types are read as annotation strings,
+    so modules defining steps use postponed annotations.
+    """
+
+    tag: ClassVar[dict[str, str]]
+
+    def apply(self, state: PhotonicState) -> tuple[PhotonicState, float | None]:
+        raise NotImplementedError
+
+    def ports(self) -> set[int]:
+        return {getattr(self, f.name) for f in fields(self) if f.type == "int"}
+
+    def to_jsonable(self) -> dict:
+        return {**self.tag, **{f.name: getattr(self, f.name) for f in fields(self)}}
+
+    @classmethod
+    def from_jsonable(cls, entry: dict) -> Step:
+        return cls(**{f.name: _FIELD_PARSERS[f.type](entry[f.name]) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
-class PBS:
+class PBS(Step):
+    tag = {"elem": "pbs"}
     port_a: int
     port_b: int
 
+    def apply(self, state: PhotonicState) -> tuple[PhotonicState, None]:
+        return apply_pbs(state, self.port_a, self.port_b), None
+
 
 @dataclass(frozen=True)
-class HWP:
+class HWP(Step):
+    tag = {"elem": "hwp"}
     port: int
     theta: float
 
+    def apply(self, state: PhotonicState) -> tuple[PhotonicState, None]:
+        return apply_hwp(state, self.port, self.theta), None
+
 
 @dataclass(frozen=True)
-class Phase:
+class Phase(Step):
+    tag = {"elem": "phase"}
     port: int
     phi: float
 
+    def apply(self, state: PhotonicState) -> tuple[PhotonicState, None]:
+        return apply_phase(state, self.port, self.phi), None
+
 
 @dataclass(frozen=True)
-class BDMerge:
+class BDMerge(Step):
+    tag = {"elem": "bd_merge"}
     port_even: int
     port_odd: int
     port_out: int
 
+    def apply(self, state: PhotonicState) -> tuple[PhotonicState, None]:
+        return apply_bd_merge(state, self.port_even, self.port_odd, self.port_out), None
+
 
 @dataclass(frozen=True)
-class BDSplit:
+class BDSplit(Step):
+    tag = {"elem": "bd_split"}
     port_in: int
     port_even: int
     port_odd: int
 
+    def apply(self, state: PhotonicState) -> tuple[PhotonicState, None]:
+        return apply_bd_split(state, self.port_in, self.port_even, self.port_odd), None
+
 
 @dataclass(frozen=True)
-class Inject:
+class Inject(Step):
     """Tensor a fixed source state into the pipeline (disjoint ports)."""
 
+    tag = {"elem": "inject"}
     state: PhotonicState
 
+    def apply(self, state: PhotonicState) -> tuple[PhotonicState, None]:
+        return states.tensor(state, self.state), None
 
-Element = PBS | HWP | Phase | BDMerge | BDSplit
+    def ports(self) -> set[int]:
+        return self.state.ports()
+
+    def to_jsonable(self) -> dict:
+        return {**self.tag, "state": states.state_to_jsonable(self.state)}
+
+    @classmethod
+    def from_jsonable(cls, entry: dict) -> Inject:
+        return cls(states.state_from_jsonable(entry["state"]))
 
 
 def _accumulate(acc: dict[FockTerm, complex], term: FockTerm, amp: complex) -> None:
@@ -201,24 +267,6 @@ def apply_bd_split(
     return _relabel(state, mapping, PortCollision, "bd_split")
 
 
-def apply_element(state: PhotonicState, element: Element) -> PhotonicState:
-    if isinstance(element, PBS):
-        return apply_pbs(state, element.port_a, element.port_b)
-    if isinstance(element, HWP):
-        return apply_hwp(state, element.port, element.theta)
-    if isinstance(element, Phase):
-        return apply_phase(state, element.port, element.phi)
-    if isinstance(element, BDMerge):
-        return apply_bd_merge(
-            state, element.port_even, element.port_odd, element.port_out
-        )
-    if isinstance(element, BDSplit):
-        return apply_bd_split(
-            state, element.port_in, element.port_even, element.port_odd
-        )
-    raise TypeError(f"not an optical element: {element!r}")
-
-
 @dataclass
 class Circuit:
     """Ordered elements, injections and post-selection steps."""
@@ -233,22 +281,7 @@ class Circuit:
                 raise PortCollision(
                     f"BD merge output port {step.port_out} already used upstream"
                 )
-            seen |= _step_ports(step)
-
-
-def _step_ports(step) -> set[int]:
-    if isinstance(step, PBS):
-        return {step.port_a, step.port_b}
-    if isinstance(step, (HWP, Phase)):
-        return {step.port}
-    if isinstance(step, BDMerge):
-        return {step.port_even, step.port_odd, step.port_out}
-    if isinstance(step, BDSplit):
-        return {step.port_in, step.port_even, step.port_odd}
-    if isinstance(step, Inject):
-        return step.state.ports()
-    ports = getattr(step, "referenced_ports", None)
-    return set(ports()) if callable(ports) else set()
+            seen |= step.ports()
 
 
 def run_circuit(
@@ -259,12 +292,8 @@ def run_circuit(
     steps = circuit.steps if isinstance(circuit, Circuit) else list(circuit)
     trace: list[float] = []
     for step in steps:
-        if isinstance(step, Inject):
-            state = states.tensor(state, step.state)
-        elif isinstance(step, (PBS, HWP, Phase, BDMerge, BDSplit)):
-            state = apply_element(state, step)
-        else:
-            state, p = step.postselect(state)
+        state, p = step.apply(state)
+        if p is not None:
             trace.append(p)
             if state.is_empty:
                 break
@@ -272,108 +301,31 @@ def run_circuit(
 
 
 def circuit_to_jsonable(circuit: Circuit | Sequence) -> list[dict]:
-    from . import measurement  # postselection steps live there
-
     steps = circuit.steps if isinstance(circuit, Circuit) else list(circuit)
-    out = []
-    for step in steps:
-        if isinstance(step, PBS):
-            out.append({"elem": "pbs", "port_a": step.port_a, "port_b": step.port_b})
-        elif isinstance(step, HWP):
-            out.append({"elem": "hwp", "port": step.port, "theta": step.theta})
-        elif isinstance(step, Phase):
-            out.append({"elem": "phase", "port": step.port, "phi": step.phi})
-        elif isinstance(step, BDMerge):
-            out.append(
-                {
-                    "elem": "bd_merge",
-                    "port_even": step.port_even,
-                    "port_odd": step.port_odd,
-                    "port_out": step.port_out,
-                }
-            )
-        elif isinstance(step, BDSplit):
-            out.append(
-                {
-                    "elem": "bd_split",
-                    "port_in": step.port_in,
-                    "port_even": step.port_even,
-                    "port_odd": step.port_odd,
-                }
-            )
-        elif isinstance(step, Inject):
-            out.append({"elem": "inject", "state": states.state_to_jsonable(step.state)})
-        elif isinstance(step, measurement.CoincidenceSelect):
-            out.append(
-                {
-                    "elem": "postselect",
-                    "kind": "coincidence",
-                    "groups": [sorted(g) for g in step.pattern.groups],
-                }
-            )
-        elif isinstance(step, measurement.PasPairSelect):
-            out.append(
-                {
-                    "elem": "postselect",
-                    "kind": "pas_pair",
-                    "port_x": step.port_x,
-                    "port_y": step.port_y,
-                    "mode": step.mode,
-                    "correction_port": step.correction_port,
-                }
-            )
-        else:
-            raise TypeError(f"cannot serialize circuit step {step!r}")
-    return out
+    return [step.to_jsonable() for step in steps]
 
 
-def circuit_from_jsonable(data: Sequence[dict]) -> Circuit:
-    from . import measurement
+def _step_from_jsonable(entry: object) -> Step:
+    if not isinstance(entry, dict):
+        raise TypeError(f"expected a JSON object, got {entry!r}")
+    for kind in Step.__subclasses__():
+        if kind.tag.items() <= entry.items():
+            return kind.from_jsonable(entry)
+    raise ValueError(
+        f"unknown step elem={entry.get('elem')!r} kind={entry.get('kind')!r}"
+    )
 
+
+def circuit_from_jsonable(data: object) -> Circuit:
+    """Parse a circuit file's JSON list; malformed input raises InvalidParameters."""
+    if not isinstance(data, list):
+        raise InvalidParameters("a circuit must be a JSON list of steps")
     steps: list = []
-    for entry in data:
-        kind = entry["elem"]
-        if kind == "pbs":
-            steps.append(PBS(int(entry["port_a"]), int(entry["port_b"])))
-        elif kind == "hwp":
-            steps.append(HWP(int(entry["port"]), float(entry["theta"])))
-        elif kind == "phase":
-            steps.append(Phase(int(entry["port"]), float(entry["phi"])))
-        elif kind == "bd_merge":
-            steps.append(
-                BDMerge(
-                    int(entry["port_even"]),
-                    int(entry["port_odd"]),
-                    int(entry["port_out"]),
-                )
-            )
-        elif kind == "bd_split":
-            steps.append(
-                BDSplit(
-                    int(entry["port_in"]),
-                    int(entry["port_even"]),
-                    int(entry["port_odd"]),
-                )
-            )
-        elif kind == "inject":
-            steps.append(Inject(states.state_from_jsonable(entry["state"])))
-        elif kind == "postselect" and entry["kind"] == "coincidence":
-            steps.append(
-                measurement.CoincidenceSelect(
-                    measurement.CoincidencePattern(
-                        tuple(tuple(int(p) for p in g) for g in entry["groups"])
-                    )
-                )
-            )
-        elif kind == "postselect" and entry["kind"] == "pas_pair":
-            steps.append(
-                measurement.PasPairSelect(
-                    int(entry["port_x"]),
-                    int(entry["port_y"]),
-                    str(entry["mode"]),
-                    int(entry["correction_port"]),
-                )
-            )
-        else:
-            raise ValueError(f"unknown circuit step {entry!r}")
+    for index, entry in enumerate(data):
+        try:
+            steps.append(_step_from_jsonable(entry))
+        except KeyError as exc:
+            raise InvalidParameters(f"circuit step {index}: missing key {exc}") from None
+        except (TypeError, ValueError, OverflowError, EmptyState) as exc:
+            raise InvalidParameters(f"circuit step {index}: {exc}") from None
     return Circuit(steps)

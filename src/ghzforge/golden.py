@@ -314,8 +314,8 @@ def rate_checks() -> list[CheckResult]:
         ),
         CheckResult(
             "rates: qutrit chain 1/6 corrected, 1/12 filtered",
-            analysis.predicted_prob_exact(3, 4, True) == Fraction(1, 6)
-            and analysis.predicted_prob_exact(3, 4, False) == Fraction(1, 12),
+            analysis.predicted_prob_for_options(3, 4, True) == Fraction(1, 6)
+            and analysis.predicted_prob_for_options(3, 4, False) == Fraction(1, 12),
         ),
     ]
 

@@ -99,6 +99,19 @@ def distribution_to_jsonable(dist: OutcomeDistribution) -> list[dict]:
     ]
 
 
+def _outcome(
+    label: str, terms: dict[FockTerm, complex], total: float, branch_prob: float
+) -> Outcome:
+    """Probability and normalized post-state of one projective outcome."""
+    sub = PhotonicState(terms, 1.0)
+    nsq = sub.norm_sq()
+    prob = nsq / total if total > 0 else 0.0
+    if nsq <= eps() ** 2:
+        return Outcome(label, prob, PhotonicState({}, 0.0))
+    post = states.scaled(sub, 1.0 / math.sqrt(nsq), branch_prob=branch_prob * prob)
+    return Outcome(label, prob, post)
+
+
 def _single_photon_mode(term: FockTerm, port: int) -> tuple[int, str]:
     found = [(m, c) for m, c in term if m[0] == port]
     if len(found) != 1 or found[0][1] != 1:
@@ -120,19 +133,10 @@ def project_polarization_pair(
         reduced = tuple(m for m in term if m[0][0] not in (port_x, port_y))
         rest = buckets[px + py]
         rest[reduced] = rest.get(reduced, 0j) + amp
-    outcomes = []
-    for label in ("HH", "HV", "VH", "VV"):
-        sub = PhotonicState(buckets[label], 1.0)
-        nsq = sub.norm_sq()
-        prob = nsq / total if total > 0 else 0.0
-        if nsq > eps() ** 2:
-            post = states.scaled(
-                sub, 1.0 / math.sqrt(nsq), branch_prob=state.branch_prob * prob
-            )
-        else:
-            post = PhotonicState({}, 0.0)
-        outcomes.append(Outcome(label, prob, post))
-    return OutcomeDistribution(tuple(outcomes))
+    return OutcomeDistribution(tuple(
+        _outcome(label, terms, total, state.branch_prob)
+        for label, terms in buckets.items()
+    ))
 
 
 def fourier_measure_path(
@@ -172,16 +176,7 @@ def fourier_measure_path(
         for reduced, amp, j in located:
             phase = cmath.exp(2j * math.pi * j * k / d)
             acc[reduced] = acc.get(reduced, 0j) + amp * phase * root
-        sub = PhotonicState(acc, 1.0)
-        nsq = sub.norm_sq()
-        prob = nsq / total if total > 0 else 0.0
-        if nsq > eps() ** 2:
-            post = states.scaled(
-                sub, 1.0 / math.sqrt(nsq), branch_prob=state.branch_prob * prob
-            )
-        else:
-            post = PhotonicState({}, 0.0)
-        outcomes.append(Outcome(str(k), prob, post))
+        outcomes.append(_outcome(str(k), acc, total, state.branch_prob))
     return OutcomeDistribution(tuple(outcomes))
 
 
@@ -215,18 +210,27 @@ def fourier_feedforward_rule(
 
 
 @dataclass(frozen=True)
-class CoincidenceSelect:
+class CoincidenceSelect(elements.Step):
+    tag = {"elem": "postselect", "kind": "coincidence"}
     pattern: CoincidencePattern
 
-    def postselect(self, state: PhotonicState) -> tuple[PhotonicState, float]:
+    def apply(self, state: PhotonicState) -> tuple[PhotonicState, float]:
         return postselect_coincidence(state, self.pattern)
 
-    def referenced_ports(self) -> set[int]:
+    def ports(self) -> set[int]:
         return {p for g in self.pattern.groups for p in g}
+
+    def to_jsonable(self) -> dict:
+        return {**self.tag, "groups": [sorted(g) for g in self.pattern.groups]}
+
+    @classmethod
+    def from_jsonable(cls, entry: dict) -> CoincidenceSelect:
+        groups = tuple(tuple(int(p) for p in g) for g in entry["groups"])
+        return cls(CoincidencePattern(groups))
 
 
 @dataclass(frozen=True)
-class PasPairSelect:
+class PasPairSelect(elements.Step):
     """Pair polarization analysis behind an auxiliary stage.
 
     ``filtered`` keeps the HH and VV outcomes; ``feedforward`` keeps all four,
@@ -235,12 +239,13 @@ class PasPairSelect:
     continuing state whose norm accounts for the summed outcome probability.
     """
 
+    tag = {"elem": "postselect", "kind": "pas_pair"}
     port_x: int
     port_y: int
     mode: str = "filtered"  # or "feedforward"
     correction_port: int = 0
 
-    def postselect(self, state: PhotonicState) -> tuple[PhotonicState, float]:
+    def apply(self, state: PhotonicState) -> tuple[PhotonicState, float]:
         result = pas_pair_analysis(
             state, self.port_x, self.port_y, self.correction_port
         )
@@ -254,9 +259,6 @@ class PasPairSelect:
             branch_prob=state.branch_prob * p,
         )
         return out, p
-
-    def referenced_ports(self) -> set[int]:
-        return {self.port_x, self.port_y, self.correction_port}
 
 
 @dataclass(frozen=True)

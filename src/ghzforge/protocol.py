@@ -370,58 +370,72 @@ class RunReport:
         )
         return out
 
+    @classmethod
+    def build(
+        cls, backend: str, d: int, n: int, feedforward: bool,
+        state: PhotonicState, groups: Sequence[Sequence[int]],
+        probs: tuple[float, float, float], predicted: float | None,
+        trace: list[float], labels: list[str], intermediates: dict | None = None,
+    ) -> RunReport:
+        """The one way to assemble a report from an executor's final state.
 
-def _empty_report(plan: ProtocolPlan, backend: str, trace, labels, intermediates) -> RunReport:
-    opts = plan.options
-    predicted = (
-        float(
-            analysis.predicted_prob_for_options(
-                plan.d, plan.n, opts.feedforward, opts.resolved_odd_mode()
-            )
+        ``probs`` is (chosen, filtered, feedforward).  An empty state reports
+        every probability and the fidelity as 0 and never matches.  Otherwise
+        the state is normalized (keeping its ``branch_prob``) and compared with
+        the GHZ reference on ``groups``.  The match flags are None when there
+        is no prediction.
+        """
+        empty = state.is_empty
+        if empty:
+            final, probs, fid = PhotonicState({}, 0.0), (0.0, 0.0, 0.0), 0.0
+        else:
+            reference = analysis.ghz_reference(d, len(groups), groups)
+            final, fid = states.normalize(state), analysis.fidelity(state, reference)
+        prob, prob_filtered, prob_ff = probs
+        return cls(
+            d=d, n=n, backend=backend, feedforward=feedforward,
+            final_state=final,
+            prob=prob, prob_filtered=prob_filtered, prob_feedforward=prob_ff,
+            predicted_prob=predicted, trace=trace, stage_labels=labels,
+            fidelity=fid,
+            prob_matches=None if predicted is None
+            else not empty and abs(prob - predicted) <= 1e-6,
+            fidelity_matches=None if predicted is None else fid >= 1.0 - 1e-6,
+            intermediates={} if intermediates is None else intermediates,
         )
-        if opts.input_coeffs is None
-        else None
-    )
-    return RunReport(
-        d=plan.d, n=plan.n, backend=backend, feedforward=opts.feedforward,
-        final_state=PhotonicState({}, 0.0),
-        prob=0.0, prob_filtered=0.0, prob_feedforward=0.0,
-        predicted_prob=predicted, trace=trace, stage_labels=labels,
-        fidelity=0.0,
-        prob_matches=None if predicted is None else False,
-        fidelity_matches=None if predicted is None else False,
-        intermediates=intermediates,
-    )
 
 
-def _finish_report(
-    plan: ProtocolPlan, backend: str, state: PhotonicState,
-    prob_chosen: float, prob_filtered: float, prob_ff: float,
-    trace: list[float], labels: list[str], intermediates: dict,
+@dataclass
+class _Ledger:
+    """Stage probabilities in the order measured, with the running products
+    of the (chosen, filtered, feedforward) accountings."""
+
+    trace: list[float] = field(default_factory=list)
+    labels: list[str] = field(default_factory=list)
+    probs: tuple[float, float, float] = (1.0, 1.0, 1.0)
+
+    def record(self, label: str, p: float, p_filtered: float, p_ff: float) -> None:
+        self.trace.append(p)
+        self.labels.append(label)
+        chosen, filtered, ff = self.probs
+        self.probs = (chosen * p, filtered * p_filtered, ff * p_ff)
+
+
+def _plan_report(
+    plan: ProtocolPlan, backend: str, state: PhotonicState, ledger: _Ledger,
+    intermediates: dict,
 ) -> RunReport:
     opts = plan.options
-    groups = plan.output_port_groups()
-    reference = analysis.ghz_reference(plan.d, len(groups), groups)
-    fid = analysis.fidelity(state, reference)
     predicted = (
-        float(
-            analysis.predicted_prob_for_options(
-                plan.d, plan.n, opts.feedforward, opts.resolved_odd_mode()
-            )
-        )
+        float(analysis.predicted_prob_for_options(
+            plan.d, plan.n, opts.feedforward, opts.odd_n_mode
+        ))
         if opts.input_coeffs is None
         else None
     )
-    final = PhotonicState(dict(states.normalize(state).terms), prob_chosen)
-    return RunReport(
-        d=plan.d, n=plan.n, backend=backend, feedforward=opts.feedforward,
-        final_state=final,
-        prob=prob_chosen, prob_filtered=prob_filtered, prob_feedforward=prob_ff,
-        predicted_prob=predicted, trace=trace, stage_labels=labels,
-        fidelity=fid,
-        prob_matches=None if predicted is None else abs(prob_chosen - predicted) <= 1e-6,
-        fidelity_matches=None if predicted is None else fid >= 1.0 - 1e-6,
-        intermediates=intermediates,
+    return RunReport.build(
+        backend, plan.d, plan.n, opts.feedforward, state, plan.output_port_groups(),
+        ledger.probs, predicted, ledger.trace, ledger.labels, intermediates,
     )
 
 
@@ -451,56 +465,38 @@ def _reduce_even_state(
 def _run_elements(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
     opts = plan.options
     state = states.vacuum()
-    trace: list[float] = []
-    labels: list[str] = []
-    prob_chosen = prob_filtered = prob_ff = 1.0
+    ledger = _Ledger()
     intermediates: dict[str, PhotonicState] = {}
 
     for stage in plan.stages:
         if stage.kind == "reduce":
-            post, p, p_single, p_full = _reduce_even_state(
+            state, p, p_single, p_full = _reduce_even_state(
                 state, plan.d, stage.info["mode"],
                 stage.info["ports"], plan.photon_ports(1),
             )
-            trace.append(p)
-            labels.append(stage.label)
-            prob_chosen *= p
-            prob_filtered *= p_single
-            prob_ff *= p_full
-            state = PhotonicState(dict(post.terms), prob_chosen)
+            ledger.record(stage.label, p, p_single, p_full)
         elif stage.kind == "aux_pas":
             step: PasPairSelect = stage.steps[0]
             result = measurement.pas_pair_analysis(
                 state, step.port_x, step.port_y, step.correction_port
             )
             p = result.prob_feedforward if opts.feedforward else result.prob_filtered
-            trace.append(p)
-            labels.append(stage.label)
-            prob_chosen *= p
-            prob_filtered *= result.prob_filtered
-            prob_ff *= result.prob_feedforward
+            ledger.record(stage.label, p, result.prob_filtered, result.prob_feedforward)
             if result.merged is None or p <= 0.0:
-                return _empty_report(plan, "element", trace, labels, intermediates)
-            state = PhotonicState(dict(result.merged.terms), prob_chosen)
+                state = PhotonicState({}, 0.0)
+                break
+            state = result.merged
         else:
             state, ps = elements.run_circuit(state, stage.steps)
             for p in ps:
-                trace.append(p)
-                labels.append(stage.label)
-                prob_chosen *= p
-                prob_filtered *= p
-                prob_ff *= p
+                ledger.record(stage.label, p, p, p)
             if state.is_empty:
-                return _empty_report(plan, "element", trace, labels, intermediates)
-            state = PhotonicState(
-                dict(states.normalize(state).terms), prob_chosen
-            )
+                break
+            state = states.normalize(state)
+        state = PhotonicState(state.terms, ledger.probs[0])
         if keep_intermediates:
             intermediates[stage.label] = state
-    return _finish_report(
-        plan, "element", state, prob_chosen, prob_filtered, prob_ff,
-        trace, labels, intermediates,
-    )
+    return _plan_report(plan, "element", state, ledger, intermediates)
 
 
 def _materialize_paths(
@@ -545,9 +541,7 @@ def _run_rules(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
 
     extend((), 1.0 + 0j)
 
-    trace: list[float] = []
-    labels: list[str] = []
-    prob_chosen = prob_filtered = prob_ff = 1.0
+    ledger = _Ledger()
     intermediates: dict[str, PhotonicState] = {}
     all_photons = list(range(2 * m))
     all_h = lambda photon, path: H  # noqa: E731
@@ -557,7 +551,7 @@ def _run_rules(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
             intermediates[label] = _materialize_paths(
                 d, amps, all_photons,
                 lambda photon, path: rule(path) if photon in tagged else H,
-                prob_chosen,
+                ledger.probs[0],
             )
 
     for k in range(m - 1):
@@ -566,13 +560,9 @@ def _run_rules(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
         kept = {t: a for t, a in amps.items() if t[ia] % 2 == t[ib] % 2}
         kept_nsq = sum(abs(a) ** 2 for a in kept.values())
         p1 = kept_nsq / total if total else 0.0
-        trace.append(p1)
-        labels.append(f"j{k}.step_i")
-        prob_chosen *= p1
-        prob_filtered *= p1
-        prob_ff *= p1
+        ledger.record(f"j{k}.step_i", p1, p1, p1)
         if not kept:
-            return _empty_report(plan, "rule", trace, labels, intermediates)
+            return _plan_report(plan, "rule", PhotonicState({}, 0.0), ledger, intermediates)
         scale = 1.0 / math.sqrt(kept_nsq)
         amps = {t: a * scale for t, a in kept.items()}
         record(f"j{k}.step_i", {ia, ib}, parity_rule)
@@ -585,16 +575,10 @@ def _run_rules(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
             }
             surv_nsq = sum(abs(a) ** 2 for a in survivors.values())
             p_coin = 0.5 * surv_nsq  # helper branch carries 1/sqrt(2) each way
-            trace.append(p_coin)
-            labels.append(f"j{k}.aux{q}.interfere")
-            p_pas = 1.0 if opts.feedforward else 0.5
-            trace.append(p_pas)
-            labels.append(f"j{k}.aux{q}.pas")
-            prob_chosen *= p_coin * p_pas
-            prob_filtered *= p_coin * 0.5
-            prob_ff *= p_coin
+            ledger.record(f"j{k}.aux{q}.interfere", p_coin, p_coin, p_coin)
+            ledger.record(f"j{k}.aux{q}.pas", 1.0 if opts.feedforward else 0.5, 0.5, 1.0)
             if not survivors:
-                return _empty_report(plan, "rule", trace, labels, intermediates)
+                return _plan_report(plan, "rule", PhotonicState({}, 0.0), ledger, intermediates)
             scale = 1.0 / math.sqrt(surv_nsq)
             amps = {t: a * scale for t, a in survivors.items()}
             record(
@@ -609,20 +593,12 @@ def _run_rules(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
         # photon 0 always shares its source partner's path, so dropping it
         # never merges kets; outcome probabilities are uniform 1/d
         p_single = 1.0 / d
-        p = p_single if mode == SINGLE_OUTCOME else 1.0
-        trace.append(p)
-        labels.append("reduce")
-        prob_chosen *= p
-        prob_filtered *= p_single
-        prob_ff *= 1.0
+        ledger.record("reduce", p_single if mode == SINGLE_OUTCOME else 1.0, p_single, 1.0)
 
-    state = _materialize_paths(d, amps, photons, all_h, prob_chosen)
+    state = _materialize_paths(d, amps, photons, all_h, ledger.probs[0])
     if keep_intermediates:
         intermediates["final"] = state
-    return _finish_report(
-        plan, "rule", state, prob_chosen, prob_filtered, prob_ff,
-        trace, labels, intermediates,
-    )
+    return _plan_report(plan, "rule", state, ledger, intermediates)
 
 
 def execute(
@@ -678,19 +654,11 @@ def reduce_to_odd(
     post, p, p_single, p_full = _reduce_even_state(
         state, d, mode, groups[0], groups[1]
     )
-    n_out = len(groups) - 1
-    fid = analysis.fidelity(post, analysis.ghz_reference(d, n_out, groups[1:]))
-    predicted = 1.0 / d if mode == SINGLE_OUTCOME else 1.0
-    final = PhotonicState(dict(states.normalize(post).terms), state.branch_prob * p)
-    return RunReport(
-        d=d, n=n_out, backend="reduce", feedforward=mode == FULL_FOURIER,
-        final_state=final,
-        prob=p, prob_filtered=p_single, prob_feedforward=p_full,
-        predicted_prob=predicted,
-        trace=[p], stage_labels=["reduce"],
-        fidelity=fid,
-        prob_matches=abs(p - predicted) <= 1e-6,
-        fidelity_matches=fid >= 1.0 - 1e-6,
+    return RunReport.build(
+        "reduce", d, len(groups) - 1, mode == FULL_FOURIER,
+        PhotonicState(post.terms, state.branch_prob * p), groups[1:],
+        (p, p_single, p_full), 1.0 / d if mode == SINGLE_OUTCOME else 1.0,
+        [p], ["reduce"],
     )
 
 

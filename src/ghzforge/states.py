@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import EmptyState, PortCollision
+from .errors import EmptyState, InvalidParameters, PortCollision
 
 H = "H"
 V = "V"
@@ -34,9 +34,22 @@ _DEFAULT_EPS = 1e-9
 
 
 def eps() -> float:
-    """Amplitude/probability tolerance; GHZFORGE_EPS overrides the default."""
+    """Amplitude/probability tolerance; GHZFORGE_EPS overrides the default.
+
+    The variable is read on every call; a value that is not a positive finite
+    number raises InvalidParameters."""
     raw = os.environ.get("GHZFORGE_EPS")
-    return _DEFAULT_EPS if raw is None else float(raw)
+    if raw is None:
+        return _DEFAULT_EPS
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise InvalidParameters(
+            f"GHZFORGE_EPS must be a positive finite number, got {raw!r}"
+        )
+    return value
 
 
 def mode(port: int, pol: str) -> Mode:

@@ -98,10 +98,24 @@ class TestResourceFormulas:
             (4, 6, True, Fraction(1, 256)),
             (3, 6, True, Fraction(1, 36)),
             (2, 4, False, Fraction(1, 2)),
+            # odd n with the default mode, which follows the feedforward flag
+            (3, 5, True, Fraction(1, 36)),
+            (3, 5, False, Fraction(1, 432)),
         ],
     )
     def test_predicted_prob(self, d, n, ff, expected):
-        assert analysis.predicted_prob_exact(d, n, ff) == expected
+        assert analysis.predicted_prob_for_options(d, n, ff) == expected
+        assert gf.predicted_prob(d, n, ff) == float(expected)
+
+    @pytest.mark.parametrize(
+        "ff,odd_mode,expected",
+        [
+            (True, "single_outcome", Fraction(1, 108)),
+            (False, "full_fourier", Fraction(1, 144)),
+        ],
+    )
+    def test_predicted_prob_mixed_odd_mode(self, ff, odd_mode, expected):
+        assert analysis.predicted_prob_for_options(3, 5, ff, odd_mode) == expected
 
     def test_identity_suite_exact_up_to_128(self):
         for d in range(2, 129):

@@ -93,6 +93,27 @@ class TestRun:
         final = states.state_from_jsonable(data["final_state"])
         assert states.states_close(final, golden.chain_output_unnormalized(), tol=1e-9)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"elem": "pbs", "port_a": 1, "port_b": 2}',
+            '[{"elem": "pbs", "port_a": 1}]',
+            '[{"elem": "mirror", "port": 1}]',
+            '[{"elem": "postselect", "groups": [[1], [2]]}]',
+            '[{"elem": "hwp", "port": "x", "theta": 0.1}]',
+            '[{"elem": "pbs", "port_a": 1, "port_b": 2}',
+        ],
+        ids=["object", "missing-key", "unknown-elem", "no-kind", "bad-port", "not-json"],
+    )
+    def test_malformed_circuit_file_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", "--circuit", str(path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_run_requires_parameters(self, capsys):
         code, _, err = run_cli(capsys, "run")
         assert code == 2
@@ -209,6 +230,17 @@ class TestEnvironment:
         code, out, _ = run_cli(capsys, "run", "--d", "2", "--n", "4")
         assert code == 0
         assert json.loads(out)["prob"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("value", ["abc", "inf", "-1"])
+    def test_invalid_eps_exits_2(self, capsys, monkeypatch, value):
+        # non-numeric, non-finite and non-positive values are usage errors
+        monkeypatch.setenv("GHZFORGE_EPS", value)
+        with pytest.raises(gf.errors.InvalidParameters):
+            gf.eps()
+        code, out, err = run_cli(capsys, "run", "--d", "2", "--n", "4")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "GHZFORGE_EPS" in err
 
     def test_usage_error_from_argparse(self, capsys):
         code, _, err = run_cli(capsys, "plan", "--d", "3")

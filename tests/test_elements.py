@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 
@@ -12,6 +13,34 @@ from ghzforge.errors import BDCollision, PortCollision
 from conftest import random_state, states_strategy
 
 SQ2 = math.sqrt(2.0)
+
+ONE_STEP_PER_KIND = [
+    (
+        gf.Inject(gf.make_state([(gf.ket((0, "H"), (1, "V")), 1.0)])),
+        '{"elem": "inject", "state": [{"modes": [[0, "H", 1], [1, "V", 1]], '
+        '"re": 1.0, "im": 0.0}]}',
+    ),
+    (gf.PBS(0, 1), '{"elem": "pbs", "port_a": 0, "port_b": 1}'),
+    (gf.HWP(1, 0.125), '{"elem": "hwp", "port": 1, "theta": 0.125}'),
+    (gf.Phase(0, 0.5), '{"elem": "phase", "port": 0, "phi": 0.5}'),
+    (
+        gf.BDMerge(0, 1, 2),
+        '{"elem": "bd_merge", "port_even": 0, "port_odd": 1, "port_out": 2}',
+    ),
+    (
+        gf.BDSplit(2, 3, 4),
+        '{"elem": "bd_split", "port_in": 2, "port_even": 3, "port_odd": 4}',
+    ),
+    (
+        gf.CoincidenceSelect(gf.CoincidencePattern(((0,), (3, 4)))),
+        '{"elem": "postselect", "kind": "coincidence", "groups": [[0], [3, 4]]}',
+    ),
+    (
+        gf.PasPairSelect(3, 4, "feedforward", correction_port=5),
+        '{"elem": "postselect", "kind": "pas_pair", "port_x": 3, "port_y": 4, '
+        '"mode": "feedforward", "correction_port": 5}',
+    ),
+]
 
 
 def single_photon(port, pol):
@@ -205,6 +234,22 @@ class TestRunCircuit:
         out, trace = gf.run_circuit(states.vacuum(), circuit)
         assert trace[-1] == pytest.approx(0.5)
         assert states.states_close(out, golden.chain_output_unnormalized(), tol=1e-9)
+
+        # one step of every kind, pinning the file format key by key
+        steps = [step for step, _ in ONE_STEP_PER_KIND]
+        data = elements.circuit_to_jsonable(steps)
+        assert [json.dumps(entry) for entry in data] == [
+            text for _, text in ONE_STEP_PER_KIND
+        ]
+        assert elements.circuit_from_jsonable(data).steps == steps
+
+        # post-selection ports count as used for the merge freshness rule
+        for upstream, port in (
+            (gf.PasPairSelect(3, 4, "filtered", correction_port=7), 7),
+            (gf.CoincidenceSelect(gf.CoincidencePattern(((8,), (9,)))), 9),
+        ):
+            with pytest.raises(PortCollision):
+                elements.Circuit([upstream, gf.BDMerge(0, 1, port)]).validate()
 
     def test_merge_output_reuse_flagged(self):
         circuit = elements.Circuit(
