@@ -354,7 +354,7 @@ def oracle_run(
             kets.append((ket(*modes), a * scale))
         final = states.make_state(kets, branch_prob=prob_chosen)
     predicted = (
-        float(predicted_prob_for_options(d, n, feedforward, odd_n_mode))
+        predicted_prob_for_options(d, n, feedforward, odd_n_mode)
         if input_coeffs is None
         else None
     )

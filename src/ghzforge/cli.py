@@ -29,20 +29,21 @@ _USAGE_ERRORS = (InvalidParameters, InvalidCoefficients, InvalidAuxPair)
 
 
 def _rational(x: float | None) -> str:
+    """The nearest fraction with a denominator up to 10**9 when it lies within
+    1e-12 of ``x`` relatively, else the float alone (so 3e-33 never prints 0)."""
     if x is None:
         return "n/a"
     frac = Fraction(x).limit_denominator(10**9)
-    if abs(float(frac) - x) <= 1e-12:
-        if frac.denominator == 1:
-            return str(frac.numerator)
-        return f"{frac.numerator}/{frac.denominator}"
+    if abs(float(frac) - x) <= 1e-12 * abs(x):
+        return str(frac)
     return f"{x:.12g}"
 
 
-def _prob_line(x: float | None) -> str:
+def _prob_line(x: float | None, exact: Fraction | None = None) -> str:
+    """``x`` as a rational next to its float; ``exact`` is printed as given."""
     if x is None:
         return "n/a"
-    return f"{_rational(x)} ({x:.12g})"
+    return f"{_rational(x) if exact is None else exact} ({x:.12g})"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -57,17 +58,20 @@ def _json_text(obj) -> str:
 
 
 def _parse_range(raw: str) -> tuple[int, int]:
-    if ".." in raw:
-        lo, hi = raw.split("..", 1)
-        return int(lo), int(hi)
-    value = int(raw)
-    return value, value
+    lo, sep, hi = raw.partition("..")
+    try:
+        return int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise InvalidParameters(f"range {raw!r} is not an integer or LO..HI") from None
 
 
 def _parse_coeffs(raw: str | None) -> tuple[float, ...] | None:
     if raw is None:
         return None
-    return tuple(float(part) for part in raw.split(","))
+    try:
+        return tuple(float(part) for part in raw.split(","))
+    except ValueError:
+        raise InvalidCoefficients(f"--coeffs {raw!r} is not a list of numbers") from None
 
 
 def _odd_mode(raw: str | None) -> str | None:
@@ -130,7 +134,8 @@ def _report_pretty(report: protocol.RunReport) -> str:
             f"  probability (chosen accounting):  {_prob_line(report.prob)}",
             f"  probability (filtered outcomes):  {_prob_line(report.prob_filtered)}",
             f"  probability (with feedforward):   {_prob_line(report.prob_feedforward)}",
-            f"  predicted probability:            {_prob_line(report.predicted_prob)}",
+            f"  predicted probability:            "
+            f"{_prob_line(report.predicted_prob, report.predicted)}",
             f"  fidelity vs target:               {report.fidelity:.12f}",
         ]
     )
@@ -195,18 +200,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _sweep_cell(d: int, n: int, backend: str, feedforward: bool) -> dict:
-    if not protocol.within_capacity(d, n, backend):
+    try:
+        report = protocol.run(d, n, feedforward=feedforward, backend=backend)
+    except OracleTooLarge:
         return {
             "d": d, "n": n, "backend": backend, "predicted_prob": None,
             "simulated_prob": None, "fidelity": None, "match": None,
             "status": "skipped",
         }
-    report = protocol.run(d, n, feedforward=feedforward, backend=backend)
-    match = (
-        report.predicted_prob is not None
-        and abs(report.prob - report.predicted_prob) <= 1e-9
-        and report.fidelity >= 1.0 - 1e-9
-    )
+    match = bool(report.prob_matches) and report.fidelity >= 1.0 - 1e-9
     return {
         "d": d, "n": n, "backend": backend,
         "predicted_prob": report.predicted_prob,

@@ -2,13 +2,18 @@
 
 ``compile_plan`` turns (d, n, options) into an ordered stage list: a chain of
 ceil(n/2) path-encoded pair sources whose adjacent photons meet at junctions.
-Each junction runs a parity-tagged PBS filter and then one auxiliary stage per
-same-parity path pair; an auxiliary stage tags the pair's upper path vertical,
-injects a two-photon helper state, interferes photon and helper arms through
-beam-displacer merge / PBS / split blocks, post-selects coincidences, rotates
-the helper arms into the diagonal basis and projects them as a pair.  Odd
-photon numbers finish with a Fourier-basis path measurement of the first
-photon.
+Sources are injected per junction: the first stage injects sources 0 and 1,
+and junction k >= 1 starts by injecting source k + 1, the only new photons it
+touches.  Operators on disjoint ports commute, so this equals starting from
+the full product of all sources, but each junction sees the d-term chain
+built so far times one d-term source (d**2 terms) instead of d**ceil(n/2)
+terms.  Each junction runs a parity-tagged PBS filter and then one auxiliary
+stage per same-parity path pair; an auxiliary stage tags the pair's upper
+path vertical, injects a two-photon helper state, interferes photon and
+helper arms through beam-displacer merge / PBS / split blocks, post-selects
+coincidences, rotates the helper arms into the diagonal basis and projects
+them as a pair.  Odd photon numbers finish with a Fourier-basis path
+measurement of the first photon.
 
 Two executors interpret a plan:
 
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from . import analysis, elements, measurement, states
@@ -46,6 +52,7 @@ FULL_FOURIER = "full_fourier"
 
 _TAG = math.pi / 4.0      # HWP angle swapping H and V
 _DIAGONAL = math.pi / 8.0  # HWP angle rotating into the +/- basis
+_PROB_REL_TOL = Fraction(1, 10**9)  # measured vs exact predicted probability
 
 
 @dataclass(frozen=True)
@@ -206,8 +213,11 @@ def compile_plan(
 ) -> ProtocolPlan:
     """Synthesize the full stage list for (d, n).
 
-    ``aux_order`` optionally overrides the per-junction auxiliary pair order;
-    it must be a permutation of the same-parity pair set for each junction.
+    The ``sources`` stage injects sources 0 and 1; every later source k + 1
+    is injected by its own ``sources``-kind stage ``j{k}.source`` just before
+    junction k's first tag.  ``aux_order`` optionally overrides the
+    per-junction auxiliary pair order; it must be a permutation of the
+    same-parity pair set for each junction.
     """
     d, n = options.d, options.n
     if not isinstance(d, int) or not isinstance(n, int) or d < 2 or n < 2:
@@ -231,17 +241,16 @@ def compile_plan(
     def ports(photon: int) -> list[int]:
         return [photon * d + i for i in range(d)]
 
-    stages: list[PlanStage] = []
-    source_steps: list = []
-    for s in range(m):
-        source_steps.append(
-            Inject(build_epr_source(d, coeffs, ports(2 * s), ports(2 * s + 1)))
-        )
-    stages.append(PlanStage("sources", "sources", source_steps))
+    def source(s: int) -> Inject:
+        return Inject(build_epr_source(d, coeffs, ports(2 * s), ports(2 * s + 1)))
+
+    stages = [PlanStage("sources", "sources", [source(s) for s in range(min(m, 2))])]
 
     next_port = 2 * m * d
     pas_mode = "feedforward" if options.feedforward else "filtered"
     for k in range(junctions):
+        if k > 0:
+            stages.append(PlanStage(f"j{k}.source", "sources", [source(k + 1)], junction=k))
         pa, pb = ports(2 * k + 1), ports(2 * k + 2)
         odd_paths = [p for p in range(d) if p % 2 == 1]
         tag = [HWP(pa[p], _TAG) for p in odd_paths] + [HWP(pb[p], _TAG) for p in odd_paths]
@@ -341,13 +350,29 @@ class RunReport:
     prob: float
     prob_filtered: float
     prob_feedforward: float
-    predicted_prob: float | None
+    predicted: Fraction | None  # exact closed form; None for non-uniform coefficients
     trace: list[float]
     stage_labels: list[str]
     fidelity: float
-    prob_matches: bool | None
-    fidelity_matches: bool | None
     intermediates: dict[str, PhotonicState] = field(default_factory=dict)
+
+    @property
+    def predicted_prob(self) -> float | None:
+        return None if self.predicted is None else float(self.predicted)
+
+    @property
+    def prob_matches(self) -> bool | None:
+        """``prob`` within 1e-9 of the exact prediction, relatively, so a
+        probability that is scaled, or that underflowed to 0, never matches."""
+        if self.predicted is None:
+            return None
+        return math.isfinite(self.prob) and (
+            abs(Fraction(self.prob) - self.predicted) <= self.predicted * _PROB_REL_TOL
+        )
+
+    @property
+    def fidelity_matches(self) -> bool | None:
+        return None if self.predicted is None else self.fidelity >= 1.0 - 1e-6
 
     def to_jsonable(self, include_state: bool = True) -> dict:
         out = {
@@ -374,19 +399,18 @@ class RunReport:
     def build(
         cls, backend: str, d: int, n: int, feedforward: bool,
         state: PhotonicState, groups: Sequence[Sequence[int]],
-        probs: tuple[float, float, float], predicted: float | None,
+        probs: tuple[float, float, float], predicted: Fraction | None,
         trace: list[float], labels: list[str], intermediates: dict | None = None,
     ) -> RunReport:
         """The one way to assemble a report from an executor's final state.
 
         ``probs`` is (chosen, filtered, feedforward).  An empty state reports
-        every probability and the fidelity as 0 and never matches.  Otherwise
-        the state is normalized (keeping its ``branch_prob``) and compared with
-        the GHZ reference on ``groups``.  The match flags are None when there
-        is no prediction.
+        every probability and the fidelity as 0, so it never matches a
+        prediction.  Otherwise the state is normalized (keeping its
+        ``branch_prob``) and compared with the GHZ reference on ``groups``.
+        The match flags are None when there is no prediction.
         """
-        empty = state.is_empty
-        if empty:
+        if state.is_empty:
             final, probs, fid = PhotonicState({}, 0.0), (0.0, 0.0, 0.0), 0.0
         else:
             reference = analysis.ghz_reference(d, len(groups), groups)
@@ -396,11 +420,8 @@ class RunReport:
             d=d, n=n, backend=backend, feedforward=feedforward,
             final_state=final,
             prob=prob, prob_filtered=prob_filtered, prob_feedforward=prob_ff,
-            predicted_prob=predicted, trace=trace, stage_labels=labels,
+            predicted=predicted, trace=trace, stage_labels=labels,
             fidelity=fid,
-            prob_matches=None if predicted is None
-            else not empty and abs(prob - predicted) <= 1e-6,
-            fidelity_matches=None if predicted is None else fid >= 1.0 - 1e-6,
             intermediates={} if intermediates is None else intermediates,
         )
 
@@ -427,9 +448,9 @@ def _plan_report(
 ) -> RunReport:
     opts = plan.options
     predicted = (
-        float(analysis.predicted_prob_for_options(
+        analysis.predicted_prob_for_options(
             plan.d, plan.n, opts.feedforward, opts.odd_n_mode
-        ))
+        )
         if opts.input_coeffs is None
         else None
     )
@@ -518,7 +539,9 @@ def _materialize_paths(
 def _run_rules(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
     """Predicate-level executor: per-photon path tuples with stage keep rules.
 
-    At an auxiliary stage targeting (i, j) a ket survives the interference
+    Sources stream in as in the plan: each tuple starts as source 0's (i, i),
+    and source k + 1 appends its (i, i) just before junction k.  At an
+    auxiliary stage targeting (i, j) a ket survives the interference
     coincidence exactly when its junction photons either both sit on path j
     (riding the vertical helper branch) or both avoid it (the horizontal
     branch); every survivor is damped by 1/(2*sqrt(2)) once the pair
@@ -526,35 +549,25 @@ def _run_rules(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
     """
     d = plan.d
     opts = plan.options
-    m = plan.epr_pair_count
-    coeffs = _validated_coeffs(d, opts.input_coeffs)
-    amps: dict[tuple[int, ...], complex] = {}
-
-    def extend(prefix: tuple[int, ...], amp: complex) -> None:
-        if len(prefix) == m:
-            if abs(amp) > 0.0:
-                full = tuple(prefix[p // 2] for p in range(2 * m))
-                amps[full] = amp
-            return
-        for i in range(d):
-            extend(prefix + (i,), amp * coeffs[i])
-
-    extend((), 1.0 + 0j)
+    source = [
+        (i, c) for i, c in enumerate(_validated_coeffs(d, opts.input_coeffs)) if c != 0.0
+    ]
+    amps: dict[tuple[int, ...], complex] = {(i, i): c + 0j for i, c in source}
 
     ledger = _Ledger()
     intermediates: dict[str, PhotonicState] = {}
-    all_photons = list(range(2 * m))
-    all_h = lambda photon, path: H  # noqa: E731
 
     def record(label: str, tagged: set[int], rule: Callable[[int], str]) -> None:
         if keep_intermediates:
             intermediates[label] = _materialize_paths(
-                d, amps, all_photons,
+                d, amps, present,
                 lambda photon, path: rule(path) if photon in tagged else H,
                 ledger.probs[0],
             )
 
-    for k in range(m - 1):
+    for k in range(plan.epr_pair_count - 1):
+        amps = {t + (i, i): a * c for t, a in amps.items() for i, c in source}
+        present = range(2 * k + 4)  # the photons of sources 0 .. k + 1
         ia, ib = 2 * k + 1, 2 * k + 2
         total = sum(abs(a) ** 2 for a in amps.values())
         kept = {t: a for t, a in amps.items() if t[ia] % 2 == t[ib] % 2}
@@ -595,7 +608,7 @@ def _run_rules(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
         p_single = 1.0 / d
         ledger.record("reduce", p_single if mode == SINGLE_OUTCOME else 1.0, p_single, 1.0)
 
-    state = _materialize_paths(d, amps, photons, all_h, ledger.probs[0])
+    state = _materialize_paths(d, amps, photons, lambda photon, path: H, ledger.probs[0])
     if keep_intermediates:
         intermediates["final"] = state
     return _plan_report(plan, "rule", state, ledger, intermediates)
@@ -657,20 +670,7 @@ def reduce_to_odd(
     return RunReport.build(
         "reduce", d, len(groups) - 1, mode == FULL_FOURIER,
         PhotonicState(post.terms, state.branch_prob * p), groups[1:],
-        (p, p_single, p_full), 1.0 / d if mode == SINGLE_OUTCOME else 1.0,
+        (p, p_single, p_full), Fraction(1, d) if mode == SINGLE_OUTCOME else Fraction(1),
         [p], ["reduce"],
     )
 
-
-def within_capacity(d: int, n: int, backend: str = "rule") -> bool:
-    """Desk-scale guard used by the sweep command.
-
-    Direct runs are not gated; this only marks sweep cells that would be
-    disproportionately slow (the element backend folds the full circuit)."""
-    if d < 2 or n < 2:
-        return False
-    if backend == "oracle":
-        return d <= analysis.ORACLE_MAX_D and n <= analysis.ORACLE_MAX_N
-    if backend == "element":
-        return d <= 6 and n <= 8
-    return d <= 8 and n <= 10

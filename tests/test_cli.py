@@ -1,10 +1,10 @@
 import json
-import math
+from fractions import Fraction
 
 import pytest
 
 import ghzforge as gf
-from ghzforge import analysis, cli, elements, golden, states
+from ghzforge import analysis, cli, elements, golden, protocol, states
 from ghzforge.cli import main
 
 
@@ -127,6 +127,49 @@ class TestRun:
         # fidelity below the gate: the run is honest but not a verified match
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--d", "3", "--n", "4", "--coeffs", "a,b,c"],
+            ["sweep", "--d", "x..3", "--n", "4"],
+            ["sweep", "--d", "2..", "--n", "4"],
+        ],
+        ids=["coeffs", "range", "open-range"],
+    )
+    def test_malformed_numeric_flag_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    def test_halved_probability_fails_the_gate(self):
+        # at (6,8) the filtered probability is 2**-39 / 27, far below any
+        # absolute tolerance; the relative comparison still sees the halving
+        report = gf.run(6, 8, backend="rule")
+        assert report.prob_matches is True and cli._gate(report) == 0
+        halved = protocol.RunReport.build(
+            "rule", 6, 8, False, report.final_state,
+            analysis.default_port_groups(6, 8),
+            (report.prob / 2, report.prob_filtered / 2, report.prob_feedforward),
+            report.predicted, report.trace, report.stage_labels,
+        )
+        assert halved.fidelity == pytest.approx(1.0, abs=1e-12)
+        assert halved.prob_matches is False
+        assert cli._gate(halved) == 1
+
+    def test_tiny_probability_never_prints_as_zero(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "--d", "8", "--n", "10", "--format", "pretty",
+        )
+        assert code == 0
+        exact = analysis.predicted_prob_for_options(8, 10, False)
+        assert exact == Fraction(1, 2**108)
+        lines = {line.split(":")[0].strip(): line.split(":", 1)[1].strip()
+                 for line in out.splitlines() if ":" in line}
+        assert lines["predicted probability"] == f"{exact} ({float(exact):.12g})"
+        assert lines["probability (chosen accounting)"].startswith("3.08148791102e-33 (")
+        assert not any(" 0 (" in line for line in out.splitlines())
+
     def test_backend_capacity_error_exits_3(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "--d", "5", "--n", "4", "--backend", "oracle",
@@ -156,9 +199,16 @@ class TestSweep:
         assert out == cli.SWEEP_CSV_HEADER + "\r\n"
 
     def test_capacity_exceeded_rows_marked_skipped(self, capsys):
+        # only the oracle has a size bound; rule and element cells always run
         code, out, _ = run_cli(capsys, "sweep", "--d", "9", "--n", "4")
         assert code == 0
-        assert "skipped" in out
+        row = out.strip().split("\r\n")[1]
+        assert row.startswith("9,4,rule,") and row.endswith(",true,ok")
+        code, out, _ = run_cli(
+            capsys, "sweep", "--d", "5", "--n", "4", "--backend", "oracle"
+        )
+        assert code == 0
+        assert out.strip().split("\r\n")[1] == "5,4,oracle,,,,,skipped"
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(

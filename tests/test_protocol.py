@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -112,6 +113,17 @@ class TestCompile:
         with pytest.raises(InvalidParameters):
             gf.compile_plan(opts, aux_order=[[(0, 2)]])
 
+    def test_later_sources_injected_at_their_junction(self):
+        plan = gf.compile_plan(gf.ProtocolOptions(d=3, n=6))
+        labels = [s.label for s in plan.stages]
+        assert labels.index("j1.source") < labels.index("j1.step_i_tag")
+        assert labels.index("j0.aux0.untag") < labels.index("j1.source")
+        stage = plan.stages[labels.index("j1.source")]
+        assert stage.kind == "sources" and stage.junction == 1
+        (inject,) = stage.steps
+        assert inject.ports() == set(plan.photon_ports(4) + plan.photon_ports(5))
+        assert len(plan.stages[0].steps) == 2
+
     def test_plan_serialization(self):
         plan = gf.compile_plan(gf.ProtocolOptions(d=3, n=4))
         data = plan.to_jsonable()
@@ -164,15 +176,19 @@ class TestElementGolden:
 
 
 class TestBackendAgreement:
-    def test_rule_matches_element_checkpoints_and_trace(self):
-        opts = gf.ProtocolOptions(d=3, n=4, feedforward=False)
+    @pytest.mark.parametrize("d,n", [(3, 4), (3, 6)])
+    def test_rule_matches_element_checkpoints_and_trace(self, d, n):
+        opts = gf.ProtocolOptions(d=d, n=n, feedforward=False)
         rule = gf.execute(gf.compile_plan(opts), backend="rule", keep_intermediates=True)
         element = gf.execute(
             gf.compile_plan(opts), backend="element", keep_intermediates=True
         )
         assert rule.trace == pytest.approx(element.trace, abs=1e-9)
         assert rule.stage_labels == element.stage_labels
-        for label in ("j0.step_i", "j0.aux0.pas"):
+        labels = ["j0.step_i", "j0.aux0.pas"]
+        if n >= 6:
+            labels += ["j1.step_i", "j1.aux0.pas"]
+        for label in labels:
             assert states.states_close(
                 states.absorb_branch(rule.intermediates[label]),
                 states.absorb_branch(element.intermediates[label]),
@@ -220,6 +236,27 @@ class TestBackendAgreement:
         expected = sorted([0.6**2, 0.8**2])
         got = sorted(abs(a) * math.sqrt(sum(c**4 for c in coeffs)) for a in rule.final_state.terms.values())
         assert got == pytest.approx(expected, abs=1e-9)
+
+
+class TestStreaming:
+    @staticmethod
+    def largest_intermediate(d, n):
+        report = gf.run(d, n, backend="element", keep_intermediates=True)
+        return max(len(s.terms) for s in report.intermediates.values())
+
+    def test_element_intermediates_do_not_grow_with_n(self):
+        # each source joins at its junction, so no stage holds the
+        # d**ceil(n/2)-term product of every source
+        assert self.largest_intermediate(3, 6) == self.largest_intermediate(3, 10)
+
+    def test_rule_run_far_past_element_scale_matches_closed_form(self):
+        report = gf.run(16, 14, backend="rule")
+        exact = analysis.predicted_prob_for_options(16, 14, False)
+        assert report.predicted == exact
+        assert abs(Fraction(report.prob) - exact) <= exact / 10**9
+        assert report.prob_matches is True
+        assert report.fidelity == pytest.approx(1.0, abs=1e-9)
+        assert len(report.final_state.terms) == 16
 
 
 class TestStageSemantics:
