@@ -109,7 +109,8 @@ def eta1(d: int) -> float:
 def eta2_exact(d: int, k: int) -> Fraction:
     """Survival rate of the k-th auxiliary stage in the per-stage accounting
     where each stage removes its two targeted cross terms and halves the rest."""
-    n_stages = aux_count(d, 4)
+    _check_params(d, 2)
+    n_stages = len(_aux_pairs_cached(d))
     if not 1 <= k <= n_stages:
         raise InvalidParameters(f"stage index k={k} outside 1..{n_stages}")
     survivors = d * d * eta1_exact(d)  # integer-valued fraction
@@ -120,18 +121,28 @@ def eta2(d: int, k: int) -> float:
     return float(eta2_exact(d, k))
 
 
+def _range_product(factors: range) -> int:
+    """Product of a range's integers, split in halves so partial products
+    stay balanced in size; leaves of at most 32 factors use ``math.prod``."""
+    if len(factors) <= 32:
+        return math.prod(factors)
+    mid = len(factors) // 2
+    return _range_product(factors[:mid]) * _range_product(factors[mid:])
+
+
 def eta_product_exact(d: int) -> Fraction:
     """Exact eta1 * prod_k eta2(k) via one big integer quotient.
 
-    Equivalent to multiplying eta2_exact stage by stage but avoids the
-    per-step gcd on huge power-of-two denominators, keeping the d <= 128
-    identity sweep fast."""
+    Equivalent to multiplying eta2_exact stage by stage, but the numerator
+    prod_k (s - 2k) and the denominator prod_k 2(s - 2(k-1)) are each built
+    as one balanced product tree (the factor 2**N as a shift), so the d <= 128
+    identity sweep multiplies similar-sized integers instead of folding
+    thousands of small factors into a huge one.  Nothing is cached: every call
+    evaluates the full products."""
     n_stages = aux_count(d, 4)
     survivors = d * d - 2 * ((d + 1) // 2) * (d // 2)
-    num, den = 1, 1
-    for k in range(1, n_stages + 1):
-        num *= survivors - 2 * k
-        den *= 2 * (survivors - 2 * (k - 1))
+    num = _range_product(range(survivors - 2, survivors - 2 * n_stages - 1, -2))
+    den = _range_product(range(survivors, survivors - 2 * n_stages + 1, -2)) << n_stages
     return eta1_exact(d) * Fraction(num, den)
 
 

@@ -60,9 +60,12 @@ def _json_text(obj) -> str:
 def _parse_range(raw: str) -> tuple[int, int]:
     lo, sep, hi = raw.partition("..")
     try:
-        return int(lo), int(hi if sep else lo)
+        bounds = int(lo), int(hi if sep else lo)
     except ValueError:
         raise InvalidParameters(f"range {raw!r} is not an integer or LO..HI") from None
+    if bounds[0] > bounds[1]:
+        raise InvalidParameters(f"range {raw!r} has LO greater than HI")
+    return bounds
 
 
 def _parse_coeffs(raw: str | None) -> tuple[float, ...] | None:

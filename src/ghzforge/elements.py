@@ -15,7 +15,10 @@ Conventions fixed here and relied on by every other module:
 Elements are applied in second quantization: each creation operator is
 substituted by its image and the product re-expanded, so bosonic
 ``sqrt(n!)`` factors for multiply-occupied modes come out exactly (this is
-what makes two photons bunching on one port interfere correctly).
+what makes two photons bunching on one port interfere correctly).  An element
+rebuilds only the kets it touches: a ket with no photon in the element's modes
+is copied through unchanged, and an HWP acting on a lone photon among singly
+occupied modes swaps that mode in place, where every bosonic factor is 1.
 
 Circuit steps form one table: every step class derives from ``Step``, carries
 its circuit-file tag (``{"elem": "pbs"}``, or an ``elem``/``kind`` pair for
@@ -148,9 +151,18 @@ def _relabel(
     collision_error: type[Exception],
     what: str,
 ) -> PhotonicState:
-    """Apply a mode relabeling; error out if two occupied modes collide."""
+    """Apply a mode relabeling; error out if two occupied modes collide.
+
+    A ket with no mode in ``mapping`` is already canonical and cannot collide,
+    so it is copied through as is; only touched kets are rebuilt and sorted."""
     out: dict[FockTerm, complex] = {}
     for term, amp in state.terms.items():
+        for m, _ in term:
+            if m in mapping:
+                break
+        else:
+            _accumulate(out, term, amp)
+            continue
         occ: dict[Mode, int] = {}
         for m, count in term:
             target = mapping.get(m, m)
@@ -166,12 +178,24 @@ def _relabel(
 def _apply_mode_linear_map(
     state: PhotonicState, images: dict[Mode, tuple[tuple[Mode, complex], ...]]
 ) -> PhotonicState:
-    """Substitute creation operators by linear images, with exact bosonic factors."""
+    """Substitute creation operators by linear images, with exact bosonic factors.
+
+    Every image mode must lie on the port of the mode it replaces.  A ket whose
+    occupations are all 1 and which has a single touched photon has every
+    bosonic factor equal to 1.0, so that photon's mode is replaced in place
+    (same sort position) with the same amplitudes the full expansion gives."""
     out: dict[FockTerm, complex] = {}
     for term, amp in state.terms.items():
         touched = [(m, c) for m, c in term if m in images]
         if not touched:
             _accumulate(out, term, amp)
+            continue
+        if len(touched) == 1 and all(c == 1 for _, c in term):
+            at = term.index(touched[0])
+            head, tail = term[:at], term[at + 1:]
+            for m2, u in images[touched[0][0]]:
+                if u != 0:
+                    _accumulate(out, head + ((m2, 1),) + tail, amp * u)
             continue
         rest = [(m, c) for m, c in term if m not in images]
         coeff0 = amp
@@ -257,9 +281,10 @@ def apply_bd_split(
     if len({port_in, port_even, port_odd}) != 3:
         raise PortCollision("BD split needs three distinct ports")
     for term in state.terms:
-        for p in (port_even, port_odd):
-            if states.photons_in_port(term, p):
-                raise PortCollision(f"BD split destination port {p} is occupied")
+        hit = [p for (p, _), _ in term if p == port_even or p == port_odd]
+        if hit:
+            p = port_even if port_even in hit else port_odd
+            raise PortCollision(f"BD split destination port {p} is occupied")
     mapping = {
         (port_in, states.H): (port_even, states.H),
         (port_in, states.V): (port_odd, states.V),

@@ -38,11 +38,6 @@ class CoincidencePattern:
             seen |= set(group)
 
 
-def _photons_in_group(term: FockTerm, group: tuple[int, ...]) -> int:
-    members = set(group)
-    return sum(count for (port, _), count in term if port in members)
-
-
 def postselect_coincidence(
     state: PhotonicState, pattern: CoincidencePattern
 ) -> tuple[PhotonicState, float]:
@@ -51,11 +46,17 @@ def postselect_coincidence(
     total = state.norm_sq()
     if total <= 0.0:
         return PhotonicState({}, 0.0), 0.0
-    kept = {
-        term: amp
-        for term, amp in state.terms.items()
-        if all(_photons_in_group(term, g) == 1 for g in pattern.groups)
-    }
+    group_of = {port: g for g, group in enumerate(pattern.groups) for port in group}
+    n_groups = len(pattern.groups)
+    kept = {}
+    for term, amp in state.terms.items():
+        counts = [0] * n_groups
+        for (port, _), count in term:
+            g = group_of.get(port)
+            if g is not None:
+                counts[g] += count
+        if counts.count(1) == n_groups:
+            kept[term] = amp
     kept_nsq = sum(abs(a) ** 2 for a in kept.values())
     prob = kept_nsq / total
     return PhotonicState(kept, state.branch_prob * prob), prob

@@ -40,9 +40,9 @@ def random_state(rng, max_port=3, photons=None, terms=None, allow_multi=True):
 
 
 @st.composite
-def states_strategy(draw, max_port=3, max_photons=3):
+def states_strategy(draw, max_port=3, max_photons=3, max_terms=4):
     photons = draw(st.integers(1, max_photons))
-    n_terms = draw(st.integers(1, 4))
+    n_terms = draw(st.integers(1, max_terms))
     kets = {}
     for _ in range(n_terms):
         modes = tuple(

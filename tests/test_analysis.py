@@ -133,6 +133,20 @@ class TestResourceFormulas:
                 product *= analysis.eta2_exact(d, k)
             assert analysis.eta_product_exact(d) == product
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 17, 32, 64])
+    def test_resource_summary_eta2_values_are_stage_fractions(self, d):
+        # stage k keeps s - 2k of the s - 2(k-1) terms left, and halves them,
+        # where s counts the parity-filter survivors
+        survivors = sum(1 for i in range(d) for j in range(d) if i % 2 == j % 2)
+        stages = sum(1 for i in range(d) for j in range(i + 1, d) if i % 2 == j % 2)
+        expected = tuple(
+            float(Fraction(survivors - 2 * k, 2 * (survivors - 2 * (k - 1))))
+            for k in range(1, stages + 1)
+        )
+        assert analysis.resource_summary(d, 4).eta2_values == expected
+        with pytest.raises(InvalidParameters):
+            analysis.eta2_exact(d, stages + 1)
+
 
 class TestClassification:
     @pytest.mark.parametrize(

@@ -194,9 +194,13 @@ class TestSweep:
         assert ",0.5," in lines[1]
 
     def test_empty_range_gives_header_only(self, capsys):
-        code, out, _ = run_cli(capsys, "sweep", "--d", "4..2", "--n", "4")
-        assert code == 0
-        assert out == cli.SWEEP_CSV_HEADER + "\r\n"
+        # an inverted range is a usage error, not an empty grid: one error
+        # line, exit 2 and no CSV at all
+        code, out, err = run_cli(capsys, "sweep", "--d", "4..2", "--n", "4")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "4..2" in err
 
     def test_capacity_exceeded_rows_marked_skipped(self, capsys):
         # only the oracle has a size bound; rule and element cells always run

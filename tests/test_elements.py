@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import ghzforge as gf
 from ghzforge import elements, golden, states
@@ -116,9 +116,22 @@ class TestHWP:
         assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
     @given(states_strategy(max_port=2), st.floats(-2.0, 2.0, allow_nan=False))
+    @example(
+        gf.make_state([
+            (gf.fock_term([((0, "H"), 2)]), 1j),
+            (gf.ket((0, "H"), (1, "H")), 1.1428571428571428e-09j),
+        ]),
+        1.0,
+    )
     def test_self_inverse(self, s, theta):
+        # The rotation R squares to the identity, but each application drops
+        # amplitudes below eps: out = R(R s - e1) - e2 = s - R e1 - e2, with
+        # every entry of e1 and e2 below eps.  R is orthogonal on the k+1
+        # configurations of the k photons at the port, so an entry of R e1 is
+        # at most |e1| on that block <= sqrt(k+1) * eps, and the per-ket error
+        # is at most (sqrt(k+1) + 1) * eps: 3 * eps for the <= 3 photons drawn.
         out = gf.apply_hwp(gf.apply_hwp(s, 1, theta), 1, theta)
-        assert states.states_close(out, s, tol=1e-9)
+        assert states.states_close(out, s, tol=3 * states.eps())
 
 
 class TestPhase:
@@ -199,6 +212,165 @@ class TestBeamDisplacers:
         merged = gf.apply_bd_merge(s, 0, 1, 5)
         back = gf.apply_bd_split(merged, 5, 0, 1)
         assert states.states_close(back, s, tol=1e-12)
+
+    def test_touched_ket_collision_raises_after_untouched_kets(self):
+        # the first ket never reaches ports 0 or 1; the second collides
+        s = gf.make_state(
+            [
+                (gf.ket((3, "H"), (4, "V")), 0.6),
+                (gf.ket((0, "H"), (1, "H")), 0.8),
+            ]
+        )
+        with pytest.raises(BDCollision, match="collide on"):
+            gf.apply_bd_merge(s, 0, 1, 5)
+
+    def test_split_into_occupied_port_rejected_on_untouched_ket(self):
+        # neither ket has a photon at the split's input port 5, so the
+        # relabel would copy both through; the destination check still fires
+        s = gf.make_state(
+            [(gf.ket((2, "H"), (3, "V")), 0.6), (gf.ket((1, "V"), (3, "H")), 0.8)]
+        )
+        with pytest.raises(PortCollision, match="port 1 is occupied"):
+            gf.apply_bd_split(s, 5, 0, 1)
+
+    def test_split_reports_even_port_first(self):
+        s = gf.make_state([(gf.ket((0, "H"), (7, "V")), 1.0)])
+        with pytest.raises(PortCollision, match="port 7 is occupied"):
+            gf.apply_bd_split(s, 5, 7, 0)
+
+
+# Reference kernels: the general path, which rebuilds, re-sorts and checks
+# every ket whether or not the element touches it.
+
+
+def reference_relabel(state, mapping, collision_error, what):
+    out = {}
+    for term, amp in state.terms.items():
+        occ = {}
+        for m, count in term:
+            target = mapping.get(m, m)
+            if target in occ:
+                raise collision_error(
+                    f"{what}: modes collide on {target} in term {term}"
+                )
+            occ[target] = count
+        key = tuple(sorted(occ.items()))
+        out[key] = out.get(key, 0j) + amp
+    return states.PhotonicState(out, state.branch_prob)
+
+
+def reference_linear_map(state, images):
+    out = {}
+    for term, amp in state.terms.items():
+        touched = [(m, c) for m, c in term if m in images]
+        if not touched:
+            out[term] = out.get(term, 0j) + amp
+            continue
+        rest = [(m, c) for m, c in term if m not in images]
+        coeff0 = amp
+        for _, c in term:
+            coeff0 /= math.sqrt(math.factorial(c))
+        monomials = {(): coeff0}
+        for m, c in touched:
+            for _ in range(c):
+                nxt = {}
+                for key, co in monomials.items():
+                    for m2, u in images[m]:
+                        if u == 0:
+                            continue
+                        k2 = tuple(sorted(key + (m2,)))
+                        nxt[k2] = nxt.get(k2, 0j) + co * u
+                monomials = nxt
+        for key, co in monomials.items():
+            occ = dict(rest)
+            for m2 in key:
+                occ[m2] = occ.get(m2, 0) + 1
+            factor = 1.0
+            for c2 in occ.values():
+                factor *= math.factorial(c2)
+            k2 = tuple(sorted(occ.items()))
+            out[k2] = out.get(k2, 0j) + co * math.sqrt(factor)
+    tol = states.eps()
+    return states.PhotonicState(
+        {t: a for t, a in out.items() if abs(a) >= tol}, state.branch_prob
+    )
+
+
+def reference_pbs(state, a, b, _c, _theta):
+    mapping = {(a, "V"): (b, "V"), (b, "V"): (a, "V")}
+    return reference_relabel(state, mapping, PortCollision, "pbs")
+
+
+def reference_hwp(state, port, _b, _c, theta):
+    c, s = math.cos(2.0 * theta), math.sin(2.0 * theta)
+    h, v = (port, "H"), (port, "V")
+    images = {
+        h: ((h, complex(c)), (v, complex(s))),
+        v: ((h, complex(s)), (v, complex(-c))),
+    }
+    return reference_linear_map(state, images)
+
+
+def reference_bd_merge(state, even, odd, out, _theta):
+    mapping = {(p, pol): (out, pol) for p in (even, odd) for pol in "HV"}
+    return reference_relabel(state, mapping, BDCollision, "bd_merge")
+
+
+def reference_bd_split(state, port_in, even, odd, _theta):
+    for term in state.terms:
+        for p in (even, odd):
+            if states.photons_in_port(term, p):
+                raise PortCollision(f"BD split destination port {p} is occupied")
+    mapping = {(port_in, "H"): (even, "H"), (port_in, "V"): (odd, "V")}
+    return reference_relabel(state, mapping, PortCollision, "bd_split")
+
+
+KERNELS = {
+    "pbs": (lambda s, a, b, _c, _t: gf.apply_pbs(s, a, b), reference_pbs),
+    "hwp": (lambda s, a, _b, _c, t: gf.apply_hwp(s, a, t), reference_hwp),
+    "bd_merge": (
+        lambda s, a, b, c, _t: gf.apply_bd_merge(s, a, b, c), reference_bd_merge
+    ),
+    "bd_split": (
+        lambda s, a, b, c, _t: gf.apply_bd_split(s, a, b, c), reference_bd_split
+    ),
+}
+
+
+def kernel_result(kernel, *args):
+    """Terms in order with their exact amplitudes, or the error raised."""
+    try:
+        out = kernel(*args)
+    except (BDCollision, PortCollision) as exc:
+        return type(exc), str(exc)
+    return list(out.terms.items()), out.branch_prob
+
+
+class TestKernelsMatchGeneralPath:
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    @given(
+        s=states_strategy(max_port=4, max_photons=4, max_terms=8),
+        ports=st.lists(st.integers(0, 4), min_size=3, max_size=3, unique=True),
+        theta=st.floats(-2.0, 2.0, allow_nan=False),
+    )
+    def test_exactly_equal_amplitudes(self, name, s, ports, theta):
+        kernel, reference = KERNELS[name]
+        args = (s, *ports, theta)
+        assert kernel_result(kernel, *args) == kernel_result(reference, *args)
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_exactly_equal_on_protocol_states(self, name):
+        # the qutrit chain input with two photons rotated to the diagonal
+        # basis: 36 kets, one photon per mode, untouched kets on every port
+        s = golden.qutrit_chain_input()
+        for port in (3, 6):
+            s = reference_hwp(s, port, None, None, math.pi / 8)
+        for ports in ((0, 3, 6), (1, 4, 9), (2, 5, 8), (4, 7, 10)):
+            for theta in (math.pi / 8, 0.3):
+                args = (s, *ports, theta)
+                assert kernel_result(KERNELS[name][0], *args) == kernel_result(
+                    KERNELS[name][1], *args
+                )
 
 
 class TestRunCircuit:

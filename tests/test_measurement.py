@@ -71,6 +71,50 @@ class TestCoincidence:
             measurement.CoincidencePattern(((0, 1), (1, 2)))
 
 
+@st.composite
+def coincidence_patterns(draw):
+    """One to three disjoint port groups over ports 0..5."""
+    ports = draw(st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True))
+    n_groups = draw(st.integers(1, min(3, len(ports))))
+    labels = draw(
+        st.lists(st.integers(0, n_groups - 1), min_size=len(ports), max_size=len(ports))
+    )
+    groups = [
+        tuple(p for p, g in zip(ports, labels) if g == index)
+        for index in range(n_groups)
+    ]
+    return measurement.CoincidencePattern(tuple(g for g in groups if g))
+
+
+def reference_postselect(state, pattern):
+    """Group photon counts taken ket by ket and group by group."""
+    total = state.norm_sq()
+    if total <= 0.0:
+        return states.PhotonicState({}, 0.0), 0.0
+    kept = {
+        term: amp
+        for term, amp in state.terms.items()
+        if all(
+            sum(c for (port, _), c in term if port in set(group)) == 1
+            for group in pattern.groups
+        )
+    }
+    prob = sum(abs(a) ** 2 for a in kept.values()) / total
+    return states.PhotonicState(kept, state.branch_prob * prob), prob
+
+
+class TestCoincidenceMatchesGeneralPath:
+    @given(
+        states_strategy(max_port=5, max_photons=4, max_terms=8),
+        coincidence_patterns(),
+    )
+    def test_exactly_equal_kept_terms_and_probability(self, s, pattern):
+        out, p = gf.postselect_coincidence(s, pattern)
+        ref, ref_p = reference_postselect(s, pattern)
+        assert list(out.terms.items()) == list(ref.terms.items())
+        assert (p, out.branch_prob) == (ref_p, ref.branch_prob)
+
+
 class TestPolarizationPair:
     def test_product_state_is_deterministic(self):
         s = gf.make_state([(gf.ket((0, "H"), (1, "H"), (2, "V")), 1.0)])
