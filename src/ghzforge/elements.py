@@ -141,10 +141,6 @@ class Inject(Step):
         return cls(states.state_from_jsonable(entry["state"]))
 
 
-def _accumulate(acc: dict[FockTerm, complex], term: FockTerm, amp: complex) -> None:
-    acc[term] = acc.get(term, 0j) + amp
-
-
 def _relabel(
     state: PhotonicState,
     mapping: dict[Mode, Mode],
@@ -154,24 +150,31 @@ def _relabel(
     """Apply a mode relabeling; error out if two occupied modes collide.
 
     A ket with no mode in ``mapping`` is already canonical and cannot collide,
-    so it is copied through as is; only touched kets are rebuilt and sorted."""
+    so it is copied through as is; only touched kets are rebuilt and sorted.
+    A rebuilt ket that lists one mode twice has collided, and only then does
+    a walk over the ket's modes find the first collision to report."""
     out: dict[FockTerm, complex] = {}
+    get = mapping.get
     for term, amp in state.terms.items():
         for m, _ in term:
             if m in mapping:
                 break
         else:
-            _accumulate(out, term, amp)
+            out[term] = out.get(term, 0j) + amp
             continue
-        occ: dict[Mode, int] = {}
-        for m, count in term:
-            target = mapping.get(m, m)
-            if target in occ:
-                raise collision_error(
-                    f"{what}: modes collide on {target} in term {term}"
-                )
-            occ[target] = count
-        _accumulate(out, tuple(sorted(occ.items())), amp)
+        new = [(get(m, m), c) for m, c in term]
+        new.sort()
+        key = tuple(new)
+        if len(dict(key)) != len(key):
+            seen: set[Mode] = set()
+            for m, _ in term:
+                target = get(m, m)
+                if target in seen:
+                    raise collision_error(
+                        f"{what}: modes collide on {target} in term {term}"
+                    )
+                seen.add(target)
+        out[key] = out.get(key, 0j) + amp
     return PhotonicState(out, state.branch_prob)
 
 
@@ -188,14 +191,15 @@ def _apply_mode_linear_map(
     for term, amp in state.terms.items():
         touched = [(m, c) for m, c in term if m in images]
         if not touched:
-            _accumulate(out, term, amp)
+            out[term] = out.get(term, 0j) + amp
             continue
         if len(touched) == 1 and all(c == 1 for _, c in term):
             at = term.index(touched[0])
             head, tail = term[:at], term[at + 1:]
             for m2, u in images[touched[0][0]]:
                 if u != 0:
-                    _accumulate(out, head + ((m2, 1),) + tail, amp * u)
+                    k2 = head + ((m2, 1),) + tail
+                    out[k2] = out.get(k2, 0j) + amp * u
             continue
         rest = [(m, c) for m, c in term if m not in images]
         coeff0 = amp
@@ -222,7 +226,8 @@ def _apply_mode_linear_map(
             factor = 1.0
             for c2 in occ.values():
                 factor *= math.factorial(c2)
-            _accumulate(out, tuple(sorted(occ.items())), co * math.sqrt(factor))
+            k2 = tuple(sorted(occ.items()))
+            out[k2] = out.get(k2, 0j) + co * math.sqrt(factor)
     tol = eps()
     return PhotonicState(
         {t: a for t, a in out.items() if abs(a) >= tol}, state.branch_prob

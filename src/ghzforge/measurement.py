@@ -155,11 +155,13 @@ def fourier_measure_path(
         d = len(ports)
     if d != len(ports):
         raise ValueError("dimension does not match the measured port group")
+    # a port listed twice keeps its first path
+    path_of = {port: j for j, port in reversed(list(enumerate(ports)))}
     total = state.norm_sq()
     pol_seen: set[str] = set()
     located: list[tuple[FockTerm, complex, int]] = []
     for term, amp in state.terms.items():
-        inside = [(m, c) for m, c in term if m[0] in set(ports)]
+        inside = [(m, c) for m, c in term if m[0] in path_of]
         if len(inside) != 1 or inside[0][1] != 1:
             raise NotSingleOccupancy(
                 "measured port group must hold exactly one photon per ket"
@@ -167,7 +169,7 @@ def fourier_measure_path(
         (port, pol), _ = inside[0]
         pol_seen.add(pol)
         reduced = tuple(m for m in term if m[0][0] != port)
-        located.append((reduced, amp, ports.index(port)))
+        located.append((reduced, amp, path_of[port]))
     if len(pol_seen) > 1:
         raise NotSingleOccupancy("measured photon polarization is not uniform")
     outcomes = []

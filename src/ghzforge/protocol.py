@@ -21,7 +21,11 @@ Two executors interpret a plan:
   reference), and
 * the rule backend applies each stage's kept-term predicate and amplitude
   factor directly to path tuples, which is exact for every (d, n) and much
-  smaller.
+  smaller.  Helper stages only remove kets, so after each parity filter it
+  indexes the kets whose junction photons sit on different paths under both
+  paths (the crossing index), lets stage (i, j) remove only path j's entries,
+  and carries the normalisation as one scale factor, so a junction costs
+  O(d**2) across all of its d**2 / 4 helper stages.
 
 Both track the two probability accountings side by side: "filtered" keeps
 only HH/VV pair outcomes and the uniform-superposition Fourier outcome, while
@@ -523,6 +527,7 @@ def _run_elements(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
 def _materialize_paths(
     d: int,
     amps: Mapping[tuple[int, ...], complex],
+    scale: float,
     photons: Sequence[int],
     pol_of: Callable[[int, int], str],
     branch_prob: float,
@@ -532,7 +537,7 @@ def _materialize_paths(
         modes = [
             (photon * d + t[photon], pol_of(photon, t[photon])) for photon in photons
         ]
-        terms[ket(*modes)] = a
+        terms[ket(*modes)] = a * scale
     return PhotonicState(terms, branch_prob)
 
 
@@ -546,6 +551,16 @@ def _run_rules(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
     (riding the vertical helper branch) or both avoid it (the horizontal
     branch); every survivor is damped by 1/(2*sqrt(2)) once the pair
     projection picks an outcome, and the four outcomes merge by feedforward.
+
+    Survivors keep their amplitudes, so a stage only removes kets.  After
+    the parity filter each kept ket whose junction photons sit on different
+    paths is indexed under both paths (the crossing index); stage (i, j)
+    pops path j's entry and removes those kets still present, and a ket with
+    both photons on one path is never indexed, so it survives every stage.
+    The squared norm drops by what was removed, and the normalisation is one
+    carried factor 1/sqrt(norm), applied when an intermediate is materialised,
+    when the next source is tensored in and at the end.  A junction costs
+    O(d**2) whatever its d**2 / 4 helper stages remove.
     """
     d = plan.d
     opts = plan.options
@@ -553,6 +568,7 @@ def _run_rules(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
         (i, c) for i, c in enumerate(_validated_coeffs(d, opts.input_coeffs)) if c != 0.0
     ]
     amps: dict[tuple[int, ...], complex] = {(i, i): c + 0j for i, c in source}
+    scale = 1.0  # amps times scale is the normalised chain state
 
     ledger = _Ledger()
     intermediates: dict[str, PhotonicState] = {}
@@ -560,40 +576,46 @@ def _run_rules(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
     def record(label: str, tagged: set[int], rule: Callable[[int], str]) -> None:
         if keep_intermediates:
             intermediates[label] = _materialize_paths(
-                d, amps, present,
+                d, amps, scale, present,
                 lambda photon, path: rule(path) if photon in tagged else H,
                 ledger.probs[0],
             )
 
     for k in range(plan.epr_pair_count - 1):
-        amps = {t + (i, i): a * c for t, a in amps.items() for i, c in source}
+        scaled_source = [(i, c * scale) for i, c in source]
+        amps = {t + (i, i): a * c for t, a in amps.items() for i, c in scaled_source}
         present = range(2 * k + 4)  # the photons of sources 0 .. k + 1
         ia, ib = 2 * k + 1, 2 * k + 2
         total = sum(abs(a) ** 2 for a in amps.values())
-        kept = {t: a for t, a in amps.items() if t[ia] % 2 == t[ib] % 2}
-        kept_nsq = sum(abs(a) ** 2 for a in kept.values())
-        p1 = kept_nsq / total if total else 0.0
+        amps = {t: a for t, a in amps.items() if t[ia] % 2 == t[ib] % 2}
+        nsq = sum(abs(a) ** 2 for a in amps.values())
+        p1 = nsq / total if total else 0.0
         ledger.record(f"j{k}.step_i", p1, p1, p1)
-        if not kept:
+        if not amps:
             return _plan_report(plan, "rule", PhotonicState({}, 0.0), ledger, intermediates)
-        scale = 1.0 / math.sqrt(kept_nsq)
-        amps = {t: a * scale for t, a in kept.items()}
+        scale = 1.0 / math.sqrt(nsq)
         record(f"j{k}.step_i", {ia, ib}, parity_rule)
 
+        crossing: dict[int, list[tuple[int, ...]]] = {}
+        for t in amps:
+            if t[ia] != t[ib]:
+                crossing.setdefault(t[ia], []).append(t)
+                crossing.setdefault(t[ib], []).append(t)
+
         for q, (i, j) in enumerate(plan.junction_aux_pairs[k]):
-            survivors = {
-                t: a
-                for t, a in amps.items()
-                if (t[ia] != j and t[ib] != j) or (t[ia] == j and t[ib] == j)
-            }
-            surv_nsq = sum(abs(a) ** 2 for a in survivors.values())
-            p_coin = 0.5 * surv_nsq  # helper branch carries 1/sqrt(2) each way
+            removed = 0.0
+            for t in crossing.pop(j, ()):
+                a = amps.pop(t, None)
+                if a is not None:
+                    removed += abs(a) ** 2
+            surv_nsq = nsq - removed if amps else 0.0
+            p_coin = 0.5 * surv_nsq / nsq  # helper branch carries 1/sqrt(2) each way
             ledger.record(f"j{k}.aux{q}.interfere", p_coin, p_coin, p_coin)
             ledger.record(f"j{k}.aux{q}.pas", 1.0 if opts.feedforward else 0.5, 0.5, 1.0)
-            if not survivors:
+            if not amps:
                 return _plan_report(plan, "rule", PhotonicState({}, 0.0), ledger, intermediates)
-            scale = 1.0 / math.sqrt(surv_nsq)
-            amps = {t: a * scale for t, a in survivors.items()}
+            nsq = surv_nsq
+            scale = 1.0 / math.sqrt(nsq)
             record(
                 f"j{k}.aux{q}.pas", {ia, ib},
                 lambda path, _j=j: V if path == _j else H,
@@ -608,7 +630,9 @@ def _run_rules(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
         p_single = 1.0 / d
         ledger.record("reduce", p_single if mode == SINGLE_OUTCOME else 1.0, p_single, 1.0)
 
-    state = _materialize_paths(d, amps, photons, lambda photon, path: H, ledger.probs[0])
+    state = _materialize_paths(
+        d, amps, scale, photons, lambda photon, path: H, ledger.probs[0]
+    )
     if keep_intermediates:
         intermediates["final"] = state
     return _plan_report(plan, "rule", state, ledger, intermediates)

@@ -1,8 +1,10 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import ghzforge as gf
 from ghzforge import analysis, golden, protocol, states
@@ -380,3 +382,174 @@ class TestReduceToOdd:
             port_groups=[[0, 1], [2, 3], [4, 5], [6, 7]],
         )
         assert report.fidelity < 1.0 - 1e-6
+
+
+def _reference_run_rules(plan, keep_intermediates):
+    """The filter-and-renormalise rule loop that the crossing index replaced:
+    every helper stage re-filters, re-sums and re-scales every surviving ket."""
+    d = plan.d
+    opts = plan.options
+    source = [
+        (i, c)
+        for i, c in enumerate(protocol._validated_coeffs(d, opts.input_coeffs))
+        if c != 0.0
+    ]
+    amps = {(i, i): c + 0j for i, c in source}
+    ledger = protocol._Ledger()
+    intermediates = {}
+
+    def record(label, tagged, rule):
+        if keep_intermediates:
+            intermediates[label] = protocol._materialize_paths(
+                d, amps, 1.0, present,
+                lambda photon, path: rule(path) if photon in tagged else "H",
+                ledger.probs[0],
+            )
+
+    def empty():
+        return protocol._plan_report(
+            plan, "rule", states.PhotonicState({}, 0.0), ledger, intermediates
+        )
+
+    for k in range(plan.epr_pair_count - 1):
+        amps = {t + (i, i): a * c for t, a in amps.items() for i, c in source}
+        present = range(2 * k + 4)
+        ia, ib = 2 * k + 1, 2 * k + 2
+        total = sum(abs(a) ** 2 for a in amps.values())
+        kept = {t: a for t, a in amps.items() if t[ia] % 2 == t[ib] % 2}
+        kept_nsq = sum(abs(a) ** 2 for a in kept.values())
+        p1 = kept_nsq / total if total else 0.0
+        ledger.record(f"j{k}.step_i", p1, p1, p1)
+        if not kept:
+            return empty()
+        scale = 1.0 / math.sqrt(kept_nsq)
+        amps = {t: a * scale for t, a in kept.items()}
+        record(f"j{k}.step_i", {ia, ib}, protocol.parity_rule)
+        for q, (i, j) in enumerate(plan.junction_aux_pairs[k]):
+            survivors = {
+                t: a
+                for t, a in amps.items()
+                if (t[ia] != j and t[ib] != j) or (t[ia] == j and t[ib] == j)
+            }
+            surv_nsq = sum(abs(a) ** 2 for a in survivors.values())
+            p_coin = 0.5 * surv_nsq
+            ledger.record(f"j{k}.aux{q}.interfere", p_coin, p_coin, p_coin)
+            ledger.record(f"j{k}.aux{q}.pas", 1.0 if opts.feedforward else 0.5, 0.5, 1.0)
+            if not survivors:
+                return empty()
+            scale = 1.0 / math.sqrt(surv_nsq)
+            amps = {t: a * scale for t, a in survivors.items()}
+            record(f"j{k}.aux{q}.pas", {ia, ib}, lambda path, _j=j: "V" if path == _j else "H")
+
+    if plan.n % 2 == 1:
+        p_single = 1.0 / d
+        single = plan.stages[-1].info["mode"] == protocol.SINGLE_OUTCOME
+        ledger.record("reduce", p_single if single else 1.0, p_single, 1.0)
+    state = protocol._materialize_paths(
+        d, amps, 1.0, plan.output_photons(), lambda photon, path: "H", ledger.probs[0]
+    )
+    if keep_intermediates:
+        intermediates["final"] = state
+    return protocol._plan_report(plan, "rule", state, ledger, intermediates)
+
+
+def _close(got, want, rel=1e-12):
+    return abs(got - want) <= rel * abs(want)
+
+
+def _assert_same_kets(got, want, rel=1e-12):
+    assert list(got.terms) == list(want.terms)
+    for t, a in want.terms.items():
+        assert _close(got.terms[t], a, rel), (t, got.terms[t], a)
+    assert _close(got.branch_prob, want.branch_prob, rel)
+
+
+@st.composite
+def rule_plans(draw):
+    d = draw(st.integers(2, 9))
+    n = draw(st.integers(2, 9))
+    weights = draw(st.lists(st.integers(0, 10), min_size=d, max_size=d))
+    if not any(weights):
+        weights[draw(st.integers(0, d - 1))] = 1
+    norm = math.sqrt(sum(w * w for w in weights))
+    opts = gf.ProtocolOptions(
+        d=d, n=n, feedforward=draw(st.booleans()),
+        input_coeffs=tuple(w / norm for w in weights),
+    )
+    pairs = analysis.aux_pairs(d)
+    order = [draw(st.permutations(pairs)) for _ in range(-(n // -2) - 1)]
+    return gf.compile_plan(opts, aux_order=order)
+
+
+class TestIndexedRuleExecutor:
+    """The crossing-index executor against the loop it replaced, and against
+    counts and closed forms derived without either."""
+
+    @given(rule_plans())
+    def test_matches_filter_and_renormalise_loop(self, plan):
+        got = gf.execute(plan, backend="rule", keep_intermediates=True)
+        want = _reference_run_rules(plan, keep_intermediates=True)
+        assert got.stage_labels == want.stage_labels
+        assert len(got.trace) == len(want.trace)
+        for p, q in zip(got.trace, want.trace):
+            assert _close(p, q), (p, q)
+        for p, q in zip(
+            (got.prob, got.prob_filtered, got.prob_feedforward),
+            (want.prob, want.prob_filtered, want.prob_feedforward),
+        ):
+            assert _close(p, q), (p, q)
+        assert list(got.intermediates) == list(want.intermediates)
+        for label, state in want.intermediates.items():
+            _assert_same_kets(got.intermediates[label], state)
+        _assert_same_kets(got.final_state, want.final_state)
+
+    @pytest.mark.parametrize("d", [5, 8, 33])
+    def test_coincidence_rates_are_survivor_count_ratios(self, d):
+        plan = gf.compile_plan(gf.ProtocolOptions(d=d, n=4))
+        report = gf.execute(plan, backend="rule")
+        kets = [(a, b) for a in range(d) for b in range(d) if a % 2 == b % 2]
+        rates = []
+        for q, (_, j) in enumerate(plan.junction_aux_pairs[0]):
+            after = [(a, b) for a, b in kets if (a == j) == (b == j)]
+            expected = Fraction(len(after), 2 * len(kets))
+            got = report.trace[report.stage_labels.index(f"j0.aux{q}.interfere")]
+            assert abs(Fraction(got) - expected) <= expected / 10**12, (q, got, expected)
+            rates.append(expected)
+            kets = after
+        assert len(kets) == d
+        if d == 5:
+            assert rates == [Fraction(9, 26), Fraction(7, 18), Fraction(1, 2), Fraction(5, 14)]
+
+    def test_probabilities_match_closed_form_across_grid(self):
+        # cells whose exact probability is below the smallest normal float
+        # are left out: the float stage product loses digits there
+        checked = 0
+        for d in (2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 32, 40, 64):
+            for n in (4, 5, 8, 10):
+                if d * n > 400:
+                    continue
+                for feedforward in (False, True):
+                    exact = analysis.predicted_prob_for_options(d, n, feedforward)
+                    if exact < sys.float_info.min:
+                        continue
+                    report = gf.run(d, n, feedforward=feedforward, backend="rule")
+                    assert abs(Fraction(report.prob) - exact) <= exact / 10**12, (
+                        d, n, feedforward, report.prob, float(exact),
+                    )
+                    checked += 1
+        assert checked == 89
+
+    def test_long_chain_keeps_normalised_amplitudes(self):
+        # 1099 junctions each halve the squared norm; the carried scale
+        # renormalises at every source, so nothing underflows (the float
+        # probability itself does, see the closed-form grid above)
+        report = gf.run(2, 2200, backend="rule")
+        amps = list(report.final_state.terms.values())
+        assert amps == pytest.approx([2**-0.5, 2**-0.5], rel=1e-12)
+        assert report.fidelity == pytest.approx(1.0, abs=1e-12)
+
+    def test_large_d_run_matches_closed_form(self):
+        report = gf.run(64, 4, feedforward=True, backend="rule")
+        assert report.prob_matches is True
+        assert report.fidelity >= 1.0 - 1e-9
+        assert len(report.final_state.terms) == 64
