@@ -121,29 +121,19 @@ def eta2(d: int, k: int) -> float:
     return float(eta2_exact(d, k))
 
 
-def _range_product(factors: range) -> int:
-    """Product of a range's integers, split in halves so partial products
-    stay balanced in size; leaves of at most 32 factors use ``math.prod``."""
-    if len(factors) <= 32:
-        return math.prod(factors)
-    mid = len(factors) // 2
-    return _range_product(factors[:mid]) * _range_product(factors[mid:])
-
-
 def eta_product_exact(d: int) -> Fraction:
-    """Exact eta1 * prod_k eta2(k) via one big integer quotient.
+    """Exact eta1 * prod_k eta2(k), equal to multiplying eta2_exact stage by stage.
 
-    Equivalent to multiplying eta2_exact stage by stage, but the numerator
-    prod_k (s - 2k) and the denominator prod_k 2(s - 2(k-1)) are each built
-    as one balanced product tree (the factor 2**N as a shift), so the d <= 128
-    identity sweep multiplies similar-sized integers instead of folding
-    thousands of small factors into a huge one.  Nothing is cached: every call
-    evaluates the full products."""
+    Every stage factor is evaluated: the numerator factors s - 2k and the
+    denominator factors s - 2(k-1) are built as two sets.  Each side steps by
+    -2, so its factors are distinct and the factors the sides share cancel
+    exactly; only the leftovers are multiplied, and the factor 2**N of the
+    denominator is a shift.  Nothing is cached: every call builds both sets."""
     n_stages = aux_count(d, 4)
     survivors = d * d - 2 * ((d + 1) // 2) * (d // 2)
-    num = _range_product(range(survivors - 2, survivors - 2 * n_stages - 1, -2))
-    den = _range_product(range(survivors, survivors - 2 * n_stages + 1, -2)) << n_stages
-    return eta1_exact(d) * Fraction(num, den)
+    num = set(range(survivors - 2, survivors - 2 * n_stages - 1, -2))
+    den = set(range(survivors, survivors - 2 * n_stages + 1, -2))
+    return eta1_exact(d) * Fraction(math.prod(num - den), math.prod(den - num) << n_stages)
 
 
 def predicted_prob_for_options(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,10 +41,14 @@ def _rational(x: float | None) -> str:
 
 
 def _prob_line(x: float | None, exact: Fraction | None = None) -> str:
-    """``x`` as a rational next to its float; ``exact`` is printed as given."""
+    """``x`` as a rational next to its float; ``exact`` is printed in full, via
+    ``Decimal``, which has no cap on an int's digits (1/(25 * 2**19803))."""
     if x is None:
         return "n/a"
-    return f"{_rational(x) if exact is None else exact} ({x:.12g})"
+    if exact is None:
+        return f"{_rational(x)} ({x:.12g})"
+    num, den = (str(Decimal(v)) for v in (exact.numerator, exact.denominator))
+    return f"{num if den == '1' else f'{num}/{den}'} ({x:.12g})"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -118,8 +123,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
         ]
         for k, value in enumerate(summary.eta2_values, start=1):
             lines.append(f"  helper stage {k} rate:   {_prob_line(value)}")
-        lines.append(f"  predicted (corrected): {_prob_line(summary.predicted_prob_ff)}")
-        lines.append(f"  predicted (filtered):  {_prob_line(summary.predicted_prob_filtered)}")
+        for label, ff in (("corrected", True), ("filtered", False)):
+            exact = analysis.predicted_prob_for_options(args.d, args.n, ff)
+            lines.append(f"  {f'predicted ({label}):':23}{_prob_line(float(exact), exact)}")
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import ghzforge as gf
-from ghzforge import analysis
+from ghzforge import analysis, cli, golden
 from ghzforge.errors import InvalidParameters, OracleTooLarge
 
 
@@ -126,12 +126,28 @@ class TestResourceFormulas:
             assert analysis.eta_product_exact(d) == Fraction(1, 2**n4 * d)
 
     def test_eta_product_matches_stagewise_fractions(self):
-        # the fast integer-quotient form agrees with per-stage multiplication
-        for d in range(2, 25):
+        # the cancelled quotient agrees with per-stage multiplication; all of
+        # 2..128 would take seconds, so the wide end is sampled
+        for d in [*range(2, 41), 64, 97, 127, 128]:
             product = analysis.eta1_exact(d)
             for k in range(1, gf.aux_count(d, 4) + 1):
                 product *= analysis.eta2_exact(d, k)
             assert analysis.eta_product_exact(d) == product
+
+    def test_telescoped_product_beyond_verify_range(self):
+        for d in range(129, 301):
+            assert analysis.eta_product_exact(d) == Fraction(1, 2 ** gf.aux_count(d, 4) * d)
+
+    def test_extra_stage_fails_the_telescope_check(self, monkeypatch, capsys):
+        # one stage too many at d = 5 must break the identity that verify reports
+        real = analysis.aux_count
+        monkeypatch.setattr(
+            analysis, "aux_count", lambda d, n: real(d, n) + (d == 5) * analysis.junction_count(n)
+        )
+        by_name = {c.name: c for c in golden.identity_checks()}
+        assert not by_name["identities: telescoped stage product"].passed
+        assert cli.main(["verify"]) == 1
+        assert "FAIL  identities: telescoped stage product" in capsys.readouterr().out
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8, 17, 32, 64])
     def test_resource_summary_eta2_values_are_stage_fractions(self, d):

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +39,28 @@ class TestPlan:
         code, _, err = run_cli(capsys, "plan", "--d", "1", "--n", "4")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "d,n,corrected,filtered",
+        [(6, 8, "1/56623104", "1/14843406974976"), (3, 4, "1/6", "1/12")],
+    )
+    def test_predicted_lines_show_the_exact_rational(self, capsys, d, n, corrected, filtered):
+        code, out, _ = run_cli(capsys, "plan", "--d", str(d), "--n", str(n))
+        assert code == 0
+        assert f"  predicted (corrected): {corrected} (" in out
+        assert f"  predicted (filtered):  {filtered} (" in out
+
+    def test_underflowing_prediction_prints_all_its_digits(self, capsys):
+        # both floats are 0 and the filtered denominator has more digits than
+        # str(int) allows by default
+        code, out, _ = run_cli(capsys, "plan", "--d", "200", "--n", "4")
+        assert code == 0
+        for label, ff in (("corrected): ", True), ("filtered):  ", False)):
+            exact = analysis.predicted_prob_for_options(200, 4, ff)
+            line = next(l for l in out.splitlines() if l.startswith(f"  predicted ({label}"))
+            value = line.split(": ", 1)[1].lstrip()
+            assert not value.startswith("0 ")
+            assert value == f"1/{Decimal(exact.denominator)} (0)"
 
     def test_csv_matches_library_serialization(self, capsys):
         code, out, _ = run_cli(capsys, "plan", "--d", "3", "--n", "4", "--format", "csv")
@@ -253,6 +280,30 @@ class TestVerify:
             return  # the mutated convention may break the pipeline outright
         by_name = {c.name: c for c in checks}
         assert not by_name["qutrit chain: parity-filter survivors"].passed
+
+
+class TestModuleEntryPoint:
+    @staticmethod
+    def _python_m(*argv):
+        src = str(Path(gf.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run(
+            [sys.executable, "-m", "ghzforge", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_verify_passes(self):
+        proc = self._python_m("verify")
+        assert proc.returncode == 0
+        assert "27/27 checks passed" in proc.stdout.splitlines()
+
+    def test_usage_error_exits_2_on_one_line(self):
+        proc = self._python_m("run", "--d", "1", "--n", "4")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
 
 
 class TestReduceOdd:
