@@ -41,8 +41,8 @@ def _rational(x: float | None) -> str:
 
 
 def _prob_line(x: float | None, exact: Fraction | None = None) -> str:
-    """``x`` as a rational next to its float; ``exact`` is printed in full, via
-    ``Decimal``, which has no cap on an int's digits (1/(25 * 2**19803))."""
+    """``x`` as a rational next to its float; ``exact`` is printed in full,
+    through ``Decimal``, which unlike ``str(int)`` has no cap on the digits."""
     if x is None:
         return "n/a"
     if exact is None:
