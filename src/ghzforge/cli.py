@@ -40,15 +40,21 @@ def _rational(x: float | None) -> str:
     return f"{x:.12g}"
 
 
-def _prob_line(x: float | None, exact: Fraction | None = None) -> str:
-    """``x`` as a rational next to its float; ``exact`` is printed in full,
+def _exact_text(exact: Fraction) -> str:
+    """``exact`` as ``num/den`` (``num`` alone for an integer), printed in full
     through ``Decimal``, which unlike ``str(int)`` has no cap on the digits."""
+    num, den = (str(Decimal(v)) for v in (exact.numerator, exact.denominator))
+    return num if den == "1" else f"{num}/{den}"
+
+
+def _prob_line(x: float | None, exact: Fraction | None = None) -> str:
+    """``x`` as a rational next to its float; ``exact``, when given, is printed
+    in full instead of the rational."""
     if x is None:
         return "n/a"
     if exact is None:
         return f"{_rational(x)} ({x:.12g})"
-    num, den = (str(Decimal(v)) for v in (exact.numerator, exact.denominator))
-    return f"{num if den == '1' else f'{num}/{den}'} ({x:.12g})"
+    return f"{_exact_text(exact)} ({x:.12g})"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -93,6 +99,10 @@ def _odd_mode(raw: str | None) -> str | None:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     summary = analysis.resource_summary(args.d, args.n)
+    exact = {
+        label: analysis.predicted_prob_for_options(args.d, args.n, ff)
+        for label, ff in (("ff", True), ("filtered", False))
+    }
     if args.format == "json":
         payload = {
             "d": summary.d,
@@ -103,6 +113,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
             "eta2": list(summary.eta2_values),
             "predicted_prob_ff": summary.predicted_prob_ff,
             "predicted_prob_filtered": summary.predicted_prob_filtered,
+            "predicted_prob_ff_exact": _exact_text(exact["ff"]),
+            "predicted_prob_filtered_exact": _exact_text(exact["filtered"]),
         }
         if args.full:
             opts = protocol.ProtocolOptions(d=args.d, n=args.n, feedforward=args.feedforward)
@@ -123,9 +135,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
         ]
         for k, value in enumerate(summary.eta2_values, start=1):
             lines.append(f"  helper stage {k} rate:   {_prob_line(value)}")
-        for label, ff in (("corrected", True), ("filtered", False)):
-            exact = analysis.predicted_prob_for_options(args.d, args.n, ff)
-            lines.append(f"  {f'predicted ({label}):':23}{_prob_line(float(exact), exact)}")
+        for label, key in (("corrected", "ff"), ("filtered", "filtered")):
+            p = exact[key]
+            lines.append(f"  {f'predicted ({label}):':23}{_prob_line(float(p), p)}")
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 

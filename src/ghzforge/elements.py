@@ -29,11 +29,21 @@ in order, drive serialisation, parsing and the port bookkeeping of
 state and, for a post-selection, its probability (``None`` otherwise).
 Optical steps reach the ``apply_*`` functions through module globals at call
 time, so replacing ``elements.apply_pbs`` changes what every circuit does.
+
+``run_circuit`` applies each run of two or more consecutive PBS and
+beam-displacer steps to the state as one relabel.  The run's map is composed
+from probes through the same globals: every step of the run acts, through
+``Step.apply``, on a probe state with one small ket per occupied mode, so each
+``apply_*`` function is still called once per step and a replaced one is
+honoured.  Where the probe raises, or shows a map that is not a pure mode
+relabel, or the composed relabel collides, the run is applied step by step
+instead, so results and errors are those of the steps themselves.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, Sequence
@@ -285,11 +295,13 @@ def apply_bd_split(
     """Inverse of the merge: H goes to the even port, V to the odd port."""
     if len({port_in, port_even, port_odd}) != 3:
         raise PortCollision("BD split needs three distinct ports")
-    for term in state.terms:
-        hit = [p for (p, _), _ in term if p == port_even or p == port_odd]
-        if hit:
-            p = port_even if port_even in hit else port_odd
-            raise PortCollision(f"BD split destination port {p} is occupied")
+    occupied = {p for term in state.terms for (p, _), _ in term}
+    if port_even in occupied or port_odd in occupied:
+        for term in state.terms:
+            hit = [p for (p, _), _ in term if p == port_even or p == port_odd]
+            if hit:
+                p = port_even if port_even in hit else port_odd
+                raise PortCollision(f"BD split destination port {p} is occupied")
     mapping = {
         (port_in, states.H): (port_even, states.H),
         (port_in, states.V): (port_odd, states.V),
@@ -314,19 +326,77 @@ class Circuit:
             seen |= step.ports()
 
 
+_MODE_MAPS = (PBS, BDMerge, BDSplit)
+
+
+class _FusedCollision(Exception):
+    """A composed relabel collided; the run is replayed step by step."""
+
+
+def _replay(state: PhotonicState, run: list) -> PhotonicState:
+    for step in run:
+        state, _ = step.apply(state)
+    return state
+
+
+def _apply_mode_map_run(state: PhotonicState, run: list) -> PhotonicState:
+    """Apply consecutive PBS / beam-displacer steps as one relabel.
+
+    The composed map is read off a probe state with one ket per mode that the
+    state occupies on the run's ports; each such photon shares its ket with a
+    tag photon on a port of its own past the run's ports, so no two probe
+    kets merge or collide.  The run's steps act on the probe through
+    ``Step.apply``, and each tag's ket then holds that mode's image.  A probe
+    that raises or is not a clean relabel (a tag with other than one image,
+    an amplitude other than exactly 1), and a composed relabel that collides,
+    replay the run step by step on the state, which raises the first failing
+    step's own error."""
+    ports = {p for step in run for p in vars(step).values()}  # every field is a port
+    modes = sorted({m for term in state.terms for m, _ in term if m[0] in ports})
+    tag0 = max(ports) + 1
+    tags = {((tag0 + r, states.H), 1): m for r, m in enumerate(modes)}
+    try:
+        probe = _replay(PhotonicState({((m, 1), t): 1 + 0j for t, m in tags.items()}), run)
+    except Exception:
+        return _replay(state, run)
+    mapping: dict[Mode, Mode] = {}
+    for term, amp in probe.terms.items():
+        if amp != 1 or len(term) != 2 or term[1] not in tags:
+            return _replay(state, run)
+        (image, count), tag = term
+        if count != 1 or image[0] >= tag0:
+            return _replay(state, run)
+        m = tags.pop(tag)
+        if image != m:
+            mapping[m] = image
+    if tags or probe.branch_prob != 1.0:
+        return _replay(state, run)
+    try:
+        return _relabel(state, mapping, _FusedCollision, "run")
+    except _FusedCollision:
+        return _replay(state, run)
+
+
 def run_circuit(
     state: PhotonicState, circuit: Circuit | Sequence
 ) -> tuple[PhotonicState, list[float]]:
     """Fold steps in order; returns the final state and one probability per
-    post-selection step, in encounter order."""
+    post-selection step, in encounter order.  Each run of two or more
+    consecutive PBS / beam-displacer steps is applied as one relabel (see
+    ``_apply_mode_map_run``)."""
     steps = circuit.steps if isinstance(circuit, Circuit) else list(circuit)
     trace: list[float] = []
-    for step in steps:
-        state, p = step.apply(state)
-        if p is not None:
-            trace.append(p)
-            if state.is_empty:
-                break
+    for fusable, group in itertools.groupby(steps, lambda s: type(s) in _MODE_MAPS):
+        run = list(group)
+        if fusable and len(run) > 1:
+            state = _apply_mode_map_run(state, run)
+            continue
+        for step in run:
+            state, p = step.apply(state)
+            if p is not None:
+                trace.append(p)
+                if state.is_empty:
+                    return state, trace
     return state, trace
 
 

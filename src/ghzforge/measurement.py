@@ -113,13 +113,6 @@ def _outcome(
     return Outcome(label, prob, post)
 
 
-def _single_photon_mode(term: FockTerm, port: int) -> tuple[int, str]:
-    found = [(m, c) for m, c in term if m[0] == port]
-    if len(found) != 1 or found[0][1] != 1:
-        raise NotSingleOccupancy(f"port {port} does not hold exactly one photon")
-    return found[0][0]
-
-
 def project_polarization_pair(
     state: PhotonicState, port_x: int, port_y: int
 ) -> OutcomeDistribution:
@@ -129,11 +122,26 @@ def project_polarization_pair(
         "HH": {}, "HV": {}, "VH": {}, "VV": {}
     }
     for term, amp in state.terms.items():
-        (_, px) = _single_photon_mode(term, port_x)
-        (_, py) = _single_photon_mode(term, port_y)
-        reduced = tuple(m for m in term if m[0][0] not in (port_x, port_y))
+        # one walk finds both photons (a second photon or a count above 1
+        # pushes a port's tally past 1) and keeps every other entry
+        reduced = []
+        hits_x = hits_y = 0
+        for entry in term:
+            (port, pol), count = entry
+            if port == port_x:
+                hits_x += 1 if count == 1 else 2
+                px = pol
+            if port == port_y:
+                hits_y += 1 if count == 1 else 2
+                py = pol
+            if port != port_x and port != port_y:
+                reduced.append(entry)
+        if hits_x != 1 or hits_y != 1:
+            bad = port_x if hits_x != 1 else port_y
+            raise NotSingleOccupancy(f"port {bad} does not hold exactly one photon")
+        key = tuple(reduced)
         rest = buckets[px + py]
-        rest[reduced] = rest.get(reduced, 0j) + amp
+        rest[key] = rest.get(key, 0j) + amp
     return OutcomeDistribution(tuple(
         _outcome(label, terms, total, state.branch_prob)
         for label, terms in buckets.items()

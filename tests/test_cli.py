@@ -62,6 +62,27 @@ class TestPlan:
             assert not value.startswith("0 ")
             assert value == f"1/{Decimal(exact.denominator)} (0)"
 
+    @pytest.mark.parametrize("d,n", [(6, 8), (200, 4)])
+    def test_json_carries_the_exact_predictions(self, capsys, d, n):
+        # at (200, 4) both floats underflow to 0.0 and the filtered
+        # denominator has more digits than str(int) allows by default
+        code, out, _ = run_cli(capsys, "plan", "--d", str(d), "--n", str(n),
+                               "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        for key, ff in (("predicted_prob_ff", True), ("predicted_prob_filtered", False)):
+            exact = analysis.predicted_prob_for_options(d, n, ff)
+            text = data[f"{key}_exact"]
+            assert text == f"{Decimal(exact.numerator)}/{Decimal(exact.denominator)}"
+            num, den = (Fraction(Decimal(part)) for part in text.split("/"))
+            assert num / den == exact
+            assert data[key] == float(exact)
+        if (d, n) == (6, 8):
+            assert data["predicted_prob_ff_exact"] == "1/56623104"
+            assert data["predicted_prob_filtered_exact"] == "1/14843406974976"
+        else:
+            assert data["predicted_prob_ff"] == data["predicted_prob_filtered"] == 0.0
+
     def test_csv_matches_library_serialization(self, capsys):
         code, out, _ = run_cli(capsys, "plan", "--d", "3", "--n", "4", "--format", "csv")
         assert code == 0

@@ -454,3 +454,272 @@ class TestElementProperties:
         lhs = gf.tensor(gf.apply_hwp(s, 0, theta), bystander)
         rhs = gf.apply_hwp(gf.tensor(s, bystander), 0, theta)
         assert states.states_close(lhs, rhs, tol=1e-9)
+
+
+# --- fused runs of mode maps ----------------------------------------------
+# run_circuit applies each run of consecutive PBS / beam-displacer steps as one
+# relabel composed from a probe; these tests hold it to a step-by-step replay.
+
+
+def distinct_ports(k):
+    return st.lists(st.integers(0, 7), min_size=k, max_size=k, unique=True)
+
+
+# distinct ports, so about half the runs succeed (degenerate ports are pinned
+# in test_error_parity_with_step_by_step_replay)
+MODE_MAP_STEP = st.one_of(
+    distinct_ports(2).map(lambda p: gf.PBS(*p)),
+    distinct_ports(3).map(lambda p: gf.BDMerge(*p)),
+    distinct_ports(3).map(lambda p: gf.BDSplit(*p)),
+)
+
+
+def replay(state, steps):
+    for step in steps:
+        state, _ = step.apply(state)
+    return state
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (BDCollision, PortCollision) as exc:
+        return type(exc), str(exc)
+
+
+def staggered_merges(state, steps):
+    """Final kets reached from three or more kets that merge at more than one
+    step, where the two paths add the same amplitudes in different orders."""
+    trails = {}
+    for term in state.terms:
+        single = states.PhotonicState({term: 1 + 0j})
+        trail = []
+        for step in steps:
+            single, _ = step.apply(single)
+            trail.append(next(iter(single.terms)))
+        trails[term] = trail
+    out = set()
+    for final in {trail[-1] for trail in trails.values()}:
+        group = [trail for trail in trails.values() if trail[-1] == final]
+        drops = sum(
+            len({t[k] for t in group}) < len({t[k - 1] for t in group}) if k else
+            len({t[0] for t in group}) < len(group)
+            for k in range(len(steps))
+        )
+        if len(group) >= 3 and drops > 1:
+            out.add(final)
+    return out
+
+
+class TestFusedModeMapRuns:
+    @given(
+        s=states_strategy(max_port=3, max_photons=3, max_terms=6),
+        steps=st.lists(MODE_MAP_STEP, min_size=2, max_size=6),
+    )
+    @example(
+        s=gf.make_state([
+            (gf.ket((0, "H"), (2, "H")), 0.1), (gf.ket((1, "H"), (2, "H")), 0.7),
+            (gf.ket((0, "H"), (3, "H")), 0.3), (gf.ket((1, "H"), (3, "H")), 0.2),
+        ]),
+        steps=[gf.BDMerge(0, 1, 4), gf.BDMerge(2, 3, 5)],
+    )
+    def test_fused_run_matches_step_by_step_replay(self, s, steps):
+        fused = outcome(lambda: gf.run_circuit(s, steps))
+        reference = outcome(replay, s, steps)
+        if isinstance(reference, tuple):
+            assert fused == reference
+            return
+        out, trace = fused
+        assert trace == []
+        assert list(out.terms) == list(reference.terms)
+        assert out.branch_prob == reference.branch_prob
+        loose = staggered_merges(s, steps)
+        for term, amp in reference.terms.items():
+            if term in loose:
+                assert abs(out.terms[term] - amp) <= 1e-15
+            else:
+                assert out.terms[term] == amp
+
+    def test_staggered_merge_detected(self):
+        # kets (0,2) and (1,2) merge at the first step, (0,3) and (1,3) too,
+        # and the two results merge at the second: four kets, two steps
+        s = gf.make_state([
+            (gf.ket((0, "H"), (2, "H")), 0.1), (gf.ket((0, "H"), (3, "H")), 0.3),
+            (gf.ket((1, "H"), (2, "H")), 0.7), (gf.ket((1, "H"), (3, "H")), 0.2),
+        ])
+        steps = [gf.BDMerge(0, 1, 4), gf.BDMerge(2, 3, 5)]
+        assert staggered_merges(s, steps) == {gf.ket((4, "H"), (5, "H"))}
+        assert staggered_merges(s, steps[:1]) == set()
+
+    @pytest.mark.parametrize(
+        "kets, steps, error, message",
+        [
+            # the PBS moves the V photon onto port 1, where the merge collides
+            # it with the other photon; the message names the intermediate ket
+            (
+                [gf.ket((0, "V"), (2, "V"))],
+                [gf.PBS(0, 1), gf.BDMerge(1, 2, 3)],
+                BDCollision,
+                "bd_merge: modes collide on (3, 'V') in term "
+                "(((1, 'V'), 1), ((2, 'V'), 1))",
+            ),
+            # port 3 is empty when the run starts; the PBS routes the V photon
+            # there one step before the split that needs it empty
+            (
+                [gf.ket((0, "V"), (5, "H")), gf.ket((0, "H"), (5, "H"))],
+                [gf.PBS(0, 3), gf.BDSplit(5, 3, 4)],
+                PortCollision,
+                "BD split destination port 3 is occupied",
+            ),
+            # the probe stops at the split, whose destination the merged
+            # photon occupies; the replay stops at the merge before it
+            (
+                [gf.ket((0, "V"), (2, "V"))],
+                [gf.PBS(0, 1), gf.BDMerge(1, 2, 3), gf.BDSplit(5, 3, 4)],
+                BDCollision,
+                "bd_merge: modes collide on (3, 'V') in term "
+                "(((1, 'V'), 1), ((2, 'V'), 1))",
+            ),
+            (
+                [gf.ket((0, "H"))],
+                [gf.PBS(0, 1), gf.BDMerge(2, 2, 3)],
+                PortCollision,
+                "BD merge needs three distinct ports",
+            ),
+            (
+                [gf.ket((0, "H"))],
+                [gf.BDMerge(0, 1, 2), gf.BDSplit(2, 4, 4)],
+                PortCollision,
+                "BD split needs three distinct ports",
+            ),
+            (
+                [gf.ket((0, "H"))],
+                [gf.BDMerge(0, 1, 2), gf.PBS(2, 2)],
+                PortCollision,
+                "PBS needs two distinct ports",
+            ),
+        ],
+        ids=["merge-collision", "split-into-arrived-photon",
+             "collision-before-occupied-split", "merge-triple", "split-triple",
+             "pbs-pair"],
+    )
+    def test_error_parity_with_step_by_step_replay(self, kets, steps, error, message):
+        s = gf.make_state([(k, 1.0 / math.sqrt(len(kets))) for k in kets])
+        assert outcome(replay, s, steps) == (error, message)
+        assert outcome(lambda: gf.run_circuit(s, steps)) == (error, message)
+
+    def test_one_relabel_per_run(self, monkeypatch):
+        # the interfere stage's ten mode maps touch the real state once; the
+        # other relabels act on the probe, whose kets hold two photons each
+        plan = gf.compile_plan(gf.ProtocolOptions(d=3, n=4))
+        stages = {stage.kind: stage for stage in plan.stages}
+        s = gf.execute(plan, "element", keep_intermediates=True).intermediates[
+            "j0.aux0.inject"
+        ]
+        sizes = []
+        original = elements._relabel
+
+        def counting(state, *args):
+            sizes.append({len(term) for term in state.terms})
+            return original(state, *args)
+
+        monkeypatch.setattr(elements, "_relabel", counting)
+        gf.run_circuit(s, stages["aux_interfere"].steps)
+        real = [size for size in sizes if size != {2}]
+        assert len(sizes) == 11
+        assert real == [{s.photon_number()}]
+
+
+class TestDispatch:
+    """Fused runs still reach the element functions through module globals."""
+
+    @staticmethod
+    def _swapped_split(state, port_in, port_even, port_odd):
+        # routes H to the odd port and V to the even one
+        mapping = {(port_in, "H"): (port_odd, "H"), (port_in, "V"): (port_even, "V")}
+        return elements._relabel(state, mapping, PortCollision, "bd_split")
+
+    @staticmethod
+    def _merge_to_vertical(state, port_even, port_odd, port_out):
+        # every photon leaves the merge vertically polarized
+        mapping = {(p, pol): (port_out, "V") for p in (port_even, port_odd) for pol in "HV"}
+        return elements._relabel(state, mapping, BDCollision, "bd_merge")
+
+    @pytest.mark.parametrize("name", ["apply_bd_merge", "apply_bd_split"])
+    def test_monkeypatched_element_honoured_in_fused_run(self, monkeypatch, name):
+        s = gf.make_state([
+            (gf.ket((0, "H"), (5, "V")), 0.6), (gf.ket((1, "V"), (5, "V")), 0.8),
+        ])
+        steps = [gf.BDMerge(0, 1, 2), gf.PBS(2, 3), gf.BDSplit(2, 0, 1)]
+        unpatched = replay(s, steps)
+        patch = {"apply_bd_merge": self._merge_to_vertical,
+                 "apply_bd_split": self._swapped_split}[name]
+        calls = []
+
+        def recorded(*args):
+            calls.append(args[1:])
+            return patch(*args)
+
+        monkeypatch.setattr(elements, name, recorded)
+        patched = replay(s, steps)
+        calls.clear()
+        out, _ = gf.run_circuit(s, steps)
+        assert calls  # the probe went through the patched function
+        assert list(out.terms.items()) == list(patched.terms.items())
+        assert list(out.terms) != list(unpatched.terms)
+
+    @staticmethod
+    def _sign_flipping(state, port_a, port_b):
+        # every ket changes sign: the probe's amplitudes are no longer 1
+        return states.scaled(gf.apply_pbs(state, port_a, port_b), -1.0)
+
+    @staticmethod
+    def _ket_keeping(state, port_a, port_b):
+        # every ket stays next to its image: a tag has two images
+        moved = gf.apply_pbs(state, port_a, port_b)
+        return states.PhotonicState({**state.terms, **moved.terms}, state.branch_prob)
+
+    @staticmethod
+    def _ket_dropping(state, port_a, port_b):
+        # every ket is lost: a tag has no image
+        return states.PhotonicState({}, state.branch_prob)
+
+    @pytest.mark.parametrize("patch", ["_sign_flipping", "_ket_keeping", "_ket_dropping"])
+    def test_patched_element_that_is_no_relabel_is_replayed(self, monkeypatch, patch):
+        monkeypatch.setattr(elements, "apply_pbs", getattr(self, patch))
+        s = gf.make_state([(gf.ket((0, "V"), (4, "H")), 0.6), (gf.ket((1, "H"), (4, "H")), 0.8)])
+        steps = [gf.PBS(0, 1), gf.PBS(2, 3), gf.PBS(5, 6)]
+        out, _ = gf.run_circuit(s, steps)
+        assert list(out.terms.items()) == list(replay(s, steps).terms.items())
+        if patch == "_sign_flipping":
+            assert list(out.terms.values()) == [-0.6 + 0j, -0.8 + 0j]
+
+    def test_swapped_split_fails_interference_anchor(self, monkeypatch):
+        monkeypatch.setattr(elements, "apply_bd_split", self._swapped_split)
+        try:
+            checks = golden.qutrit_walkthrough_checks()
+        except gf.errors.GhzforgeError:
+            return  # the mutated split may break the pipeline outright
+        assert not all(c.passed for c in checks)
+
+    @pytest.mark.parametrize("d, n, feedforward", [(3, 4, False), (4, 6, True)])
+    def test_calls_per_kind_equal_plan_step_counts(self, monkeypatch, d, n, feedforward):
+        plan = gf.compile_plan(gf.ProtocolOptions(d=d, n=n, feedforward=feedforward))
+        kinds = {gf.PBS: "apply_pbs", gf.HWP: "apply_hwp",
+                 gf.BDMerge: "apply_bd_merge", gf.BDSplit: "apply_bd_split"}
+        expected = dict.fromkeys(kinds.values(), 0)
+        for stage in plan.stages:
+            for step in stage.steps:
+                if type(step) in kinds:
+                    expected[kinds[type(step)]] += 1
+        calls = dict.fromkeys(kinds.values(), 0)
+        for name in kinds.values():
+            def counted(*args, _name=name, _original=getattr(elements, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(elements, name, counted)
+        report = gf.execute(plan, "element")
+        assert report.prob_matches
+        assert calls == expected
+        assert all(expected.values())

@@ -115,6 +115,76 @@ class TestCoincidenceMatchesGeneralPath:
         assert (p, out.branch_prob) == (ref_p, ref.branch_prob)
 
 
+def reference_project_pair(state, port_x, port_y):
+    """Each photon found by its own scan, the reduced ket by a third."""
+    def single_mode(term, port):
+        found = [(m, c) for m, c in term if m[0] == port]
+        if len(found) != 1 or found[0][1] != 1:
+            raise NotSingleOccupancy(f"port {port} does not hold exactly one photon")
+        return found[0][0]
+
+    total = state.norm_sq()
+    buckets = {"HH": {}, "HV": {}, "VH": {}, "VV": {}}
+    for term, amp in state.terms.items():
+        (_, px) = single_mode(term, port_x)
+        (_, py) = single_mode(term, port_y)
+        reduced = tuple(m for m in term if m[0][0] not in (port_x, port_y))
+        rest = buckets[px + py]
+        rest[reduced] = rest.get(reduced, 0j) + amp
+    return measurement.OutcomeDistribution(tuple(
+        measurement._outcome(label, terms, total, state.branch_prob)
+        for label, terms in buckets.items()
+    ))
+
+
+def pair_result(*args):
+    """Outcomes with their kets in order and exact amplitudes, or the error."""
+    try:
+        dist = args[0](*args[1:])
+    except NotSingleOccupancy as exc:
+        return str(exc)
+    return [
+        (o.label, o.prob, list(o.state.terms.items()), o.state.branch_prob)
+        for o in dist.outcomes
+    ]
+
+
+@st.composite
+def analysed_states(draw):
+    """A random state on ports 0-3 next to a random polarization pair on 5, 6."""
+    rest = draw(states_strategy(max_port=3, max_photons=3, max_terms=6))
+    amps = draw(st.lists(st.floats(-1, 1, allow_nan=False), min_size=4, max_size=4))
+    if sum(a * a for a in amps) < 1e-4:
+        amps = [1.0, 0.0, 0.0, 0.0]
+    scale = 1.0 / math.sqrt(sum(a * a for a in amps))
+    pair = gf.make_state([
+        (gf.ket((5, px), (6, py)), a * scale)
+        for (px, py), a in zip(("HH", "HV", "VH", "VV"), amps) if a != 0.0
+    ])
+    return gf.tensor(rest, pair)
+
+
+class TestPolarizationPairMatchesGeneralPath:
+    @given(
+        analysed_states(),
+        st.one_of(
+            st.just((5, 6)), st.just((6, 5)), st.just((5, 5)),
+            st.tuples(st.integers(0, 7), st.integers(0, 7)),
+        ),
+    )
+    def test_exactly_equal_outcomes_and_errors(self, s, ports):
+        port_x, port_y = ports
+        assert pair_result(gf.project_polarization_pair, s, port_x, port_y) == (
+            pair_result(reference_project_pair, s, port_x, port_y)
+        )
+
+    def test_exactly_equal_on_protocol_state(self):
+        s = golden.analysis_ready_state()
+        got = pair_result(gf.project_polarization_pair, s, 20, 21)
+        assert got == pair_result(reference_project_pair, s, 20, 21)
+        assert not isinstance(got, str)
+
+
 class TestPolarizationPair:
     def test_product_state_is_deterministic(self):
         s = gf.make_state([(gf.ket((0, "H"), (1, "H"), (2, "V")), 1.0)])
