@@ -99,10 +99,9 @@ def _odd_mode(raw: str | None) -> str | None:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     summary = analysis.resource_summary(args.d, args.n)
-    exact = {
-        label: analysis.predicted_prob_for_options(args.d, args.n, ff)
-        for label, ff in (("ff", True), ("filtered", False))
-    }
+    exact_ff, exact_filtered = (
+        analysis.predicted_prob_for_options(args.d, args.n, ff) for ff in (True, False)
+    )
     if args.format == "json":
         payload = {
             "d": summary.d,
@@ -113,8 +112,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
             "eta2": list(summary.eta2_values),
             "predicted_prob_ff": summary.predicted_prob_ff,
             "predicted_prob_filtered": summary.predicted_prob_filtered,
-            "predicted_prob_ff_exact": _exact_text(exact["ff"]),
-            "predicted_prob_filtered_exact": _exact_text(exact["filtered"]),
+            "predicted_prob_ff_exact": _exact_text(exact_ff),
+            "predicted_prob_filtered_exact": _exact_text(exact_filtered),
         }
         if args.full:
             opts = protocol.ProtocolOptions(d=args.d, n=args.n, feedforward=args.feedforward)
@@ -135,9 +134,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
         ]
         for k, value in enumerate(summary.eta2_values, start=1):
             lines.append(f"  helper stage {k} rate:   {_prob_line(value)}")
-        for label, key in (("corrected", "ff"), ("filtered", "filtered")):
-            p = exact[key]
-            lines.append(f"  {f'predicted ({label}):':23}{_prob_line(float(p), p)}")
+        for label, exact in (("corrected", exact_ff), ("filtered", exact_filtered)):
+            lines.append(f"  {f'predicted ({label}):':23}{_prob_line(float(exact), exact)}")
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 

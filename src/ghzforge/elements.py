@@ -295,13 +295,11 @@ def apply_bd_split(
     """Inverse of the merge: H goes to the even port, V to the odd port."""
     if len({port_in, port_even, port_odd}) != 3:
         raise PortCollision("BD split needs three distinct ports")
-    occupied = {p for term in state.terms for (p, _), _ in term}
-    if port_even in occupied or port_odd in occupied:
-        for term in state.terms:
-            hit = [p for (p, _), _ in term if p == port_even or p == port_odd]
-            if hit:
-                p = port_even if port_even in hit else port_odd
-                raise PortCollision(f"BD split destination port {p} is occupied")
+    for term in state.terms:
+        hit = [p for (p, _), _ in term if p == port_even or p == port_odd]
+        if hit:
+            p = port_even if port_even in hit else port_odd
+            raise PortCollision(f"BD split destination port {p} is occupied")
     mapping = {
         (port_in, states.H): (port_even, states.H),
         (port_in, states.V): (port_odd, states.V),
@@ -329,10 +327,6 @@ class Circuit:
 _MODE_MAPS = (PBS, BDMerge, BDSplit)
 
 
-class _FusedCollision(Exception):
-    """A composed relabel collided; the run is replayed step by step."""
-
-
 def _replay(state: PhotonicState, run: list) -> PhotonicState:
     for step in run:
         state, _ = step.apply(state)
@@ -357,7 +351,7 @@ def _apply_mode_map_run(state: PhotonicState, run: list) -> PhotonicState:
     tags = {((tag0 + r, states.H), 1): m for r, m in enumerate(modes)}
     try:
         probe = _replay(PhotonicState({((m, 1), t): 1 + 0j for t, m in tags.items()}), run)
-    except Exception:
+    except Exception:  # whatever a step raised, the replay raises the state's own
         return _replay(state, run)
     mapping: dict[Mode, Mode] = {}
     for term, amp in probe.terms.items():
@@ -372,8 +366,8 @@ def _apply_mode_map_run(state: PhotonicState, run: list) -> PhotonicState:
     if tags or probe.branch_prob != 1.0:
         return _replay(state, run)
     try:
-        return _relabel(state, mapping, _FusedCollision, "run")
-    except _FusedCollision:
+        return _relabel(state, mapping, BDCollision, "run")
+    except BDCollision:
         return _replay(state, run)
 
 
