@@ -333,18 +333,16 @@ def _replay(state: PhotonicState, run: list) -> PhotonicState:
     return state
 
 
-def _apply_mode_map_run(state: PhotonicState, run: list) -> PhotonicState:
-    """Apply consecutive PBS / beam-displacer steps as one relabel.
+def _probe_map(state: PhotonicState, run: list) -> dict[Mode, Mode] | None:
+    """The run's composed mode map, or None where no clean one is seen.
 
-    The composed map is read off a probe state with one ket per mode that the
-    state occupies on the run's ports; each such photon shares its ket with a
-    tag photon on a port of its own past the run's ports, so no two probe
-    kets merge or collide.  The run's steps act on the probe through
-    ``Step.apply``, and each tag's ket then holds that mode's image.  A probe
-    that raises or is not a clean relabel (a tag with other than one image,
-    an amplitude other than exactly 1), and a composed relabel that collides,
-    replay the run step by step on the state, which raises the first failing
-    step's own error."""
+    The map is read off a probe state with one ket per mode that the state
+    occupies on the run's ports; each such photon shares its ket with a tag
+    photon on a port of its own past the run's ports, so no two probe kets
+    merge or collide.  The run's steps act on the probe through ``Step.apply``,
+    and each tag's ket then holds that mode's image.  A probe that raises, or
+    that is not a clean relabel (a tag with other than one image, an amplitude
+    other than exactly 1), gives None."""
     ports = {p for step in run for p in vars(step).values()}  # every field is a port
     modes = sorted({m for term in state.terms for m, _ in term if m[0] in ports})
     tag0 = max(ports) + 1
@@ -352,23 +350,33 @@ def _apply_mode_map_run(state: PhotonicState, run: list) -> PhotonicState:
     try:
         probe = _replay(PhotonicState({((m, 1), t): 1 + 0j for t, m in tags.items()}), run)
     except Exception:  # whatever a step raised, the replay raises the state's own
-        return _replay(state, run)
+        return None
     mapping: dict[Mode, Mode] = {}
     for term, amp in probe.terms.items():
         if amp != 1 or len(term) != 2 or term[1] not in tags:
-            return _replay(state, run)
+            return None
         (image, count), tag = term
         if count != 1 or image[0] >= tag0:
-            return _replay(state, run)
+            return None
         m = tags.pop(tag)
         if image != m:
             mapping[m] = image
-    if tags or probe.branch_prob != 1.0:
-        return _replay(state, run)
-    try:
-        return _relabel(state, mapping, BDCollision, "run")
-    except BDCollision:
-        return _replay(state, run)
+    return None if tags or probe.branch_prob != 1.0 else mapping
+
+
+def _apply_mode_map_run(state: PhotonicState, run: list) -> PhotonicState:
+    """Apply consecutive PBS / beam-displacer steps as one relabel.
+
+    Where the probe gives no map, or the composed relabel collides (which it
+    does exactly when some step would), the run is replayed step by step on
+    the state, so an error is the first failing step's own."""
+    mapping = _probe_map(state, run)
+    if mapping is not None:
+        try:
+            return _relabel(state, mapping, BDCollision, "run")
+        except BDCollision:
+            pass
+    return _replay(state, run)
 
 
 def run_circuit(
