@@ -37,7 +37,10 @@ from probes through the same globals: every step of the run acts, through
 ``apply_*`` function is still called once per step and a replaced one is
 honoured.  Where the probe raises, or shows a map that is not a pure mode
 relabel, or the composed relabel collides, the run is applied step by step
-instead, so results and errors are those of the steps themselves.
+instead, so kets, their order and errors are those of the steps themselves.
+So are amplitudes, except where three or more kets merge at different steps
+of a run: the one relabel adds them in ket order, which can change the last
+bit of the sum.
 """
 
 from __future__ import annotations

@@ -501,12 +501,9 @@ def staggered_merges(state, steps):
     out = set()
     for final in {trail[-1] for trail in trails.values()}:
         group = [trail for trail in trails.values() if trail[-1] == final]
-        drops = sum(
-            len({t[k] for t in group}) < len({t[k - 1] for t in group}) if k else
-            len({t[0] for t in group}) < len(group)
-            for k in range(len(steps))
-        )
-        if len(group) >= 3 and drops > 1:
+        kets = [len(group)] + [len({t[k] for t in group}) for k in range(len(steps))]
+        merging_steps = sum(after < before for before, after in zip(kets, kets[1:]))
+        if len(group) >= 3 and merging_steps > 1:
             out.add(final)
     return out
 
@@ -518,8 +515,8 @@ class TestFusedModeMapRuns:
     )
     @example(
         s=gf.make_state([
-            (gf.ket((0, "H"), (2, "H")), 0.1), (gf.ket((1, "H"), (2, "H")), 0.7),
-            (gf.ket((0, "H"), (3, "H")), 0.3), (gf.ket((1, "H"), (3, "H")), 0.2),
+            (gf.ket((0, "H"), (2, "H")), 0.2), (gf.ket((1, "H"), (2, "H")), 0.2),
+            (gf.ket((0, "H"), (3, "H")), 0.1), (gf.ket((1, "H"), (3, "H")), 0.1),
         ]),
         steps=[gf.BDMerge(0, 1, 4), gf.BDMerge(2, 3, 5)],
     )
@@ -542,14 +539,18 @@ class TestFusedModeMapRuns:
 
     def test_staggered_merge_detected(self):
         # kets (0,2) and (1,2) merge at the first step, (0,3) and (1,3) too,
-        # and the two results merge at the second: four kets, two steps
+        # and the two results merge at the second: the replay adds
+        # (0.2 + 0.2) + (0.1 + 0.1), the fused relabel ((0.2 + 0.2) + 0.1) + 0.1
         s = gf.make_state([
-            (gf.ket((0, "H"), (2, "H")), 0.1), (gf.ket((0, "H"), (3, "H")), 0.3),
-            (gf.ket((1, "H"), (2, "H")), 0.7), (gf.ket((1, "H"), (3, "H")), 0.2),
+            (gf.ket((0, "H"), (2, "H")), 0.2), (gf.ket((1, "H"), (2, "H")), 0.2),
+            (gf.ket((0, "H"), (3, "H")), 0.1), (gf.ket((1, "H"), (3, "H")), 0.1),
         ])
         steps = [gf.BDMerge(0, 1, 4), gf.BDMerge(2, 3, 5)]
-        assert staggered_merges(s, steps) == {gf.ket((4, "H"), (5, "H"))}
+        final = gf.ket((4, "H"), (5, "H"))
+        assert staggered_merges(s, steps) == {final}
         assert staggered_merges(s, steps[:1]) == set()
+        assert replay(s, steps).terms[final] == 0.6000000000000001
+        assert gf.run_circuit(s, steps)[0].terms[final] == 0.6
 
     @pytest.mark.parametrize(
         "kets, steps, error, message",
