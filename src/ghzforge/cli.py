@@ -27,6 +27,7 @@ from .errors import (
 SWEEP_CSV_HEADER = "d,n,backend,predicted_prob,simulated_prob,fidelity,match,status"
 
 _USAGE_ERRORS = (InvalidParameters, InvalidCoefficients, InvalidAuxPair)
+_PLAN_EXACT_COLUMNS = ",predicted_prob_ff_exact,predicted_prob_filtered_exact"
 
 
 def _rational(x: float | None) -> str:
@@ -121,8 +122,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
         _emit(_json_text(payload), args.out)
     elif args.format == "csv":
         _emit(
-            analysis.RESOURCE_CSV_HEADER + "\r\n"
-            + analysis.resource_csv_row(summary) + "\r\n",
+            analysis.RESOURCE_CSV_HEADER + _PLAN_EXACT_COLUMNS + "\r\n"
+            + analysis.resource_csv_row(summary)
+            + f",{_exact_text(exact_ff)},{_exact_text(exact_filtered)}\r\n",
             args.out,
         )
     else:
@@ -404,10 +406,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    except (GhzforgeError, OracleTooLarge) as exc:
-        print(f"backend error: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, ValueError, KeyError) as exc:
+    except (GhzforgeError, OSError, ValueError, KeyError) as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return 3
 

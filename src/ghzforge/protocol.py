@@ -15,6 +15,11 @@ coincidences, rotates the helper arms into the diagonal basis and projects
 them as a pair.  Odd photon numbers finish with a Fourier-basis path
 measurement of the first photon.
 
+A plan is geometry only: stage labels and kinds, junctions, aux pairs and
+each helper stage's ports.  ``ProtocolPlan.stage_steps`` is the one place
+that builds a stage's optical steps from it, for the element backend and
+circuit export, so compiling a plan for the rule backend builds no optics.
+
 Two executors interpret a plan:
 
 * the element backend folds the literal optical circuit (the golden
@@ -57,6 +62,10 @@ FULL_FOURIER = "full_fourier"
 _TAG = math.pi / 4.0      # HWP angle swapping H and V
 _DIAGONAL = math.pi / 8.0  # HWP angle rotating into the +/- basis
 _PROB_REL_TOL = Fraction(1, 10**9)  # measured vs exact predicted probability
+_HELPER_STAGES = (  # (label suffix, kind) of each helper stage, in order
+    ("inject", "aux_inject"), ("interfere", "aux_interfere"),
+    ("analysis", "aux_analysis"), ("pas", "aux_pas"), ("untag", "tag"),
+)
 
 
 @dataclass(frozen=True)
@@ -75,14 +84,13 @@ class ProtocolOptions:
         return FULL_FOURIER if self.feedforward else SINGLE_OUTCOME
 
 
-@dataclass
+@dataclass(slots=True)
 class PlanStage:
     label: str
     kind: str  # sources | tag | pbs_filter | aux_inject | aux_interfere | aux_analysis | aux_pas | reduce
-    steps: list
     junction: int | None = None
     aux_pair: tuple[int, int] | None = None
-    info: dict = field(default_factory=dict)
+    helper_port: int | None = None  # helper stages: the first of their ten ports
 
 
 @dataclass
@@ -106,7 +114,7 @@ class ProtocolPlan:
         return 2 * self.epr_pair_count
 
     def photon_ports(self, photon: int) -> list[int]:
-        return [photon * self.d + i for i in range(self.d)]
+        return list(range(photon * self.d, (photon + 1) * self.d))
 
     def output_photons(self) -> list[int]:
         first = 1 if self.n % 2 == 1 else 0
@@ -115,12 +123,71 @@ class ProtocolPlan:
     def output_port_groups(self) -> list[list[int]]:
         return [self.photon_ports(p) for p in self.output_photons()]
 
+    def stage_steps(self, stage: PlanStage) -> list:
+        """The optical steps of ``stage``, built from its geometry.
+
+        This is the one place that knows how a stage becomes elements: its
+        sources become ``Inject`` steps, a junction's tag and filter become
+        HWPs, PBSs and a coincidence post-selection on the junction photons,
+        and a helper stage's ten ports carry its injection, interference
+        block, analysis rotation, pair projection and untag.  The ``reduce``
+        stage has no steps; the executors measure it themselves.
+        """
+        d, k, kind = self.d, stage.junction, stage.kind
+        if kind == "reduce":
+            return []
+        if kind == "sources":
+            return [
+                Inject(build_epr_source(
+                    d, self.options.input_coeffs,
+                    self.photon_ports(2 * s), self.photon_ports(2 * s + 1),
+                ))
+                for s in (range(min(self.epr_pair_count, 2)) if k is None else (k + 1,))
+            ]
+        pa, pb = self.photon_ports(2 * k + 1), self.photon_ports(2 * k + 2)
+        if stage.aux_pair is None:
+            if kind == "pbs_filter":
+                return [PBS(pa[p], pb[p]) for p in range(d)] + [
+                    CoincidenceSelect(CoincidencePattern((tuple(pa), tuple(pb))))
+                ]
+            odd_paths = range(1, d, 2)
+            return [HWP(pa[p], _TAG) for p in odd_paths] + [HWP(pb[p], _TAG) for p in odd_paths]
+        i, j = stage.aux_pair
+        x = stage.helper_port
+        px, py = {i: x, j: x + 1}, {i: x + 2, j: x + 3}
+        ma, mx, mb, my, ax, ay = range(x + 4, x + 10)
+        if kind == "aux_inject":
+            return [HWP(pa[j], _TAG), HWP(pb[j], _TAG), Inject(build_aux_source(i, j, px, py))]
+        if kind == "aux_interfere":
+            return [
+                BDMerge(pa[i], pa[j], ma),
+                BDMerge(px[i], px[j], mx),
+                BDMerge(pb[i], pb[j], mb),
+                BDMerge(py[i], py[j], my),
+                PBS(ma, mx),
+                PBS(mb, my),
+                BDSplit(ma, pa[i], pa[j]),
+                BDSplit(mx, px[i], px[j]),
+                BDSplit(mb, pb[i], pb[j]),
+                BDSplit(my, py[i], py[j]),
+                CoincidenceSelect(
+                    CoincidencePattern((tuple(pa), (px[i], px[j]), tuple(pb), (py[i], py[j])))
+                ),
+            ]
+        if kind == "aux_analysis":
+            return [
+                BDMerge(px[i], px[j], ax),
+                BDMerge(py[i], py[j], ay),
+                HWP(ax, _DIAGONAL),
+                HWP(ay, _DIAGONAL),
+            ]
+        if kind == "aux_pas":
+            pas_mode = "feedforward" if self.options.feedforward else "filtered"
+            return [PasPairSelect(ax, ay, pas_mode, correction_port=pa[j])]
+        return [HWP(pa[j], _TAG), HWP(pb[j], _TAG)]  # the helper stage's untag
+
     def circuit_steps(self) -> list:
-        out: list = []
-        for stage in self.stages:
-            if stage.kind != "reduce":
-                out.extend(stage.steps)
-        return out
+        return [step for stage in self.stages for step in self.stage_steps(stage)]
 
     def to_jsonable(self) -> dict:
         return {
@@ -215,18 +282,19 @@ def compile_plan(
     options: ProtocolOptions,
     aux_order: Sequence[Sequence[tuple[int, int]]] | None = None,
 ) -> ProtocolPlan:
-    """Synthesize the full stage list for (d, n).
+    """Synthesize the stage list for (d, n): labels, kinds and geometry only.
 
     The ``sources`` stage injects sources 0 and 1; every later source k + 1
     is injected by its own ``sources``-kind stage ``j{k}.source`` just before
-    junction k's first tag.  ``aux_order`` optionally overrides the
-    per-junction auxiliary pair order; it must be a permutation of the
-    same-parity pair set for each junction.
+    junction k's first tag.  Each helper stage records its junction, its aux
+    pair and the first of the ten ports its helper pair uses; the optics are
+    built from that by ``ProtocolPlan.stage_steps`` where they are run.
+    ``aux_order`` optionally overrides the per-junction auxiliary pair order;
+    it must be a permutation of the same-parity pair set for each junction.
     """
     d, n = options.d, options.n
-    if not isinstance(d, int) or not isinstance(n, int) or d < 2 or n < 2:
-        raise InvalidParameters(f"need integer d >= 2 and n >= 2, got d={d}, n={n}")
-    coeffs = _validated_coeffs(d, options.input_coeffs)
+    analysis._check_params(d, n)
+    _validated_coeffs(d, options.input_coeffs)
     options.resolved_odd_mode()  # validates the mode string early
     m = -(n // -2)
     default_pairs = analysis.aux_pairs(d)
@@ -242,98 +310,24 @@ def compile_plan(
                 "aux_order must permute the same-parity pair set per junction"
             )
 
-    def ports(photon: int) -> list[int]:
-        return [photon * d + i for i in range(d)]
-
-    def source(s: int) -> Inject:
-        return Inject(build_epr_source(d, coeffs, ports(2 * s), ports(2 * s + 1)))
-
-    stages = [PlanStage("sources", "sources", [source(s) for s in range(min(m, 2))])]
-
+    stages = [PlanStage("sources", "sources")]
     next_port = 2 * m * d
-    pas_mode = "feedforward" if options.feedforward else "filtered"
     for k in range(junctions):
         if k > 0:
-            stages.append(PlanStage(f"j{k}.source", "sources", [source(k + 1)], junction=k))
-        pa, pb = ports(2 * k + 1), ports(2 * k + 2)
-        odd_paths = [p for p in range(d) if p % 2 == 1]
-        tag = [HWP(pa[p], _TAG) for p in odd_paths] + [HWP(pb[p], _TAG) for p in odd_paths]
-        stages.append(PlanStage(f"j{k}.step_i_tag", "tag", list(tag), junction=k))
-        filter_steps: list = [PBS(pa[p], pb[p]) for p in range(d)]
-        filter_steps.append(
-            CoincidenceSelect(CoincidencePattern((tuple(pa), tuple(pb))))
-        )
-        stages.append(PlanStage(f"j{k}.step_i", "pbs_filter", filter_steps, junction=k))
-        stages.append(PlanStage(f"j{k}.step_i_untag", "tag", list(tag), junction=k))
-
-        for q, (i, j) in enumerate(junction_pairs[k]):
-            px = {i: next_port, j: next_port + 1}
-            py = {i: next_port + 2, j: next_port + 3}
-            ma, mx, mb, my = (next_port + 4, next_port + 5, next_port + 6, next_port + 7)
-            ax, ay = next_port + 8, next_port + 9
+            stages.append(PlanStage(f"j{k}.source", "sources", junction=k))
+        stages += [
+            PlanStage(f"j{k}.step_i_tag", "tag", junction=k),
+            PlanStage(f"j{k}.step_i", "pbs_filter", junction=k),
+            PlanStage(f"j{k}.step_i_untag", "tag", junction=k),
+        ]
+        for q, pair in enumerate(junction_pairs[k]):
+            stages += [  # positional: this runs d(d - 2) / 4 times per junction
+                PlanStage(f"j{k}.aux{q}.{suffix}", kind, k, pair, next_port)
+                for suffix, kind in _HELPER_STAGES
+            ]
             next_port += 10
-            info = {
-                "ports_x": dict(px), "ports_y": dict(py),
-                "analysis_ports": (ax, ay),
-            }
-            inject = [
-                HWP(pa[j], _TAG),
-                HWP(pb[j], _TAG),
-                Inject(build_aux_source(i, j, px, py)),
-            ]
-            stages.append(
-                PlanStage(f"j{k}.aux{q}.inject", "aux_inject", inject,
-                          junction=k, aux_pair=(i, j), info=info)
-            )
-            interfere: list = [
-                BDMerge(pa[i], pa[j], ma),
-                BDMerge(px[i], px[j], mx),
-                BDMerge(pb[i], pb[j], mb),
-                BDMerge(py[i], py[j], my),
-                PBS(ma, mx),
-                PBS(mb, my),
-                BDSplit(ma, pa[i], pa[j]),
-                BDSplit(mx, px[i], px[j]),
-                BDSplit(mb, pb[i], pb[j]),
-                BDSplit(my, py[i], py[j]),
-                CoincidenceSelect(
-                    CoincidencePattern(
-                        (tuple(pa), (px[i], px[j]), tuple(pb), (py[i], py[j]))
-                    )
-                ),
-            ]
-            stages.append(
-                PlanStage(f"j{k}.aux{q}.interfere", "aux_interfere", interfere,
-                          junction=k, aux_pair=(i, j), info=info)
-            )
-            analysis_steps = [
-                BDMerge(px[i], px[j], ax),
-                BDMerge(py[i], py[j], ay),
-                HWP(ax, _DIAGONAL),
-                HWP(ay, _DIAGONAL),
-            ]
-            stages.append(
-                PlanStage(f"j{k}.aux{q}.analysis", "aux_analysis", analysis_steps,
-                          junction=k, aux_pair=(i, j), info=info)
-            )
-            pas = [PasPairSelect(ax, ay, pas_mode, correction_port=pa[j])]
-            stages.append(
-                PlanStage(f"j{k}.aux{q}.pas", "aux_pas", pas,
-                          junction=k, aux_pair=(i, j), info=info)
-            )
-            untag = [HWP(pa[j], _TAG), HWP(pb[j], _TAG)]
-            stages.append(
-                PlanStage(f"j{k}.aux{q}.untag", "tag", untag,
-                          junction=k, aux_pair=(i, j), info=info)
-            )
-
     if n % 2 == 1:
-        stages.append(
-            PlanStage(
-                "reduce", "reduce", [],
-                info={"mode": options.resolved_odd_mode(), "ports": ports(0)},
-            )
-        )
+        stages.append(PlanStage("reduce", "reduce"))
 
     return ProtocolPlan(
         options=options,
@@ -496,12 +490,12 @@ def _run_elements(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
     for stage in plan.stages:
         if stage.kind == "reduce":
             state, p, p_single, p_full = _reduce_even_state(
-                state, plan.d, stage.info["mode"],
-                stage.info["ports"], plan.photon_ports(1),
+                state, plan.d, opts.resolved_odd_mode(),
+                plan.photon_ports(0), plan.photon_ports(1),
             )
             ledger.record(stage.label, p, p_single, p_full)
         elif stage.kind == "aux_pas":
-            step: PasPairSelect = stage.steps[0]
+            (step,) = plan.stage_steps(stage)
             result = measurement.pas_pair_analysis(
                 state, step.port_x, step.port_y, step.correction_port
             )
@@ -512,7 +506,7 @@ def _run_elements(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
                 break
             state = result.merged
         else:
-            state, ps = elements.run_circuit(state, stage.steps)
+            state, ps = elements.run_circuit(state, plan.stage_steps(stage))
             for p in ps:
                 ledger.record(stage.label, p, p, p)
             if state.is_empty:
@@ -623,8 +617,7 @@ def _run_rules(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
 
     photons = plan.output_photons()
     if plan.n % 2 == 1:
-        stage = plan.stages[-1]
-        mode = stage.info["mode"]
+        mode = opts.resolved_odd_mode()
         # photon 0 always shares its source partner's path, so dropping it
         # never merges kets; outcome probabilities are uniform 1/d
         p_single = 1.0 / d

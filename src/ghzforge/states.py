@@ -31,25 +31,28 @@ Mode = tuple[int, str]
 FockTerm = tuple[tuple[Mode, int], ...]
 
 _DEFAULT_EPS = 1e-9
+_eps: float | None = None  # the GHZFORGE_EPS value kept by the first eps() call
 
 
 def eps() -> float:
     """Amplitude/probability tolerance; GHZFORGE_EPS overrides the default.
 
-    The variable is read on every call; a value that is not a positive finite
-    number raises InvalidParameters."""
-    raw = os.environ.get("GHZFORGE_EPS")
-    if raw is None:
-        return _DEFAULT_EPS
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0.0):
-        raise InvalidParameters(
-            f"GHZFORGE_EPS must be a positive finite number, got {raw!r}"
-        )
-    return value
+    The variable is read once per process: the first call parses it and keeps
+    a valid value for every later call.  A value that is not a positive finite
+    number is not kept, so it raises InvalidParameters on every call."""
+    global _eps
+    if _eps is None:
+        raw = os.environ.get("GHZFORGE_EPS")
+        try:
+            value = _DEFAULT_EPS if raw is None else float(raw)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value > 0.0):
+            raise InvalidParameters(
+                f"GHZFORGE_EPS must be a positive finite number, got {raw!r}"
+            )
+        _eps = value
+    return _eps
 
 
 def mode(port: int, pol: str) -> Mode:

@@ -1,8 +1,10 @@
 import math
 
+import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 import ghzforge as gf
+from ghzforge import states
 
 settings.register_profile(
     "ghzforge",
@@ -11,6 +13,13 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ghzforge")
+
+
+@pytest.fixture
+def fresh_eps(monkeypatch):
+    """Forget the GHZFORGE_EPS value kept by ``eps()``, so a value the test
+    sets is read; the kept value comes back when the test ends."""
+    monkeypatch.setattr(states, "_eps", None)
 
 
 def _amp(rng) -> complex:

@@ -87,10 +87,33 @@ class TestPlan:
         code, out, _ = run_cli(capsys, "plan", "--d", "3", "--n", "4", "--format", "csv")
         assert code == 0
         expected = (
-            analysis.RESOURCE_CSV_HEADER + "\r\n"
-            + analysis.resource_csv_row(analysis.resource_summary(3, 4)) + "\r\n"
+            analysis.RESOURCE_CSV_HEADER
+            + ",predicted_prob_ff_exact,predicted_prob_filtered_exact\r\n"
+            + analysis.resource_csv_row(analysis.resource_summary(3, 4)) + ",1/6,1/12\r\n"
         )
         assert out == expected
+
+    @pytest.mark.parametrize("d,n", [(6, 8), (200, 4)])
+    def test_csv_carries_the_exact_predictions(self, capsys, d, n):
+        # at (200, 4) the float columns read 0.0 and only the exact ones
+        # carry the predictions
+        code, out, _ = run_cli(capsys, "plan", "--d", str(d), "--n", str(n),
+                               "--format", "csv")
+        assert code == 0
+        header, row = out.split("\r\n")[:2]
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert len(fields) == len(row.split(",")) == 9
+        for key, ff in (("predicted_prob_ff", True), ("predicted_prob_filtered", False)):
+            exact = analysis.predicted_prob_for_options(d, n, ff)
+            assert fields[f"{key}_exact"] == cli._exact_text(exact)
+            num, den = (Fraction(Decimal(part)) for part in fields[f"{key}_exact"].split("/"))
+            assert num / den == exact
+            assert float(fields[key]) == float(exact)
+        if (d, n) == (6, 8):
+            assert fields["predicted_prob_ff_exact"] == "1/56623104"
+            assert fields["predicted_prob_filtered_exact"] == "1/14843406974976"
+        else:
+            assert fields["predicted_prob_ff"] == fields["predicted_prob_filtered"] == "0.0"
 
 
 class TestRun:
@@ -350,7 +373,7 @@ class TestReduceOdd:
 
 
 class TestEnvironment:
-    def test_eps_override_respected(self, capsys, monkeypatch):
+    def test_eps_override_respected(self, capsys, monkeypatch, fresh_eps):
         monkeypatch.setenv("GHZFORGE_EPS", "1e-12")
         assert gf.eps() == 1e-12
         code, out, _ = run_cli(capsys, "run", "--d", "2", "--n", "4")
@@ -358,7 +381,7 @@ class TestEnvironment:
         assert json.loads(out)["prob"] == pytest.approx(0.5)
 
     @pytest.mark.parametrize("value", ["abc", "inf", "-1"])
-    def test_invalid_eps_exits_2(self, capsys, monkeypatch, value):
+    def test_invalid_eps_exits_2(self, capsys, monkeypatch, fresh_eps, value):
         # non-numeric, non-finite and non-positive values are usage errors
         monkeypatch.setenv("GHZFORGE_EPS", value)
         with pytest.raises(gf.errors.InvalidParameters):

@@ -625,7 +625,7 @@ class TestFusedModeMapRuns:
             return original(state, *args)
 
         monkeypatch.setattr(elements, "_relabel", counting)
-        gf.run_circuit(s, stages["aux_interfere"].steps)
+        gf.run_circuit(s, plan.stage_steps(stages["aux_interfere"]))
         real = [size for size in sizes if size != {2}]
         assert len(sizes) == 11
         assert real == [{s.photon_number()}]
@@ -709,7 +709,7 @@ class TestDispatch:
                  gf.BDMerge: "apply_bd_merge", gf.BDSplit: "apply_bd_split"}
         expected = dict.fromkeys(kinds.values(), 0)
         for stage in plan.stages:
-            for step in stage.steps:
+            for step in plan.stage_steps(stage):
                 if type(step) in kinds:
                     expected[kinds[type(step)]] += 1
         calls = dict.fromkeys(kinds.values(), 0)

@@ -1,18 +1,21 @@
+import inspect
 import math
 import random
 import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 import ghzforge as gf
-from ghzforge import analysis, golden, protocol, states
+from ghzforge import analysis, elements, golden, measurement, protocol, states
 from ghzforge.errors import (
     InvalidAuxPair,
     InvalidCoefficients,
     InvalidParameters,
 )
+from ghzforge.measurement import CoincidencePattern, CoincidenceSelect, PasPairSelect
 
 
 class TestBuilders:
@@ -103,7 +106,7 @@ class TestCompile:
     def test_odd_n_plans_end_with_reduction(self):
         plan = gf.compile_plan(gf.ProtocolOptions(d=3, n=5, feedforward=True))
         assert plan.stages[-1].kind == "reduce"
-        assert plan.stages[-1].info["mode"] == protocol.FULL_FOURIER
+        assert plan.options.resolved_odd_mode() == protocol.FULL_FOURIER
         assert plan.epr_pair_count == 3
         assert plan.output_photons() == [1, 2, 3, 4, 5]
 
@@ -122,9 +125,9 @@ class TestCompile:
         assert labels.index("j0.aux0.untag") < labels.index("j1.source")
         stage = plan.stages[labels.index("j1.source")]
         assert stage.kind == "sources" and stage.junction == 1
-        (inject,) = stage.steps
+        (inject,) = plan.stage_steps(stage)
         assert inject.ports() == set(plan.photon_ports(4) + plan.photon_ports(5))
-        assert len(plan.stages[0].steps) == 2
+        assert len(plan.stage_steps(plan.stages[0])) == 2
 
     def test_plan_serialization(self):
         plan = gf.compile_plan(gf.ProtocolOptions(d=3, n=4))
@@ -443,7 +446,7 @@ def _reference_run_rules(plan, keep_intermediates):
 
     if plan.n % 2 == 1:
         p_single = 1.0 / d
-        single = plan.stages[-1].info["mode"] == protocol.SINGLE_OUTCOME
+        single = plan.options.resolved_odd_mode() == protocol.SINGLE_OUTCOME
         ledger.record("reduce", p_single if single else 1.0, p_single, 1.0)
     state = protocol._materialize_paths(
         d, amps, 1.0, plan.output_photons(), lambda photon, path: "H", ledger.probs[0]
@@ -553,3 +556,175 @@ class TestIndexedRuleExecutor:
         assert report.prob_matches is True
         assert report.fidelity >= 1.0 - 1e-9
         assert len(report.final_state.terms) == 64
+
+
+@dataclass
+class _EagerStage:
+    label: str
+    kind: str
+    steps: list
+    junction: int | None = None
+    aux_pair: tuple[int, int] | None = None
+    info: dict = field(default_factory=dict)
+
+
+def _reference_compile_plan(options, aux_order=None):
+    """The eager compiler that plan geometry replaced: every stage carries
+    its optical steps, built once when the plan is compiled."""
+    d, n = options.d, options.n
+    coeffs = protocol._validated_coeffs(d, options.input_coeffs)
+    m = -(n // -2)
+    default_pairs = analysis.aux_pairs(d)
+    junctions = m - 1
+    if aux_order is None:
+        junction_pairs = [list(default_pairs) for _ in range(junctions)]
+    else:
+        junction_pairs = [list(p) for p in aux_order]
+
+    def ports(photon):
+        return [photon * d + i for i in range(d)]
+
+    def source(s):
+        return gf.Inject(protocol.build_epr_source(d, coeffs, ports(2 * s), ports(2 * s + 1)))
+
+    stages = [_EagerStage("sources", "sources", [source(s) for s in range(min(m, 2))])]
+
+    next_port = 2 * m * d
+    pas_mode = "feedforward" if options.feedforward else "filtered"
+    for k in range(junctions):
+        if k > 0:
+            stages.append(_EagerStage(f"j{k}.source", "sources", [source(k + 1)], junction=k))
+        pa, pb = ports(2 * k + 1), ports(2 * k + 2)
+        odd_paths = [p for p in range(d) if p % 2 == 1]
+        tag = [gf.HWP(pa[p], protocol._TAG) for p in odd_paths] + [
+            gf.HWP(pb[p], protocol._TAG) for p in odd_paths
+        ]
+        stages.append(_EagerStage(f"j{k}.step_i_tag", "tag", list(tag), junction=k))
+        filter_steps = [gf.PBS(pa[p], pb[p]) for p in range(d)]
+        filter_steps.append(
+            CoincidenceSelect(CoincidencePattern((tuple(pa), tuple(pb))))
+        )
+        stages.append(_EagerStage(f"j{k}.step_i", "pbs_filter", filter_steps, junction=k))
+        stages.append(_EagerStage(f"j{k}.step_i_untag", "tag", list(tag), junction=k))
+
+        for q, (i, j) in enumerate(junction_pairs[k]):
+            px = {i: next_port, j: next_port + 1}
+            py = {i: next_port + 2, j: next_port + 3}
+            ma, mx, mb, my = (next_port + 4, next_port + 5, next_port + 6, next_port + 7)
+            ax, ay = next_port + 8, next_port + 9
+            next_port += 10
+            info = {
+                "ports_x": dict(px), "ports_y": dict(py),
+                "analysis_ports": (ax, ay),
+            }
+            inject = [
+                gf.HWP(pa[j], protocol._TAG),
+                gf.HWP(pb[j], protocol._TAG),
+                gf.Inject(protocol.build_aux_source(i, j, px, py)),
+            ]
+            interfere = [
+                gf.BDMerge(pa[i], pa[j], ma),
+                gf.BDMerge(px[i], px[j], mx),
+                gf.BDMerge(pb[i], pb[j], mb),
+                gf.BDMerge(py[i], py[j], my),
+                gf.PBS(ma, mx),
+                gf.PBS(mb, my),
+                gf.BDSplit(ma, pa[i], pa[j]),
+                gf.BDSplit(mx, px[i], px[j]),
+                gf.BDSplit(mb, pb[i], pb[j]),
+                gf.BDSplit(my, py[i], py[j]),
+                CoincidenceSelect(
+                    CoincidencePattern(
+                        (tuple(pa), (px[i], px[j]), tuple(pb), (py[i], py[j]))
+                    )
+                ),
+            ]
+            analysis_steps = [
+                gf.BDMerge(px[i], px[j], ax),
+                gf.BDMerge(py[i], py[j], ay),
+                gf.HWP(ax, protocol._DIAGONAL),
+                gf.HWP(ay, protocol._DIAGONAL),
+            ]
+            pas = [PasPairSelect(ax, ay, pas_mode, correction_port=pa[j])]
+            untag = [gf.HWP(pa[j], protocol._TAG), gf.HWP(pb[j], protocol._TAG)]
+            for suffix, kind, steps in (
+                ("inject", "aux_inject", inject), ("interfere", "aux_interfere", interfere),
+                ("analysis", "aux_analysis", analysis_steps), ("pas", "aux_pas", pas),
+                ("untag", "tag", untag),
+            ):
+                stages.append(_EagerStage(f"j{k}.aux{q}.{suffix}", kind, steps,
+                                          junction=k, aux_pair=(i, j), info=info))
+
+    if n % 2 == 1:
+        stages.append(
+            _EagerStage("reduce", "reduce", [],
+                        info={"mode": options.resolved_odd_mode(), "ports": ports(0)})
+        )
+    return stages
+
+
+@st.composite
+def geometry_cases(draw):
+    d = draw(st.integers(2, 7))
+    n = draw(st.integers(2, 9))
+    coeffs = None
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(1, 10), min_size=d, max_size=d))
+        norm = math.sqrt(sum(w * w for w in weights))
+        coeffs = tuple(w / norm for w in weights)
+    opts = gf.ProtocolOptions(
+        d=d, n=n, feedforward=draw(st.booleans()),
+        odd_n_mode=draw(st.sampled_from([protocol.SINGLE_OUTCOME, protocol.FULL_FOURIER])),
+        input_coeffs=coeffs,
+    )
+    pairs = analysis.aux_pairs(d)
+    order = [draw(st.permutations(pairs)) for _ in range(-(n // -2) - 1)]
+    return opts, order
+
+
+class TestPlanGeometry:
+    """A plan holds geometry; ``stage_steps`` builds the optics the eager
+    compiler used to store on each stage."""
+
+    @given(geometry_cases())
+    def test_stage_steps_equal_the_eager_compiler(self, case):
+        opts, order = case
+        plan = gf.compile_plan(opts, aux_order=order)
+        want = _reference_compile_plan(opts, aux_order=order)
+        assert [(s.label, s.kind, s.junction, s.aux_pair) for s in plan.stages] == [
+            (s.label, s.kind, s.junction, s.aux_pair) for s in want
+        ]
+        for stage, eager in zip(plan.stages, want):
+            assert plan.stage_steps(stage) == eager.steps, stage.label
+        assert plan.circuit_steps() == [step for s in want for step in s.steps]
+        if opts.n % 2 == 1:
+            assert plan.options.resolved_odd_mode() == want[-1].info["mode"]
+
+    @pytest.mark.parametrize(
+        "d, n, feedforward, coeffs",
+        [(3, 4, False, None), (5, 7, True, None), (16, 14, False, None),
+         (3, 5, True, (0.6, 0.8, 0.0))],
+    )
+    def test_rule_path_builds_no_optics(self, monkeypatch, d, n, feedforward, coeffs):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the rule path built optics")
+
+        for name in ("build_aux_source", "build_epr_source"):
+            monkeypatch.setattr(protocol, name, forbidden)
+        for module in (elements, measurement):
+            for name, obj in list(vars(module).items()):
+                if not (inspect.isfunction(obj) or inspect.isclass(obj)):
+                    continue
+                if obj.__module__ != module.__name__:
+                    continue
+                monkeypatch.setattr(module, name, forbidden)
+                if getattr(protocol, name, None) is obj:
+                    monkeypatch.setattr(protocol, name, forbidden)
+        opts = gf.ProtocolOptions(d=d, n=n, feedforward=feedforward, input_coeffs=coeffs)
+        plan = gf.compile_plan(opts)
+        report = gf.execute(plan, backend="rule")
+        assert report.stage_labels
+        if coeffs is None:
+            assert report.prob_matches is True
+        with pytest.raises(AssertionError, match="built optics"):
+            plan.circuit_steps()
