@@ -19,6 +19,11 @@ what makes two photons bunching on one port interfere correctly).  An element
 rebuilds only the kets it touches: a ket with no photon in the element's modes
 is copied through unchanged, and an HWP acting on a lone photon among singly
 occupied modes swaps that mode in place, where every bosonic factor is 1.
+The HWP and phase kernels find a port's entries by bisection, which relies on
+kets being canonical and port-major (see ``states``): a hand-built
+``PhotonicState`` must use keys made by ``ket``, ``fock_term`` or
+``make_state``.  PBS, HWP, phase and beam-displacer steps are unitary
+(``NORM_PRESERVING``); injections and post-selections change the norm.
 
 Circuit steps form one table: every step class derives from ``Step``, carries
 its circuit-file tag (``{"elem": "pbs"}``, or an ``elem``/``kind`` pair for
@@ -48,6 +53,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, Sequence
 
@@ -55,7 +61,7 @@ from . import states
 from .errors import BDCollision, EmptyState, InvalidParameters, PortCollision
 from .states import FockTerm, Mode, PhotonicState, eps
 
-_FIELD_PARSERS = {"int": int, "float": float, "str": str}
+_FIELD_PARSERS = {"int": states.port_from_json, "float": float, "str": str}
 
 
 class Step:
@@ -192,29 +198,39 @@ def _relabel(
 
 
 def _apply_mode_linear_map(
-    state: PhotonicState, images: dict[Mode, tuple[tuple[Mode, complex], ...]]
+    state: PhotonicState, port: int, images: dict[Mode, tuple[tuple[Mode, complex], ...]]
 ) -> PhotonicState:
-    """Substitute creation operators by linear images, with exact bosonic factors.
+    """Substitute the creation operators of ``port``'s modes by linear images
+    on the same port, with exact bosonic factors.
 
-    Every image mode must lie on the port of the mode it replaces.  A ket whose
-    occupations are all 1 and which has a single touched photon has every
+    Each ket's entries on the port are found by bisection (see ``states``
+    for why that works); a ket with none is copied.  A ket whose
+    occupations are all 1 and which has a single photon on the port has every
     bosonic factor equal to 1.0, so that photon's mode is replaced in place
-    (same sort position) with the same amplitudes the full expansion gives."""
+    (same sort position) with the same amplitudes the full expansion gives.
+    Amplitudes below tolerance are then dropped in place, keeping ket order."""
     out: dict[FockTerm, complex] = {}
+    lo = ((port,),)
     for term, amp in state.terms.items():
-        touched = [(m, c) for m, c in term if m in images]
-        if not touched:
-            out[term] = out.get(term, 0j) + amp
+        at = bisect_left(term, lo)
+        if at == len(term) or term[at][0][0] != port:
+            out[term] = amp
             continue
-        if len(touched) == 1 and all(c == 1 for _, c in term):
-            at = term.index(touched[0])
-            head, tail = term[:at], term[at + 1:]
-            for m2, u in images[touched[0][0]]:
-                if u != 0:
-                    k2 = head + ((m2, 1),) + tail
-                    out[k2] = out.get(k2, 0j) + amp * u
-            continue
-        rest = [(m, c) for m, c in term if m not in images]
+        end = at + 1
+        if end < len(term) and term[end][0][0] == port:
+            end += 1
+        if end == at + 1:
+            for _, c in term:
+                if c != 1:
+                    break
+            else:  # a lone photon among singly occupied modes: swap in place
+                head, tail = term[:at], term[end:]
+                for m2, u in images[term[at][0]]:
+                    if u != 0:
+                        k2 = head + ((m2, 1),) + tail
+                        out[k2] = out.get(k2, 0j) + amp * u
+                continue
+        touched, rest = term[at:end], term[:at] + term[end:]
         coeff0 = amp
         for _, c in term:
             coeff0 /= math.sqrt(math.factorial(c))
@@ -231,9 +247,7 @@ def _apply_mode_linear_map(
                         nxt[k2] = nxt.get(k2, 0j) + co * u
                 monomials = nxt
         for key, co in monomials.items():
-            occ: dict[Mode, int] = {}
-            for m2, c2 in rest:
-                occ[m2] = c2
+            occ: dict[Mode, int] = dict(rest)
             for m2 in key:
                 occ[m2] = occ.get(m2, 0) + 1
             factor = 1.0
@@ -242,9 +256,9 @@ def _apply_mode_linear_map(
             k2 = tuple(sorted(occ.items()))
             out[k2] = out.get(k2, 0j) + co * math.sqrt(factor)
     tol = eps()
-    return PhotonicState(
-        {t: a for t, a in out.items() if abs(a) >= tol}, state.branch_prob
-    )
+    for t in [t for t, a in out.items() if not abs(a) >= tol]:  # NaN goes too
+        del out[t]
+    return PhotonicState(out, state.branch_prob)
 
 
 def apply_pbs(state: PhotonicState, port_a: int, port_b: int) -> PhotonicState:
@@ -266,15 +280,18 @@ def apply_hwp(state: PhotonicState, port: int, theta: float) -> PhotonicState:
         h: ((h, complex(c)), (v, complex(s))),
         v: ((h, complex(s)), (v, complex(-c))),
     }
-    return _apply_mode_linear_map(state, images)
+    return _apply_mode_linear_map(state, port, images)
 
 
 def apply_phase(state: PhotonicState, port: int, phi: float) -> PhotonicState:
     """Every photon in the port (either polarization) acquires exp(i*phi)."""
     out: dict[FockTerm, complex] = {}
+    factors: dict[int, complex] = {}  # exp(i*phi*k), once per photon count k
     for term, amp in state.terms.items():
         k = states.photons_in_port(term, port)
-        out[term] = amp * cmath.exp(1j * phi * k) if k else amp
+        if k and k not in factors:
+            factors[k] = cmath.exp(1j * phi * k)
+        out[term] = amp * factors[k] if k else amp
     return PhotonicState(out, state.branch_prob)
 
 
@@ -298,11 +315,12 @@ def apply_bd_split(
     """Inverse of the merge: H goes to the even port, V to the odd port."""
     if len({port_in, port_even, port_odd}) != 3:
         raise PortCollision("BD split needs three distinct ports")
+    destinations = {port_even, port_odd}
     for term in state.terms:
-        hit = [p for (p, _), _ in term if p == port_even or p == port_odd]
-        if hit:
-            p = port_even if port_even in hit else port_odd
-            raise PortCollision(f"BD split destination port {p} is occupied")
+        for (p, _), _ in term:
+            if p in destinations:
+                p = port_even if states.photons_in_port(term, port_even) else port_odd
+                raise PortCollision(f"BD split destination port {p} is occupied")
     mapping = {
         (port_in, states.H): (port_even, states.H),
         (port_in, states.V): (port_odd, states.V),
@@ -328,6 +346,7 @@ class Circuit:
 
 
 _MODE_MAPS = (PBS, BDMerge, BDSplit)
+NORM_PRESERVING = (PBS, HWP, Phase, BDMerge, BDSplit)  # unitary optics
 
 
 def _replay(state: PhotonicState, run: list) -> PhotonicState:

@@ -236,7 +236,7 @@ class CoincidenceSelect(elements.Step):
 
     @classmethod
     def from_jsonable(cls, entry: dict) -> CoincidenceSelect:
-        groups = tuple(tuple(int(p) for p in g) for g in entry["groups"])
+        groups = tuple(tuple(states.port_from_json(p) for p in g) for g in entry["groups"])
         return cls(CoincidencePattern(groups))
 
 

@@ -230,15 +230,14 @@ def build_epr_source(
 ) -> PhotonicState:
     """sum_i c_i |i>|i>, photon A on ports_a[i] and photon B on ports_b[i],
     both horizontal; path-to-polarization tagging happens later per stage."""
-    if len(ports_a) != d or len(ports_b) != d or set(ports_a) & set(ports_b):
+    if len(ports_a) != d or len(ports_b) != d or len({*ports_a, *ports_b}) != 2 * d:
         raise PortCollision("sources need d disjoint ports per photon")
-    values = _validated_coeffs(d, coeffs)
-    kets = [
-        (ket((ports_a[i], H), (ports_b[i], H)), values[i])
-        for i in range(d)
-        if values[i] != 0.0
-    ]
-    return states.make_state(kets)
+    tol = eps()
+    return PhotonicState({
+        ket((a, H), (b, H)): complex(c)
+        for a, b, c in zip(ports_a, ports_b, _validated_coeffs(d, coeffs))
+        if abs(c) >= tol
+    })
 
 
 def build_aux_source(
@@ -247,13 +246,11 @@ def build_aux_source(
     """Helper pair (|i_H i_H> + |j_V j_V>)/sqrt(2) on the given path ports."""
     if not (0 <= i < j) or i % 2 != j % 2:
         raise InvalidAuxPair(f"need i < j with equal parity, got ({i}, {j})")
-    amp = 1.0 / math.sqrt(2.0)
-    return states.make_state(
-        [
-            (ket((ports_x[i], H), (ports_y[i], H)), amp),
-            (ket((ports_x[j], V), (ports_y[j], V)), amp),
-        ]
-    )
+    amp = complex(1.0 / math.sqrt(2.0))
+    return PhotonicState({
+        ket((ports_x[i], H), (ports_y[i], H)): amp,
+        ket((ports_x[j], V), (ports_y[j], V)): amp,
+    })
 
 
 def polarization_tag(
@@ -482,6 +479,16 @@ def _reduce_even_state(
 
 
 def _run_elements(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
+    """Literal-optics executor: fold every stage's steps over the state.
+
+    The state is renormalised after each stage that injects a source or
+    post-selects (``sources``, ``pbs_filter``, ``aux_inject``,
+    ``aux_interfere``); the pair analysis and the ``reduce`` measurement
+    return normalised states themselves.  A stage made only of PBS,
+    beam-displacer, HWP and phase steps (``tag``, ``aux_analysis``, the
+    untag) is unitary, so its state is carried as it is, with a squared norm
+    of 1 up to rounding.
+    """
     opts = plan.options
     state = states.vacuum()
     ledger = _Ledger()
@@ -506,12 +513,14 @@ def _run_elements(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
                 break
             state = result.merged
         else:
-            state, ps = elements.run_circuit(state, plan.stage_steps(stage))
+            steps = plan.stage_steps(stage)
+            state, ps = elements.run_circuit(state, steps)
             for p in ps:
                 ledger.record(stage.label, p, p, p)
             if state.is_empty:
                 break
-            state = states.normalize(state)
+            if not all(isinstance(step, elements.NORM_PRESERVING) for step in steps):
+                state = states.normalize(state)
         state = PhotonicState(state.terms, ledger.probs[0])
         if keep_intermediates:
             intermediates[stage.label] = state

@@ -2,12 +2,17 @@
 
 A mode is a spatial port paired with a polarization label.  A basis ket is
 a bosonic occupation multiset over modes, kept in a canonical sorted form
-so it can serve as a dictionary key.  A state is a sparse map from kets to
-complex amplitudes plus ``branch_prob``, the probability of the chain of
-post-selections that produced this branch.  Amplitudes may be left
-unnormalized inside a pipeline; ``branch_prob`` carries the conditioning
-so that norm**2 times ``branch_prob`` is always the probability of the
-branch as a whole.
+so it can serve as a dictionary key.  The sort is port-major, so a port's
+entries (at most its H and its V mode) sit next to each other, and
+``photons_in_port`` and the HWP kernel in ``elements`` find them by bisection
+instead of a walk over the ket.  A ``PhotonicState`` built by hand must
+therefore use keys made by ``ket``, ``fock_term`` or ``make_state``.
+
+A state is a sparse map from kets to complex amplitudes plus
+``branch_prob``, the probability of the chain of post-selections that
+produced this branch.  Amplitudes may be left unnormalized inside a
+pipeline; ``branch_prob`` carries the conditioning so that norm**2 times
+``branch_prob`` is always the probability of the branch as a whole.
 
 States are values: every operation returns a new instance and nothing
 here mutates its arguments.
@@ -18,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -63,6 +69,13 @@ def mode(port: int, pol: str) -> Mode:
     return (port, pol)
 
 
+def port_from_json(value: object) -> int:
+    """A port read from a circuit file: a JSON integer >= 0, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"a port must be a non-negative integer, got {json.dumps(value)}")
+    return value
+
+
 def fock_term(occupations: Iterable[tuple[Mode, int]]) -> FockTerm:
     """Canonical ket: modes sorted port-major then polarization, counts merged."""
     merged: dict[Mode, int] = {}
@@ -88,7 +101,14 @@ def term_ports(term: FockTerm) -> set[int]:
 
 
 def photons_in_port(term: FockTerm, port: int) -> int:
-    return sum(count for (p, _), count in term if p == port)
+    # ((port,),) sorts after every entry on a lower port and before every
+    # entry on ``port``
+    i = bisect_left(term, ((port,),))
+    k = 0
+    while i < len(term) and term[i][0][0] == port:
+        k += term[i][1]
+        i += 1
+    return k
 
 
 @dataclass
@@ -177,7 +197,8 @@ def make_state(
 def scaled(
     state: PhotonicState, factor: complex, branch_prob: float | None = None
 ) -> PhotonicState:
-    terms = _pruned({t: a * factor for t, a in state.terms.items()})
+    tol = eps()
+    terms = {t: b for t, a in state.terms.items() if abs(b := a * factor) >= tol}
     return PhotonicState(
         terms, state.branch_prob if branch_prob is None else branch_prob
     )
@@ -254,7 +275,9 @@ def state_to_jsonable(state: PhotonicState) -> list[dict]:
 def state_from_jsonable(data: list[dict], branch_prob: float = 1.0) -> PhotonicState:
     kets = []
     for entry in data:
-        term = fock_term(((int(p), str(pol)), int(c)) for p, pol, c in entry["modes"])
+        term = fock_term(
+            ((port_from_json(p), str(pol)), int(c)) for p, pol, c in entry["modes"]
+        )
         kets.append((term, complex(float(entry["re"]), float(entry["im"]))))
     return make_state(kets, branch_prob=branch_prob)
 

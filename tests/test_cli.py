@@ -173,8 +173,14 @@ class TestRun:
             '[{"elem": "postselect", "groups": [[1], [2]]}]',
             '[{"elem": "hwp", "port": "x", "theta": 0.1}]',
             '[{"elem": "pbs", "port_a": 1, "port_b": 2}',
+            '[{"elem": "pbs", "port_a": 1.7, "port_b": 2}]',
+            '[{"elem": "pbs", "port_a": 1, "port_b": true}]',
+            '[{"elem": "hwp", "port": -3, "theta": 0.1}]',
+            '[{"elem": "postselect", "kind": "coincidence", "groups": [[1.5], [2]]}]',
+            '[{"elem": "inject", "state": [{"modes": [[false, "H", 1]], "re": 1, "im": 0}]}]',
         ],
-        ids=["object", "missing-key", "unknown-elem", "no-kind", "bad-port", "not-json"],
+        ids=["object", "missing-key", "unknown-elem", "no-kind", "bad-port", "not-json",
+             "float-port", "bool-port", "negative-port", "float-group-port", "bool-state-port"],
     )
     def test_malformed_circuit_file_exits_2(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"
@@ -197,6 +203,20 @@ class TestRun:
         assert data["predicted_prob"] is None
         # fidelity below the gate: the run is honest but not a verified match
         assert code == 1
+
+    def test_coefficients_within_tolerance_run_on_every_backend(self, capsys):
+        # the squares sum to 1 + 5e-10: inside the one coefficient tolerance
+        # (1e-6), outside GHZFORGE_EPS, and every backend accepts them
+        probs = {}
+        for backend in ("rule", "oracle", "element"):
+            code, out, err = run_cli(
+                capsys, "run", "--d", "2", "--n", "4",
+                "--coeffs", "0.70710678,0.70710679", "--backend", backend,
+            )
+            assert (code, err) == (0, "")
+            probs[backend] = json.loads(out)["prob"]
+        assert probs["oracle"] == pytest.approx(probs["rule"], rel=1e-9)
+        assert probs["element"] == pytest.approx(probs["rule"], rel=1e-9)
 
     @pytest.mark.parametrize(
         "argv",

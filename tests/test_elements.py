@@ -325,6 +325,14 @@ def reference_bd_split(state, port_in, even, odd, _theta):
     return reference_relabel(state, mapping, PortCollision, "bd_split")
 
 
+def reference_phase(state, port, _b, _c, phi):
+    out = {}
+    for term, amp in state.terms.items():
+        k = sum(count for (p, _), count in term if p == port)
+        out[term] = amp * cmath.exp(1j * phi * k) if k else amp
+    return states.PhotonicState(out, state.branch_prob)
+
+
 KERNELS = {
     "pbs": (lambda s, a, b, _c, _t: gf.apply_pbs(s, a, b), reference_pbs),
     "hwp": (lambda s, a, _b, _c, t: gf.apply_hwp(s, a, t), reference_hwp),
@@ -334,6 +342,7 @@ KERNELS = {
     "bd_split": (
         lambda s, a, b, c, _t: gf.apply_bd_split(s, a, b, c), reference_bd_split
     ),
+    "phase": (lambda s, a, _b, _c, t: gf.apply_phase(s, a, t), reference_phase),
 }
 
 
@@ -367,6 +376,25 @@ class TestKernelsMatchGeneralPath:
             s = reference_hwp(s, port, None, None, math.pi / 8)
         for ports in ((0, 3, 6), (1, 4, 9), (2, 5, 8), (4, 7, 10)):
             for theta in (math.pi / 8, 0.3):
+                args = (s, *ports, theta)
+                assert kernel_result(KERNELS[name][0], *args) == kernel_result(
+                    KERNELS[name][1], *args
+                )
+
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_exactly_equal_on_bunched_ports(self, name):
+        # ports holding two or three photons, in one mode or split over H
+        # and V, next to kets that leave the port empty
+        s = gf.make_state([
+            (gf.ket((0, "H"), (0, "H"), (1, "V")), 0.5),
+            (gf.ket((0, "H"), (0, "V"), (2, "H")), 0.5j),
+            (gf.ket((0, "V"), (0, "V"), (0, "V")), -0.5),
+            (gf.ket((1, "H"), (2, "V"), (3, "H")), 0.3),
+            (gf.ket((1, "V"), (1, "V"), (4, "H")), 0.4),
+        ])
+        for ports in ((0, 3, 4), (1, 3, 4), (2, 0, 3), (3, 5, 6)):
+            for theta in (math.pi / 8, 0.3, -1.1):
                 args = (s, *ports, theta)
                 assert kernel_result(KERNELS[name][0], *args) == kernel_result(
                     KERNELS[name][1], *args

@@ -14,6 +14,7 @@ from ghzforge.errors import (
     InvalidAuxPair,
     InvalidCoefficients,
     InvalidParameters,
+    PortCollision,
 )
 from ghzforge.measurement import CoincidencePattern, CoincidenceSelect, PasPairSelect
 
@@ -39,6 +40,22 @@ class TestBuilders:
             gf.build_epr_source(3, (0.9, 0.1, 0.1), [0, 1, 2], [3, 4, 5])
         with pytest.raises(InvalidCoefficients):
             gf.build_epr_source(3, (1.0, 0.0), [0, 1, 2], [3, 4, 5])
+
+    @pytest.mark.parametrize("coeffs", [None, (0.6, 0.0, 0.8), (1e-12, 0.6, 0.8)])
+    def test_source_equals_the_make_state_build(self, coeffs):
+        # kets in order, exact amplitudes, sub-tolerance coefficients dropped
+        values = protocol._validated_coeffs(3, coeffs)
+        want = gf.make_state(
+            [(gf.ket((i, "H"), (3 + i, "H")), c) for i, c in enumerate(values) if c != 0.0]
+        )
+        got = gf.build_epr_source(3, coeffs, [0, 1, 2], [3, 4, 5])
+        assert list(got.terms.items()) == list(want.terms.items())
+
+    def test_source_ports_must_be_distinct(self):
+        with pytest.raises(PortCollision):
+            gf.build_epr_source(2, None, [0, 0], [2, 3])
+        with pytest.raises(PortCollision):
+            gf.build_epr_source(2, None, [0, 1], [1, 2])
 
     def test_aux_source_matches_walkthrough(self):
         s = gf.build_aux_source(0, 2, {0: 12, 2: 13}, {0: 14, 2: 15})
@@ -241,6 +258,39 @@ class TestBackendAgreement:
         expected = sorted([0.6**2, 0.8**2])
         got = sorted(abs(a) * math.sqrt(sum(c**4 for c in coeffs)) for a in rule.final_state.terms.values())
         assert got == pytest.approx(expected, abs=1e-9)
+
+
+class TestElementNorms:
+    @pytest.mark.parametrize("d, n, feedforward", [(3, 4, False), (4, 6, True), (5, 5, False)])
+    def test_only_injecting_or_selecting_stages_renormalise(self, monkeypatch, d, n, feedforward):
+        plan = gf.compile_plan(gf.ProtocolOptions(d=d, n=n, feedforward=feedforward))
+        run_circuit, normalize = elements.run_circuit, states.normalize
+        stage_outputs, normalised = [], []
+
+        def recorded_run(state, steps):
+            out = run_circuit(state, steps)
+            stage_outputs.append(out[0])
+            return out
+
+        def recorded_normalize(state):
+            normalised.append(state)
+            return normalize(state)
+
+        monkeypatch.setattr(elements, "run_circuit", recorded_run)
+        monkeypatch.setattr(states, "normalize", recorded_normalize)
+        report = gf.execute(plan, backend="element", keep_intermediates=True)
+        assert len(report.intermediates) == len(plan.stages)
+        for label, state in report.intermediates.items():
+            assert abs(state.norm_sq() - 1.0) <= 1e-12, label
+        # the pair analysis and the reduce measurement run no circuit; of the
+        # rest, the unitary stages hand their state on as it is
+        stepped = [st for st in plan.stages if st.kind not in ("aux_pas", "reduce")]
+        assert len(stage_outputs) == len(stepped)
+        renormalised = {True: set(), False: set()}
+        for stage, out in zip(stepped, stage_outputs):
+            renormalised[any(s is out for s in normalised)].add(stage.kind)
+        assert renormalised[True] == {"sources", "pbs_filter", "aux_inject", "aux_interfere"}
+        assert renormalised[False] == {"tag", "aux_analysis"}
 
 
 class TestStreaming:
