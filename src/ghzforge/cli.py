@@ -177,16 +177,16 @@ def _emit_report(report: protocol.RunReport, args: argparse.Namespace) -> None:
 
 
 def _gate(report: protocol.RunReport) -> int:
-    """Exit 1 unless the fidelity reaches 1 and any prediction is matched."""
-    ok = report.fidelity >= 1.0 - 1e-6 and report.prob_matches is not False
-    return 0 if ok else 1
+    """Exit 1 unless the report matches (``RunReport.matches``)."""
+    return 0 if report.matches else 1
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     if args.circuit:
         try:
             data = json.loads(Path(args.circuit).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        # RecursionError: arrays or objects nested deeper than the decoder's stack
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise InvalidParameters(f"circuit file is not valid JSON: {exc}") from None
         circuit = elements.circuit_from_jsonable(data)
         circuit.validate()
@@ -229,13 +229,12 @@ def _sweep_cell(d: int, n: int, backend: str, feedforward: bool) -> dict:
             "simulated_prob": None, "fidelity": None, "match": None,
             "status": "skipped",
         }
-    match = bool(report.prob_matches) and report.fidelity >= 1.0 - 1e-9
     return {
         "d": d, "n": n, "backend": backend,
         "predicted_prob": report.predicted_prob,
         "simulated_prob": report.prob,
         "fidelity": report.fidelity,
-        "match": match,
+        "match": report.matches,
         "status": "ok",
     }
 
@@ -288,7 +287,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _emit("\n".join(lines) + "\n", args.out)
     else:
         _emit(_sweep_csv(rows), args.out)
-    return 0
+    return 1 if any(r["match"] is False for r in rows) else 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

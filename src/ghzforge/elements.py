@@ -61,14 +61,23 @@ from . import states
 from .errors import BDCollision, EmptyState, InvalidParameters, PortCollision
 from .states import FockTerm, Mode, PhotonicState, eps
 
-_FIELD_PARSERS = {"int": states.port_from_json, "float": float, "str": str}
+_FIELD_PARSERS = {"int": states.port_from_json, "float": states.real_from_json}
+
+
+def _field_from_json(f, value: object) -> object:
+    choices = f.metadata.get("choices")
+    if choices:
+        return states.choice_from_json(value, choices, f.name)
+    return _FIELD_PARSERS[f.type](value)
 
 
 class Step:
     """One circuit step; the direct subclasses of this class are the step table.
 
-    Every ``int`` field is a port.  Field types are read as annotation strings,
-    so modules defining steps use postponed annotations.
+    Every ``int`` field is a port and every ``float`` field a finite real; a
+    ``str`` field lists its allowed values as ``metadata={"choices": ...}``.
+    Field types are read as annotation strings, so modules defining steps use
+    postponed annotations.
     """
 
     tag: ClassVar[dict[str, str]]
@@ -84,7 +93,7 @@ class Step:
 
     @classmethod
     def from_jsonable(cls, entry: dict) -> Step:
-        return cls(**{f.name: _FIELD_PARSERS[f.type](entry[f.name]) for f in fields(cls)})
+        return cls(**{f.name: _field_from_json(f, entry[f.name]) for f in fields(cls)})
 
 
 @dataclass(frozen=True)

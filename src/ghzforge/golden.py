@@ -24,8 +24,6 @@ class CheckResult:
     detail: str = ""
 
 
-TOL = 1e-9
-
 # --- frozen states for the d=3, n=4 walkthrough ----------------------------
 # Port layout: photon p uses ports 3p..3p+2 (path i at 3p+i).  The single
 # auxiliary stage allocates helper photons on ports {0: 12, 2: 13} and
@@ -155,12 +153,17 @@ def qubit_polarization_output() -> PhotonicState:
 # --- checklist --------------------------------------------------------------
 
 
-def _close(a: float, b: float, tol: float = TOL) -> bool:
-    return abs(a - b) <= tol
+def _close(a: float, b: float) -> bool:
+    """Probability ``a`` within ``states.PROB_REL_TOL`` of ``b``, relatively."""
+    return abs(a - b) <= abs(b) * states.PROB_REL_TOL
+
+
+def _unit_fidelity(f: float) -> bool:
+    return abs(f - 1.0) <= states.FIDELITY_TOL
 
 
 def _state_check(name: str, got: PhotonicState, want: PhotonicState) -> CheckResult:
-    ok = states.states_close(states.absorb_branch(got), want, tol=1e-7)
+    ok = states.states_close(states.absorb_branch(got), want, tol=states.MERGE_TOL)
     detail = f"{len(got.terms)} terms, branch={got.branch_prob:.6g}"
     return CheckResult(name, ok, detail)
 
@@ -226,7 +229,7 @@ def qutrit_walkthrough_checks() -> list[CheckResult]:
         ),
         CheckResult(
             "qutrit chain: target fidelity 1",
-            _close(report.fidelity, 1.0, 1e-9),
+            _unit_fidelity(report.fidelity),
             f"measured {report.fidelity:.12f}",
         ),
     ]
@@ -251,7 +254,7 @@ def qutrit_walkthrough_checks() -> list[CheckResult]:
     results.append(
         CheckResult(
             "qutrit chain: every corrected outcome reaches the target",
-            all(_close(f, 1.0, 1e-9) for f in fids),
+            all(_unit_fidelity(f) for f in fids),
             " ".join(f"{f:.9f}" for f in fids),
         )
     )
@@ -265,7 +268,7 @@ def qubit_chain_checks() -> list[CheckResult]:
     results = [
         CheckResult(
             "qubit chain: polarization-picture survivors",
-            states.states_close(out, qubit_polarization_output(), tol=1e-9)
+            out.terms == qubit_polarization_output().terms
             and len(trace) == 1
             and _close(trace[0], 0.5),
             f"trace={trace}",
@@ -276,7 +279,7 @@ def qubit_chain_checks() -> list[CheckResult]:
         results.append(
             CheckResult(
                 f"qubit chain: {n}-photon probability {expected}",
-                _close(report.prob, expected) and _close(report.fidelity, 1.0, 1e-9),
+                _close(report.prob, expected) and _unit_fidelity(report.fidelity),
                 f"prob={report.prob:.9f} fidelity={report.fidelity:.9f}",
             )
         )
@@ -337,7 +340,7 @@ def agreement_checks() -> list[CheckResult]:
         results.append(
             CheckResult(
                 f"agreement: rule/element/enumeration backends ({d},{n})",
-                probs_ok and _close(fid_ab, 1.0, 1e-9) and _close(fid_ac, 1.0, 1e-9),
+                probs_ok and _unit_fidelity(fid_ab) and _unit_fidelity(fid_ac),
                 f"prob={rule.prob:.9f} fid(rule,element)={fid_ab:.9f} "
                 f"fid(rule,oracle)={fid_ac:.9f}",
             )
@@ -353,9 +356,9 @@ def reduction_checks() -> list[CheckResult]:
         full = protocol.reduce_to_odd(even.final_state, d, protocol.FULL_FOURIER)
         ok = (
             _close(single.prob, 1.0 / d)
-            and _close(single.fidelity, 1.0, 1e-9)
+            and _unit_fidelity(single.fidelity)
             and _close(full.prob, 1.0)
-            and _close(full.fidelity, 1.0, 1e-9)
+            and _unit_fidelity(full.fidelity)
         )
         results.append(
             CheckResult(

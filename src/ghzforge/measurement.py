@@ -217,7 +217,30 @@ def fourier_feedforward_rule(
     return rule
 
 
+def merge_corrected(dist: OutcomeDistribution, rule: PhaseRule) -> PhotonicState | None:
+    """The one continuing state of ``dist`` once ``rule`` corrects each outcome.
+
+    Outcomes at probability eps or below are skipped; every other corrected
+    branch must equal the first within ``MERGE_TOL`` per amplitude, else
+    BranchMismatch names the outcome (a circuit bug, or an input that is not
+    a GHZ state).  None when every outcome is empty."""
+    merged: PhotonicState | None = None
+    for o in dist.outcomes:
+        if o.prob <= eps():
+            continue
+        post = feedforward(o.state, o.label, rule)
+        if merged is None:
+            merged = post
+        elif not states.states_close(merged, post, tol=states.MERGE_TOL):
+            raise BranchMismatch(
+                f"outcome {o.label} does not merge with the reference branch"
+            )
+    return merged
+
+
 # --- post-selection steps usable inside a Circuit -------------------------
+
+PAS_MODES = ("filtered", "feedforward")
 
 
 @dataclass(frozen=True)
@@ -253,7 +276,7 @@ class PasPairSelect(elements.Step):
     tag = {"elem": "postselect", "kind": "pas_pair"}
     port_x: int
     port_y: int
-    mode: str = "filtered"  # or "feedforward"
+    mode: str = field(default="filtered", metadata={"choices": PAS_MODES})
     correction_port: int = 0
 
     def apply(self, state: PhotonicState) -> tuple[PhotonicState, float]:
@@ -286,8 +309,7 @@ def pas_pair_analysis(
     """Pair-analysis bookkeeping shared by both accounting conventions.
 
     HH/VV branches must agree as-is and HV/VH must agree with them after the
-    pi correction; disagreement raises BranchMismatch because the protocol
-    compiler guarantees merging branches (it is a circuit bug, not physics).
+    pi correction (see ``merge_corrected``).
     """
     dist = project_polarization_pair(state, port_x, port_y)
     pi_rule: PhaseRule = {
@@ -295,17 +317,7 @@ def pas_pair_analysis(
         "HV": ((correction_port, math.pi),),
         "VH": ((correction_port, math.pi),),
     }
-    merged: PhotonicState | None = None
-    for o in dist.outcomes:
-        if o.prob <= eps():
-            continue
-        post = feedforward(o.state, o.label, pi_rule)
-        if merged is None:
-            merged = post
-        elif not states.states_close(merged, post, tol=1e-7):
-            raise BranchMismatch(
-                f"outcome {o.label} does not merge with the reference branch"
-            )
+    merged = merge_corrected(dist, pi_rule)
     p_filtered = dist.prob("HH") + dist.prob("VV")
     p_ff = dist.total()
     return PasPairResult(dist, merged, p_filtered, p_ff)

@@ -47,7 +47,6 @@ from typing import Callable, Mapping, Sequence
 from . import analysis, elements, measurement, states
 from .elements import BDMerge, BDSplit, HWP, Inject, PBS
 from .errors import (
-    BranchMismatch,
     InvalidAuxPair,
     InvalidCoefficients,
     InvalidParameters,
@@ -61,7 +60,6 @@ FULL_FOURIER = "full_fourier"
 
 _TAG = math.pi / 4.0      # HWP angle swapping H and V
 _DIAGONAL = math.pi / 8.0  # HWP angle rotating into the +/- basis
-_PROB_REL_TOL = Fraction(1, 10**9)  # measured vs exact predicted probability
 _HELPER_STAGES = (  # (label suffix, kind) of each helper stage, in order
     ("inject", "aux_inject"), ("interfere", "aux_interfere"),
     ("analysis", "aux_analysis"), ("pas", "aux_pas"), ("untag", "tag"),
@@ -217,7 +215,7 @@ def _validated_coeffs(d: int, coeffs: Sequence[float] | None) -> list[float]:
         raise InvalidCoefficients(f"need {d} coefficients, got {len(values)}")
     if any(not math.isfinite(c) for c in values):
         raise InvalidCoefficients("coefficients must be finite reals")
-    if abs(sum(c * c for c in values) - 1.0) > 1e-6:
+    if abs(sum(c * c for c in values) - 1.0) > states.COEFF_TOL:
         raise InvalidCoefficients("squared coefficients must sum to 1")
     return values
 
@@ -357,17 +355,25 @@ class RunReport:
 
     @property
     def prob_matches(self) -> bool | None:
-        """``prob`` within 1e-9 of the exact prediction, relatively, so a
-        probability that is scaled, or that underflowed to 0, never matches."""
+        """``prob`` within ``states.PROB_REL_TOL`` of the exact prediction,
+        relatively, so a probability that is scaled, or that underflowed to 0,
+        never matches."""
         if self.predicted is None:
             return None
         return math.isfinite(self.prob) and (
-            abs(Fraction(self.prob) - self.predicted) <= self.predicted * _PROB_REL_TOL
+            abs(Fraction(self.prob) - self.predicted) <= self.predicted * states.PROB_REL_TOL
         )
 
     @property
     def fidelity_matches(self) -> bool | None:
-        return None if self.predicted is None else self.fidelity >= 1.0 - 1e-6
+        return None if self.predicted is None else self.fidelity >= 1.0 - states.FIDELITY_TOL
+
+    @property
+    def matches(self) -> bool:
+        """The run's one verdict: the probability does not miss its
+        prediction (there may be none) and the fidelity reaches
+        1 - ``states.FIDELITY_TOL``."""
+        return self.prob_matches is not False and self.fidelity >= 1.0 - states.FIDELITY_TOL
 
     def to_jsonable(self, include_state: bool = True) -> dict:
         out = {
@@ -466,15 +472,7 @@ def _reduce_even_state(
         p_single = dist.prob("0")
         post = dist.state("0")
         return post, p_single, p_single, dist.total()
-    corrected: list[PhotonicState] = []
-    for o in dist.outcomes:
-        if o.prob <= eps():
-            continue
-        corrected.append(measurement.feedforward(o.state, o.label, rule))
-    merged = corrected[0]
-    for other in corrected[1:]:
-        if not states.states_close(merged, other, tol=1e-7):
-            raise BranchMismatch("Fourier outcome branches do not merge after correction")
+    merged = measurement.merge_corrected(dist, rule) or PhotonicState({}, 0.0)
     return merged, dist.total(), dist.prob("0"), dist.total()
 
 

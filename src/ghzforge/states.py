@@ -10,9 +10,14 @@ therefore use keys made by ``ket``, ``fock_term`` or ``make_state``.
 
 A state is a sparse map from kets to complex amplitudes plus
 ``branch_prob``, the probability of the chain of post-selections that
-produced this branch.  Amplitudes may be left unnormalized inside a
-pipeline; ``branch_prob`` carries the conditioning so that norm**2 times
-``branch_prob`` is always the probability of the branch as a whole.
+produced this branch, on its own.  A raw post-selection keeps the surviving
+amplitudes as they are, so from a unit-norm start norm**2 equals
+``branch_prob`` as well (1/16 for the replayed (4, 4) feedforward plan
+circuit); a renormalised state (``normalize``, a projective outcome, an
+element-executor stage) has norm**2 = 1.  Their product is no probability.
+
+This module also owns the tolerance policy (``eps`` and the ``*_TOL``
+constants) and the strict readers of circuit-file values (``*_from_json``).
 
 States are values: every operation returns a new instance and nothing
 here mutates its arguments.
@@ -23,8 +28,10 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import EmptyState, InvalidParameters, PortCollision
@@ -38,6 +45,12 @@ FockTerm = tuple[tuple[Mode, int], ...]
 
 _DEFAULT_EPS = 1e-9
 _eps: float | None = None  # the GHZFORGE_EPS value kept by the first eps() call
+
+# The named tolerances; none of them is read from the environment.
+PROB_REL_TOL = Fraction(1, 10**9)  # a probability vs its exact prediction, relative
+FIDELITY_TOL = 1e-9  # a run matches only at fidelity >= 1 - FIDELITY_TOL
+MERGE_TOL = 1e-7  # per-amplitude gap allowed between branches that must be one state
+COEFF_TOL = 1e-6  # |sum of squared source coefficients - 1| allowed
 
 
 def eps() -> float:
@@ -69,10 +82,41 @@ def mode(port: int, pol: str) -> Mode:
     return (port, pol)
 
 
+def _rejected(expected: str, value: object) -> ValueError:
+    return ValueError(f"{expected}, got {json.dumps(value)}")
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def port_from_json(value: object) -> int:
     """A port read from a circuit file: a JSON integer >= 0, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"a port must be a non-negative integer, got {json.dumps(value)}")
+    if not _is_int(value) or value < 0:
+        raise _rejected("a port must be a non-negative integer", value)
+    return value
+
+
+def count_from_json(value: object) -> int:
+    """An occupation count read from a circuit file: a JSON integer >= 1, not a bool."""
+    if not _is_int(value) or value < 1:
+        raise _rejected("an occupation count must be a positive integer", value)
+    return value
+
+
+def real_from_json(value: object) -> float:
+    """An angle or amplitude part read from a circuit file: a finite JSON
+    number (integer or float), not a bool and not a string."""
+    # NaN compares False; an integer past the float range would overflow float()
+    if (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise _rejected("a real value must be a finite number", value)
+
+
+def choice_from_json(value: object, choices: tuple[str, ...], what: str) -> str:
+    """A string read from a circuit file that must be one of ``choices``."""
+    if not isinstance(value, str) or value not in choices:
+        raise _rejected(f"{what} must be one of {', '.join(map(json.dumps, choices))}", value)
     return value
 
 
@@ -205,11 +249,13 @@ def scaled(
 
 
 def absorb_branch(state: PhotonicState) -> PhotonicState:
-    """Fold the branch probability into the amplitudes.
+    """Fold the branch probability into the amplitudes of a renormalised state.
 
     The result has branch_prob 1 and amplitudes scaled by sqrt(branch_prob),
     i.e. the raw unnormalized amplitudes a pipeline would carry if no
-    intermediate renormalization had happened.
+    intermediate renormalization had happened.  A state that already carries
+    raw amplitudes (after a raw post-selection, norm**2 = branch_prob) must
+    not be absorbed: that would count its post-selections twice.
     """
     return scaled(state, math.sqrt(state.branch_prob), branch_prob=1.0)
 
@@ -276,9 +322,11 @@ def state_from_jsonable(data: list[dict], branch_prob: float = 1.0) -> PhotonicS
     kets = []
     for entry in data:
         term = fock_term(
-            ((port_from_json(p), str(pol)), int(c)) for p, pol, c in entry["modes"]
+            ((port_from_json(p), choice_from_json(pol, POLARIZATIONS, "a polarization")),
+             count_from_json(c))
+            for p, pol, c in entry["modes"]
         )
-        kets.append((term, complex(float(entry["re"]), float(entry["im"]))))
+        kets.append((term, complex(real_from_json(entry["re"]), real_from_json(entry["im"]))))
     return make_state(kets, branch_prob=branch_prob)
 
 

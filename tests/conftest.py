@@ -12,8 +12,9 @@ settings.register_profile(
     max_examples=60,
     suppress_health_check=[HealthCheck.too_slow],
 )
-# CI runs the kernel and measurement properties deeper:
-#   pytest tests/test_elements.py tests/test_measurement.py --hypothesis-profile=ghzforge-ci
+# CI runs the kernel, measurement and CLI fuzz properties deeper:
+#   pytest tests/test_elements.py tests/test_measurement.py tests/test_fuzz.py \
+#       --hypothesis-profile=ghzforge-ci
 settings.register_profile("ghzforge-ci", parent=settings.get_profile("ghzforge"), max_examples=400)
 settings.load_profile("ghzforge")
 

@@ -13,6 +13,9 @@ from ghzforge import analysis, cli, elements, golden, protocol, states
 from ghzforge.cli import main
 
 
+_ONE_PHOTON = '[{"elem": "inject", "state": [{"modes": [[0, "H", 1]], "re": 1, "im": 0}]}'
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -178,9 +181,21 @@ class TestRun:
             '[{"elem": "hwp", "port": -3, "theta": 0.1}]',
             '[{"elem": "postselect", "kind": "coincidence", "groups": [[1.5], [2]]}]',
             '[{"elem": "inject", "state": [{"modes": [[false, "H", 1]], "re": 1, "im": 0}]}]',
+            _ONE_PHOTON + ', {"elem": "hwp", "port": 0, "theta": NaN}]',
+            _ONE_PHOTON + ', {"elem": "hwp", "port": 0, "theta": "0.5"}]',
+            '[{"elem": "inject", "state": [{"modes": [[0, "H", 1.7]], "re": 1, "im": 0}]}]',
+            '[{"elem": "inject", "state": [{"modes": [[0, "H", 1], [1, "H", 1]], '
+            '"re": 1, "im": 0}]}, {"elem": "postselect", "kind": "pas_pair", '
+            '"port_x": 0, "port_y": 1, "mode": "bogus", "correction_port": 2}]',
+            '[{"elem": "inject", "state": [{"modes": [[0, "H", 1]], "re": "0.5", "im": 0}]}]',
+            '[{"elem": "inject", "state": [{"modes": [[0, "H", true]], "re": 1, "im": 0}]}]',
+            '[{"elem": "inject", "state": [{"modes": [[0, 1, 1]], "re": 1, "im": 0}]}]',
+            "[" * 100_000 + "]" * 100_000,
         ],
         ids=["object", "missing-key", "unknown-elem", "no-kind", "bad-port", "not-json",
-             "float-port", "bool-port", "negative-port", "float-group-port", "bool-state-port"],
+             "float-port", "bool-port", "negative-port", "float-group-port", "bool-state-port",
+             "nan-theta", "string-theta", "float-count", "bogus-mode", "string-re",
+             "bool-count", "int-polarization", "deep-nesting"],
     )
     def test_malformed_circuit_file_exits_2(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"
@@ -190,6 +205,19 @@ class TestRun:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert "Traceback" not in err
+        try:
+            steps = json.loads(text)
+        except (ValueError, RecursionError):
+            steps = None
+        if isinstance(steps, list):  # a list of steps: the error names the bad one
+            assert err.startswith(f"error: circuit step {len(steps) - 1}: ")
+
+    def test_circuit_file_that_is_not_utf8_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'\xff\xfe[{"elem": "pbs"}]')
+        code, out, err = run_cli(capsys, "run", "--circuit", str(path))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: circuit file is not valid JSON")
 
     def test_run_requires_parameters(self, capsys):
         code, _, err = run_cli(capsys, "run")
@@ -247,6 +275,25 @@ class TestRun:
         assert halved.fidelity == pytest.approx(1.0, abs=1e-12)
         assert halved.prob_matches is False
         assert cli._gate(halved) == 1
+
+    def test_fidelity_short_by_1e8_fails_every_verdict(self, monkeypatch):
+        # a GHZ state with a stray ket at amplitude 1e-4 has fidelity
+        # 1 - 1e-8: outside FIDELITY_TOL, so the run, its fidelity flag and
+        # its sweep row all read as a mismatch
+        report = gf.run(3, 4, backend="rule")
+        stray = gf.ket((0, "H"), (3, "H"), (6, "H"), (10, "H"))
+        perturbed = states.PhotonicState({**report.final_state.terms, stray: 1e-4 + 0j})
+        near = protocol.RunReport.build(
+            "rule", 3, 4, False, perturbed, analysis.default_port_groups(3, 4),
+            (report.prob, report.prob_filtered, report.prob_feedforward),
+            report.predicted, report.trace, report.stage_labels,
+        )
+        assert 1.0 - 2e-8 < near.fidelity < 1.0 - states.FIDELITY_TOL
+        assert near.prob_matches is True
+        assert near.fidelity_matches is False and near.matches is False
+        assert cli._gate(near) == 1
+        monkeypatch.setattr(protocol, "run", lambda *args, **kwargs: near)
+        assert cli._sweep_cell(3, 4, "rule", False)["match"] is False
 
     def test_tiny_probability_never_prints_as_zero(self, capsys):
         code, out, _ = run_cli(
@@ -312,6 +359,25 @@ class TestSweep:
         rows = json.loads(out)
         assert len(rows) == 2
         assert rows[0]["match"] is True
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "pretty"])
+    def test_mismatched_row_exits_1(self, capsys, monkeypatch, fmt):
+        # a doubled prediction at d = 3 only: that row reads false, the d = 2
+        # row still matches, and the sweep as a whole exits 1
+        exact = analysis.predicted_prob_for_options
+        monkeypatch.setattr(
+            analysis, "predicted_prob_for_options",
+            lambda d, *rest: exact(d, *rest) * (2 if d == 3 else 1),
+        )
+        code, out, err = run_cli(capsys, "sweep", "--d", "2..3", "--n", "4", "--format", fmt)
+        assert (code, err) == (1, "")
+        if fmt == "json":
+            assert [row["match"] for row in json.loads(out)] == [True, False]
+        elif fmt == "csv":
+            rows = out.strip().split("\r\n")[1:]
+            assert rows[0].endswith(",true,ok") and rows[1].endswith(",false,ok")
+        else:
+            assert out.splitlines()[2].endswith("MISMATCH")
 
 
 class TestVerify:

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import ghzforge as gf
 from ghzforge import golden, measurement, states
-from ghzforge.errors import MissingCorrection, NotSingleOccupancy
+from ghzforge.errors import BranchMismatch, MissingCorrection, NotSingleOccupancy
 
 from conftest import states_strategy
 
@@ -314,6 +314,27 @@ class TestFeedforward:
         s = golden.qutrit_chain_input()
         with pytest.raises(MissingCorrection):
             gf.feedforward(s, "HV", {"HH": ()})
+
+
+class TestMergeCorrected:
+    _PI_RULE = {"HH": (), "VV": (), "HV": ((0, math.pi),), "VH": ((0, math.pi),)}
+
+    def test_branches_that_differ_raise_naming_the_outcome(self):
+        # photon 2 copies photon 0's polarization, so the HH and VH outcomes
+        # leave different photon-2 states and VH cannot merge with HH
+        s = gf.make_state([
+            (gf.ket((0, "H"), (1, "H"), (2, "H")), 0.6),
+            (gf.ket((0, "V"), (1, "H"), (2, "V")), 0.8),
+        ])
+        dist = gf.project_polarization_pair(s, 0, 1)
+        with pytest.raises(BranchMismatch, match="outcome VH does not merge"):
+            measurement.merge_corrected(dist, self._PI_RULE)
+
+    def test_all_empty_outcomes_merge_to_none(self):
+        dist = measurement.OutcomeDistribution(
+            (measurement.Outcome("HH", 0.0, gf.PhotonicState({}, 0.0)),)
+        )
+        assert measurement.merge_corrected(dist, self._PI_RULE) is None
 
 
 class TestDistributions:

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 import ghzforge as gf
 from ghzforge import analysis, elements, golden, measurement, protocol, states
 from ghzforge.errors import (
+    BranchMismatch,
     InvalidAuxPair,
     InvalidCoefficients,
     InvalidParameters,
@@ -435,6 +436,18 @@ class TestReduceToOdd:
             port_groups=[[0, 1], [2, 3], [4, 5], [6, 7]],
         )
         assert report.fidelity < 1.0 - 1e-6
+
+    def test_fourier_branches_that_differ_raise_naming_the_outcome(self):
+        # (|0,2> + |0,3> + |1,2>)/sqrt(3): outcome 0 leaves (2|2> + |3>)/sqrt(5)
+        # and outcome 1 leaves -|3> after its correction, so they cannot merge
+        third = 1 / math.sqrt(3)
+        state = gf.make_state([
+            (gf.ket((0, "H"), (2, "H")), third),
+            (gf.ket((0, "H"), (3, "H")), third),
+            (gf.ket((1, "H"), (2, "H")), third),
+        ])
+        with pytest.raises(BranchMismatch, match="outcome 1 does not merge"):
+            gf.reduce_to_odd(state, 2, protocol.FULL_FOURIER)
 
 
 def _reference_run_rules(plan, keep_intermediates):
