@@ -2,11 +2,14 @@
 
 The element backend simulates the literal optics: parity tagging, the
 junction PBS bank, the helper-pair interference block, the diagonal-basis
-rotation of the helper arms and the final pair projection.  Intermediate
-states are printed with the branch probability folded back in, so the
-amplitudes match the unnormalized bookkeeping used when deriving the
-protocol by hand.
+rotation of the helper arms and the final pair projection.  Each entry of
+``report.intermediates`` is a pair: the normalised state after that stage
+and the probability of reaching it.  The states are printed scaled by the
+square root of that probability, so the amplitudes match the unnormalized
+bookkeeping used when deriving the protocol by hand.
 """
+
+import math
 
 import ghzforge as gf
 from ghzforge import states
@@ -24,7 +27,8 @@ checkpoints = [
 ]
 
 for label, blurb in checkpoints:
-    state = states.absorb_branch(report.intermediates[label])
+    state, p = report.intermediates[label]
+    state = states.scaled(state, math.sqrt(p))
     print(f"== {label}: {blurb}")
     print(state.pretty())
     print()

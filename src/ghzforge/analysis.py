@@ -21,6 +21,21 @@ from .states import PhotonicState, ket
 ORACLE_MAX_D = 4
 ORACLE_MAX_N = 6
 
+# odd-n reduction modes: keep the uniform-superposition Fourier outcome only,
+# or correct every outcome
+SINGLE_OUTCOME = "single_outcome"
+FULL_FOURIER = "full_fourier"
+
+
+def resolve_odd_mode(odd_n_mode: str | None, feedforward: bool) -> str:
+    """``odd_n_mode`` itself, or for None the mode paired with ``feedforward``
+    (``FULL_FOURIER`` when it is on); any other value raises InvalidParameters."""
+    if odd_n_mode is None:
+        return FULL_FOURIER if feedforward else SINGLE_OUTCOME
+    if odd_n_mode not in (SINGLE_OUTCOME, FULL_FOURIER):
+        raise InvalidParameters(f"unknown odd-n mode {odd_n_mode!r}")
+    return odd_n_mode
+
 
 def _check_params(d: int, n: int) -> None:
     if not isinstance(d, int) or not isinstance(n, int) or d < 2 or n < 2:
@@ -143,17 +158,17 @@ def predicted_prob_for_options(
 
     With feedforward every pair-analysis outcome is corrected (probability 1
     each); without it only HH/VV pairs are kept (one factor 1/2 per auxiliary
-    stage).  For odd n, ``single_outcome`` keeps the one uniform-superposition
-    Fourier outcome (factor 1/d) and ``full_fourier`` corrects every outcome;
-    ``None`` pairs the odd-n mode with ``feedforward`` (full when it is on).
+    stage).  For odd n, ``SINGLE_OUTCOME`` keeps the one uniform-superposition
+    Fourier outcome (factor 1/d) and ``FULL_FOURIER`` corrects every outcome
+    (see ``resolve_odd_mode``).
     """
     _check_params(d, n)
+    single = resolve_odd_mode(odd_n_mode, feedforward) == SINGLE_OUTCOME
     sources = -(n // -2)  # ceil(n/2)
     n_aux = aux_count(d, n)
     p = Fraction(1, d ** (sources - 1)) * Fraction(1, 2**n_aux)
     if not feedforward:
         p *= Fraction(1, 2**n_aux)
-    single = not feedforward if odd_n_mode is None else odd_n_mode == "single_outcome"
     if n % 2 == 1 and single:
         p *= Fraction(1, d)
     return p
@@ -270,13 +285,9 @@ def oracle_run(
         raise OracleTooLarge(
             f"oracle bounded to d <= {ORACLE_MAX_D}, n <= {ORACLE_MAX_N}"
         )
-    if odd_n_mode is None:
-        odd_n_mode = "full_fourier" if feedforward else "single_outcome"
+    odd_n_mode = resolve_odd_mode(odd_n_mode, feedforward)
+    coeffs = states.validated_coeffs(d, input_coeffs)
     sources = -(n // -2)
-    if input_coeffs is None:
-        coeffs = [1.0 / math.sqrt(d)] * d
-    else:
-        coeffs = [float(c) for c in input_coeffs]
 
     # every source-value assignment, with its product amplitude
     tuples: dict[tuple[int, ...], complex] = {}
@@ -335,7 +346,7 @@ def oracle_run(
     # odd-photon reduction: measure the first photon of the even chain out
     drop_first = n % 2 == 1
     if drop_first:
-        p_reduce = 1.0 if odd_n_mode == "full_fourier" else 1.0 / d
+        p_reduce = 1.0 if odd_n_mode == FULL_FOURIER else 1.0 / d
         trace.append(p_reduce)
         labels.append("reduce")
         prob_chosen *= p_reduce
@@ -344,7 +355,7 @@ def oracle_run(
 
     photons = list(range(1 if drop_first else 0, 2 * sources))
     nsq = sum(abs(a) ** 2 for a in tuples.values())
-    final = PhotonicState({}, 0.0)
+    final = PhotonicState({})
     if nsq > 0.0:
         # the oracle's own 1/sqrt(norm): the report takes the fidelity of the
         # amplitudes it is given, so raw ones would round differently
@@ -353,7 +364,7 @@ def oracle_run(
         for t, a in tuples.items():
             modes = [(photon * d + t[photon // 2], states.H) for photon in photons]
             kets.append((ket(*modes), a * scale))
-        final = states.make_state(kets, branch_prob=prob_chosen)
+        final = states.make_state(kets)
     predicted = (
         predicted_prob_for_options(d, n, feedforward, odd_n_mode)
         if input_coeffs is None

@@ -185,6 +185,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.circuit:
         try:
             data = json.loads(Path(args.circuit).read_text(encoding="utf-8"))
+        except OSError as exc:  # no such file, a directory, no permission
+            raise InvalidParameters(f"cannot read circuit file: {exc}") from None
         # RecursionError: arrays or objects nested deeper than the decoder's stack
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise InvalidParameters(f"circuit file is not valid JSON: {exc}") from None

@@ -203,7 +203,7 @@ def _relabel(
                     )
                 seen.add(target)
         out[key] = out.get(key, 0j) + amp
-    return PhotonicState(out, state.branch_prob)
+    return PhotonicState(out)
 
 
 def _apply_mode_linear_map(
@@ -267,7 +267,7 @@ def _apply_mode_linear_map(
     tol = eps()
     for t in [t for t, a in out.items() if not abs(a) >= tol]:  # NaN goes too
         del out[t]
-    return PhotonicState(out, state.branch_prob)
+    return PhotonicState(out)
 
 
 def apply_pbs(state: PhotonicState, port_a: int, port_b: int) -> PhotonicState:
@@ -301,7 +301,7 @@ def apply_phase(state: PhotonicState, port: int, phi: float) -> PhotonicState:
         if k and k not in factors:
             factors[k] = cmath.exp(1j * phi * k)
         out[term] = amp * factors[k] if k else amp
-    return PhotonicState(out, state.branch_prob)
+    return PhotonicState(out)
 
 
 def apply_bd_merge(
@@ -392,7 +392,7 @@ def _probe_map(state: PhotonicState, run: list) -> dict[Mode, Mode] | None:
         m = tags.pop(tag)
         if image != m:
             mapping[m] = image
-    return None if tags or probe.branch_prob != 1.0 else mapping
+    return None if tags else mapping
 
 
 def _apply_mode_map_run(state: PhotonicState, run: list) -> PhotonicState:

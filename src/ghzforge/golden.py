@@ -162,10 +162,14 @@ def _unit_fidelity(f: float) -> bool:
     return abs(f - 1.0) <= states.FIDELITY_TOL
 
 
-def _state_check(name: str, got: PhotonicState, want: PhotonicState) -> CheckResult:
-    ok = states.states_close(states.absorb_branch(got), want, tol=states.MERGE_TOL)
-    detail = f"{len(got.terms)} terms, branch={got.branch_prob:.6g}"
-    return CheckResult(name, ok, detail)
+def _state_check(
+    name: str, got: tuple[PhotonicState, float], want: PhotonicState
+) -> CheckResult:
+    """An intermediate (state, probability) pair against its hand-derived
+    form, which keeps the raw amplitudes: the state scaled by sqrt(p)."""
+    state, p = got
+    ok = states.states_close(states.scaled(state, math.sqrt(p)), want, tol=states.MERGE_TOL)
+    return CheckResult(name, ok, f"{len(state.terms)} terms, branch={p:.6g}")
 
 
 def _untag_all(state: PhotonicState, d: int, photons: list[int]) -> PhotonicState:
@@ -235,7 +239,7 @@ def qutrit_walkthrough_checks() -> list[CheckResult]:
     ]
 
     # pair projection outcomes on the analysis-ready state
-    dist = measurement.project_polarization_pair(inter["j0.aux0.analysis"], _AX, _AY)
+    dist = measurement.project_polarization_pair(inter["j0.aux0.analysis"][0], _AX, _AY)
     uniform = all(_close(o.prob, 0.25) for o in dist.outcomes)
     results.append(
         CheckResult(

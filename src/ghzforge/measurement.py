@@ -1,10 +1,12 @@
 """Coincidence post-selection, projective measurements and outcome bookkeeping.
 
-Post-selection keeps amplitudes untouched: the returned state is the kept
-sub-state with ``branch_prob`` multiplied by the kept-fraction probability,
-so a zero-probability pattern yields an empty state rather than an error.
+States hold amplitudes only; every probability here is returned beside a
+state.  Post-selection keeps amplitudes untouched: it returns the kept
+sub-state together with the kept fraction of the squared norm, so a
+zero-probability pattern yields an empty state rather than an error.
 Projective measurements return complete outcome distributions whose
-probabilities sum to one and whose post-states are normalized.
+probabilities (``Outcome.prob``) sum to one and whose post-states are
+normalized.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ def postselect_coincidence(
     fraction of the squared norm.  Zero survivors give (empty state, 0.0)."""
     total = state.norm_sq()
     if total <= 0.0:
-        return PhotonicState({}, 0.0), 0.0
+        return PhotonicState({}), 0.0
     group_of = {port: g for g, group in enumerate(pattern.groups) for port in group}
     n_groups = len(pattern.groups)
     kept = {}
@@ -59,7 +61,7 @@ def postselect_coincidence(
             kept[term] = amp
     kept_nsq = sum(abs(a) ** 2 for a in kept.values())
     prob = kept_nsq / total
-    return PhotonicState(kept, state.branch_prob * prob), prob
+    return PhotonicState(kept), prob
 
 
 @dataclass(frozen=True)
@@ -100,17 +102,14 @@ def distribution_to_jsonable(dist: OutcomeDistribution) -> list[dict]:
     ]
 
 
-def _outcome(
-    label: str, terms: dict[FockTerm, complex], total: float, branch_prob: float
-) -> Outcome:
+def _outcome(label: str, terms: dict[FockTerm, complex], total: float) -> Outcome:
     """Probability and normalized post-state of one projective outcome."""
-    sub = PhotonicState(terms, 1.0)
+    sub = PhotonicState(terms)
     nsq = sub.norm_sq()
     prob = nsq / total if total > 0 else 0.0
     if nsq <= eps() ** 2:
-        return Outcome(label, prob, PhotonicState({}, 0.0))
-    post = states.scaled(sub, 1.0 / math.sqrt(nsq), branch_prob=branch_prob * prob)
-    return Outcome(label, prob, post)
+        return Outcome(label, prob, PhotonicState({}))
+    return Outcome(label, prob, states.scaled(sub, 1.0 / math.sqrt(nsq)))
 
 
 def project_polarization_pair(
@@ -143,8 +142,7 @@ def project_polarization_pair(
         rest = buckets[px + py]
         rest[key] = rest.get(key, 0j) + amp
     return OutcomeDistribution(tuple(
-        _outcome(label, terms, total, state.branch_prob)
-        for label, terms in buckets.items()
+        _outcome(label, terms, total) for label, terms in buckets.items()
     ))
 
 
@@ -187,7 +185,7 @@ def fourier_measure_path(
         for reduced, amp, j in located:
             phase = cmath.exp(2j * math.pi * j * k / d)
             acc[reduced] = acc.get(reduced, 0j) + amp * phase * root
-        outcomes.append(_outcome(str(k), acc, total, state.branch_prob))
+        outcomes.append(_outcome(str(k), acc, total))
     return OutcomeDistribution(tuple(outcomes))
 
 
@@ -286,13 +284,8 @@ class PasPairSelect(elements.Step):
         p = result.prob_feedforward if self.mode == "feedforward" else result.prob_filtered
         merged = result.merged
         if merged is None or p <= 0.0:
-            return PhotonicState({}, 0.0), 0.0
-        out = states.scaled(
-            merged,
-            math.sqrt(p * state.norm_sq()),
-            branch_prob=state.branch_prob * p,
-        )
-        return out, p
+            return PhotonicState({}), 0.0
+        return states.scaled(merged, math.sqrt(p * state.norm_sq())), p
 
 
 @dataclass(frozen=True)

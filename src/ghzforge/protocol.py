@@ -45,18 +45,11 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from . import analysis, elements, measurement, states
+from .analysis import FULL_FOURIER, SINGLE_OUTCOME  # re-exported as gf.*
 from .elements import BDMerge, BDSplit, HWP, Inject, PBS
-from .errors import (
-    InvalidAuxPair,
-    InvalidCoefficients,
-    InvalidParameters,
-    PortCollision,
-)
+from .errors import InvalidAuxPair, InvalidParameters, PortCollision
 from .measurement import CoincidencePattern, CoincidenceSelect, PasPairSelect
 from .states import H, V, PhotonicState, eps, ket
-
-SINGLE_OUTCOME = "single_outcome"
-FULL_FOURIER = "full_fourier"
 
 _TAG = math.pi / 4.0      # HWP angle swapping H and V
 _DIAGONAL = math.pi / 8.0  # HWP angle rotating into the +/- basis
@@ -75,11 +68,7 @@ class ProtocolOptions:
     input_coeffs: tuple[float, ...] | None = None
 
     def resolved_odd_mode(self) -> str:
-        if self.odd_n_mode is not None:
-            if self.odd_n_mode not in (SINGLE_OUTCOME, FULL_FOURIER):
-                raise InvalidParameters(f"unknown odd-n mode {self.odd_n_mode!r}")
-            return self.odd_n_mode
-        return FULL_FOURIER if self.feedforward else SINGLE_OUTCOME
+        return analysis.resolve_odd_mode(self.odd_n_mode, self.feedforward)
 
 
 @dataclass(slots=True)
@@ -207,19 +196,6 @@ class ProtocolPlan:
         }
 
 
-def _validated_coeffs(d: int, coeffs: Sequence[float] | None) -> list[float]:
-    if coeffs is None:
-        return [1.0 / math.sqrt(d)] * d
-    values = [float(c) for c in coeffs]
-    if len(values) != d:
-        raise InvalidCoefficients(f"need {d} coefficients, got {len(values)}")
-    if any(not math.isfinite(c) for c in values):
-        raise InvalidCoefficients("coefficients must be finite reals")
-    if abs(sum(c * c for c in values) - 1.0) > states.COEFF_TOL:
-        raise InvalidCoefficients("squared coefficients must sum to 1")
-    return values
-
-
 def build_epr_source(
     d: int,
     coeffs: Sequence[float] | None,
@@ -233,7 +209,7 @@ def build_epr_source(
     tol = eps()
     return PhotonicState({
         ket((a, H), (b, H)): complex(c)
-        for a, b, c in zip(ports_a, ports_b, _validated_coeffs(d, coeffs))
+        for a, b, c in zip(ports_a, ports_b, states.validated_coeffs(d, coeffs))
         if abs(c) >= tol
     })
 
@@ -266,7 +242,7 @@ def polarization_tag(
             occ[target] = count
         new_term = tuple(sorted(occ.items()))
         out[new_term] = out.get(new_term, 0j) + amp
-    return PhotonicState(out, state.branch_prob)
+    return PhotonicState(out)
 
 
 def parity_rule(path: int) -> str:
@@ -289,7 +265,7 @@ def compile_plan(
     """
     d, n = options.d, options.n
     analysis._check_params(d, n)
-    _validated_coeffs(d, options.input_coeffs)
+    states.validated_coeffs(d, options.input_coeffs)
     options.resolved_odd_mode()  # validates the mode string early
     m = -(n // -2)
     default_pairs = analysis.aux_pairs(d)
@@ -347,7 +323,10 @@ class RunReport:
     trace: list[float]
     stage_labels: list[str]
     fidelity: float
-    intermediates: dict[str, PhotonicState] = field(default_factory=dict)
+    # stage label -> (normalised state, chosen-accounting probability of
+    # reaching that stage); scaling the state by the square root of the
+    # probability gives the raw amplitudes of an unnormalised pipeline
+    intermediates: dict[str, tuple[PhotonicState, float]] = field(default_factory=dict)
 
     @property
     def predicted_prob(self) -> float | None:
@@ -407,12 +386,12 @@ class RunReport:
 
         ``probs`` is (chosen, filtered, feedforward).  An empty state reports
         every probability and the fidelity as 0, so it never matches a
-        prediction.  Otherwise the state is normalized (keeping its
-        ``branch_prob``) and compared with the GHZ reference on ``groups``.
+        prediction.  Otherwise the state is normalized and compared with the
+        GHZ reference on ``groups``.
         The match flags are None when there is no prediction.
         """
         if state.is_empty:
-            final, probs, fid = PhotonicState({}, 0.0), (0.0, 0.0, 0.0), 0.0
+            final, probs, fid = PhotonicState({}), (0.0, 0.0, 0.0), 0.0
         else:
             reference = analysis.ghz_reference(d, len(groups), groups)
             final, fid = states.normalize(state), analysis.fidelity(state, reference)
@@ -472,7 +451,7 @@ def _reduce_even_state(
         p_single = dist.prob("0")
         post = dist.state("0")
         return post, p_single, p_single, dist.total()
-    merged = measurement.merge_corrected(dist, rule) or PhotonicState({}, 0.0)
+    merged = measurement.merge_corrected(dist, rule) or PhotonicState({})
     return merged, dist.total(), dist.prob("0"), dist.total()
 
 
@@ -490,7 +469,7 @@ def _run_elements(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
     opts = plan.options
     state = states.vacuum()
     ledger = _Ledger()
-    intermediates: dict[str, PhotonicState] = {}
+    intermediates: dict[str, tuple[PhotonicState, float]] = {}
 
     for stage in plan.stages:
         if stage.kind == "reduce":
@@ -507,7 +486,7 @@ def _run_elements(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
             p = result.prob_feedforward if opts.feedforward else result.prob_filtered
             ledger.record(stage.label, p, result.prob_filtered, result.prob_feedforward)
             if result.merged is None or p <= 0.0:
-                state = PhotonicState({}, 0.0)
+                state = PhotonicState({})
                 break
             state = result.merged
         else:
@@ -519,9 +498,8 @@ def _run_elements(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
                 break
             if not all(isinstance(step, elements.NORM_PRESERVING) for step in steps):
                 state = states.normalize(state)
-        state = PhotonicState(state.terms, ledger.probs[0])
         if keep_intermediates:
-            intermediates[stage.label] = state
+            intermediates[stage.label] = (state, ledger.probs[0])
     return _plan_report(plan, "element", state, ledger, intermediates)
 
 
@@ -531,7 +509,6 @@ def _materialize_paths(
     scale: float,
     photons: Sequence[int],
     pol_of: Callable[[int, int], str],
-    branch_prob: float,
 ) -> PhotonicState:
     terms = {}
     for t, a in amps.items():
@@ -539,7 +516,7 @@ def _materialize_paths(
             (photon * d + t[photon], pol_of(photon, t[photon])) for photon in photons
         ]
         terms[ket(*modes)] = a * scale
-    return PhotonicState(terms, branch_prob)
+    return PhotonicState(terms)
 
 
 def _run_rules(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
@@ -566,21 +543,21 @@ def _run_rules(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
     d = plan.d
     opts = plan.options
     source = [
-        (i, c) for i, c in enumerate(_validated_coeffs(d, opts.input_coeffs)) if c != 0.0
+        (i, c) for i, c in enumerate(states.validated_coeffs(d, opts.input_coeffs)) if c != 0.0
     ]
     amps: dict[tuple[int, ...], complex] = {(i, i): c + 0j for i, c in source}
     scale = 1.0  # amps times scale is the normalised chain state
 
     ledger = _Ledger()
-    intermediates: dict[str, PhotonicState] = {}
+    intermediates: dict[str, tuple[PhotonicState, float]] = {}
 
     def record(label: str, tagged: set[int], rule: Callable[[int], str]) -> None:
         if keep_intermediates:
-            intermediates[label] = _materialize_paths(
+            state = _materialize_paths(
                 d, amps, scale, present,
                 lambda photon, path: rule(path) if photon in tagged else H,
-                ledger.probs[0],
             )
+            intermediates[label] = (state, ledger.probs[0])
 
     for k in range(plan.epr_pair_count - 1):
         scaled_source = [(i, c * scale) for i, c in source]
@@ -593,7 +570,7 @@ def _run_rules(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
         p1 = nsq / total if total else 0.0
         ledger.record(f"j{k}.step_i", p1, p1, p1)
         if not amps:
-            return _plan_report(plan, "rule", PhotonicState({}, 0.0), ledger, intermediates)
+            return _plan_report(plan, "rule", PhotonicState({}), ledger, intermediates)
         scale = 1.0 / math.sqrt(nsq)
         record(f"j{k}.step_i", {ia, ib}, parity_rule)
 
@@ -614,7 +591,7 @@ def _run_rules(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
             ledger.record(f"j{k}.aux{q}.interfere", p_coin, p_coin, p_coin)
             ledger.record(f"j{k}.aux{q}.pas", 1.0 if opts.feedforward else 0.5, 0.5, 1.0)
             if not amps:
-                return _plan_report(plan, "rule", PhotonicState({}, 0.0), ledger, intermediates)
+                return _plan_report(plan, "rule", PhotonicState({}), ledger, intermediates)
             nsq = surv_nsq
             scale = 1.0 / math.sqrt(nsq)
             record(
@@ -630,11 +607,9 @@ def _run_rules(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
         p_single = 1.0 / d
         ledger.record("reduce", p_single if mode == SINGLE_OUTCOME else 1.0, p_single, 1.0)
 
-    state = _materialize_paths(
-        d, amps, scale, photons, lambda photon, path: H, ledger.probs[0]
-    )
+    state = _materialize_paths(d, amps, scale, photons, lambda photon, path: H)
     if keep_intermediates:
-        intermediates["final"] = state
+        intermediates["final"] = (state, ledger.probs[0])
     return _plan_report(plan, "rule", state, ledger, intermediates)
 
 
@@ -679,21 +654,23 @@ def reduce_to_odd(
     port_groups: Sequence[Sequence[int]] | None = None,
 ) -> RunReport:
     """Measure the first photon of an even-photon state in the Fourier path
-    basis, reporting the odd-photon result honestly (non-GHZ inputs allowed)."""
-    if mode not in (SINGLE_OUTCOME, FULL_FOURIER):
-        raise InvalidParameters(f"unknown odd-n mode {mode!r}")
+    basis, reporting the odd-photon result honestly (non-GHZ inputs allowed).
+    An unknown mode or fewer than two photon port groups raise
+    InvalidParameters."""
+    mode = analysis.resolve_odd_mode(mode, feedforward=True)
     if port_groups is None:
         ports = sorted(state.ports())
         if len(ports) % d != 0:
             raise InvalidParameters("cannot infer photon port groups; pass port_groups")
         port_groups = [ports[i : i + d] for i in range(0, len(ports), d)]
     groups = [list(g) for g in port_groups]
+    if len(groups) < 2:
+        raise InvalidParameters(f"need at least two photon port groups, got {len(groups)}")
     post, p, p_single, p_full = _reduce_even_state(
         state, d, mode, groups[0], groups[1]
     )
     return RunReport.build(
-        "reduce", d, len(groups) - 1, mode == FULL_FOURIER,
-        PhotonicState(post.terms, state.branch_prob * p), groups[1:],
+        "reduce", d, len(groups) - 1, mode == FULL_FOURIER, post, groups[1:],
         (p, p_single, p_full), Fraction(1, d) if mode == SINGLE_OUTCOME else Fraction(1),
         [p], ["reduce"],
     )

@@ -8,13 +8,15 @@ entries (at most its H and its V mode) sit next to each other, and
 instead of a walk over the ket.  A ``PhotonicState`` built by hand must
 therefore use keys made by ``ket``, ``fock_term`` or ``make_state``.
 
-A state is a sparse map from kets to complex amplitudes plus
-``branch_prob``, the probability of the chain of post-selections that
-produced this branch, on its own.  A raw post-selection keeps the surviving
-amplitudes as they are, so from a unit-norm start norm**2 equals
-``branch_prob`` as well (1/16 for the replayed (4, 4) feedforward plan
-circuit); a renormalised state (``normalize``, a projective outcome, an
-element-executor stage) has norm**2 = 1.  Their product is no probability.
+A state is a sparse map from kets to complex amplitudes and nothing else.
+Probabilities travel beside states, not on them: a post-selection returns
+its probability with the kept state, a projective outcome carries it as
+``Outcome.prob``, and the protocol executors keep the running products.  A
+raw post-selection keeps the surviving amplitudes as they are, so from a
+unit-norm start norm**2 is the product of the probabilities post-selected so
+far (1/16 for the replayed (4, 4) feedforward plan circuit); a renormalised
+state (``normalize``, a projective outcome, an element-executor stage) has
+norm**2 = 1.
 
 This module also owns the tolerance policy (``eps`` and the ``*_TOL``
 constants) and the strict readers of circuit-file values (``*_from_json``).
@@ -30,11 +32,11 @@ import math
 import os
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .errors import EmptyState, InvalidParameters, PortCollision
+from .errors import EmptyState, InvalidCoefficients, InvalidParameters, PortCollision
 
 H = "H"
 V = "V"
@@ -72,6 +74,23 @@ def eps() -> float:
             )
         _eps = value
     return _eps
+
+
+def validated_coeffs(d: int, coeffs: Sequence[float] | None) -> list[float]:
+    """The d source coefficients as floats; None gives the uniform 1/sqrt(d).
+
+    Raises InvalidCoefficients unless there are d finite reals whose squares
+    sum to 1 within ``COEFF_TOL``."""
+    if coeffs is None:
+        return [1.0 / math.sqrt(d)] * d
+    values = [float(c) for c in coeffs]
+    if len(values) != d:
+        raise InvalidCoefficients(f"need {d} coefficients, got {len(values)}")
+    if any(not math.isfinite(c) for c in values):
+        raise InvalidCoefficients("coefficients must be finite reals")
+    if abs(sum(c * c for c in values) - 1.0) > COEFF_TOL:
+        raise InvalidCoefficients("squared coefficients must sum to 1")
+    return values
 
 
 def mode(port: int, pol: str) -> Mode:
@@ -157,10 +176,9 @@ def photons_in_port(term: FockTerm, port: int) -> int:
 
 @dataclass
 class PhotonicState:
-    """Sparse map FockTerm -> amplitude with branch-probability bookkeeping."""
+    """Sparse map FockTerm -> amplitude."""
 
     terms: dict[FockTerm, complex]
-    branch_prob: float = 1.0
 
     @property
     def is_empty(self) -> bool:
@@ -193,7 +211,7 @@ class PhotonicState:
             labels = " ".join(f"{p}{pol}" for (p, pol), c in term for _ in range(c))
             parts.append(f"({amp.real:+.4f}{amp.imag:+.4f}j)|{labels}>")
         body = "\n  ".join(parts) if parts else "(empty)"
-        return f"PhotonicState branch_prob={self.branch_prob:.6g}\n  {body}"
+        return f"PhotonicState\n  {body}"
 
     def __iter__(self) -> Iterator[tuple[FockTerm, complex]]:
         return iter(self.sorted_items())
@@ -215,9 +233,7 @@ def _check_uniform_sector(terms: dict[FockTerm, complex]) -> None:
         raise ValueError(f"mixed photon-number sectors: {sorted(counts)}")
 
 
-def make_state(
-    kets: Iterable[tuple[FockTerm, complex]], branch_prob: float = 1.0
-) -> PhotonicState:
+def make_state(kets: Iterable[tuple[FockTerm, complex]]) -> PhotonicState:
     """Build a canonical, pruned state; duplicate kets have amplitudes summed.
 
     Raises EmptyState when every amplitude cancels or falls below tolerance.
@@ -235,29 +251,14 @@ def make_state(
     _check_uniform_sector(terms)
     if sum(abs(a) ** 2 for a in terms.values()) > 1.0 + eps():
         raise ValueError("squared norm exceeds 1; amplitudes are not a sub-state")
-    return PhotonicState(terms, branch_prob)
+    return PhotonicState(terms)
 
 
-def scaled(
-    state: PhotonicState, factor: complex, branch_prob: float | None = None
-) -> PhotonicState:
+def scaled(state: PhotonicState, factor: complex) -> PhotonicState:
     tol = eps()
-    terms = {t: b for t, a in state.terms.items() if abs(b := a * factor) >= tol}
     return PhotonicState(
-        terms, state.branch_prob if branch_prob is None else branch_prob
+        {t: b for t, a in state.terms.items() if abs(b := a * factor) >= tol}
     )
-
-
-def absorb_branch(state: PhotonicState) -> PhotonicState:
-    """Fold the branch probability into the amplitudes of a renormalised state.
-
-    The result has branch_prob 1 and amplitudes scaled by sqrt(branch_prob),
-    i.e. the raw unnormalized amplitudes a pipeline would carry if no
-    intermediate renormalization had happened.  A state that already carries
-    raw amplitudes (after a raw post-selection, norm**2 = branch_prob) must
-    not be absorbed: that would count its post-selections twice.
-    """
-    return scaled(state, math.sqrt(state.branch_prob), branch_prob=1.0)
 
 
 def norm(state: PhotonicState) -> float:
@@ -265,7 +266,7 @@ def norm(state: PhotonicState) -> float:
 
 
 def normalize(state: PhotonicState) -> PhotonicState:
-    """Rescale to unit norm; branch_prob is left untouched."""
+    """Rescale to unit norm."""
     n = norm(state)
     if n <= eps():
         raise EmptyState("cannot normalize a (near-)zero state")
@@ -273,7 +274,7 @@ def normalize(state: PhotonicState) -> PhotonicState:
 
 
 def tensor(a: PhotonicState, b: PhotonicState) -> PhotonicState:
-    """Product state on disjoint spatial ports; branch probabilities multiply."""
+    """Product state on disjoint spatial ports."""
     shared = a.ports() & b.ports()
     if shared:
         raise PortCollision(f"operands share spatial ports {sorted(shared)}")
@@ -281,7 +282,7 @@ def tensor(a: PhotonicState, b: PhotonicState) -> PhotonicState:
     for ta, aa in a.terms.items():
         for tb, ab in b.terms.items():
             terms[tuple(sorted(ta + tb))] = aa * ab
-    return PhotonicState(_pruned(terms), a.branch_prob * b.branch_prob)
+    return PhotonicState(_pruned(terms))
 
 
 def inner_product(a: PhotonicState, b: PhotonicState) -> complex:
@@ -318,7 +319,7 @@ def state_to_jsonable(state: PhotonicState) -> list[dict]:
     return out
 
 
-def state_from_jsonable(data: list[dict], branch_prob: float = 1.0) -> PhotonicState:
+def state_from_jsonable(data: list[dict]) -> PhotonicState:
     kets = []
     for entry in data:
         term = fock_term(
@@ -327,7 +328,7 @@ def state_from_jsonable(data: list[dict], branch_prob: float = 1.0) -> PhotonicS
             for p, pol, c in entry["modes"]
         )
         kets.append((term, complex(real_from_json(entry["re"]), real_from_json(entry["im"]))))
-    return make_state(kets, branch_prob=branch_prob)
+    return make_state(kets)
 
 
 def state_to_json(state: PhotonicState) -> str:

@@ -12,9 +12,9 @@ settings.register_profile(
     max_examples=60,
     suppress_health_check=[HealthCheck.too_slow],
 )
-# CI runs the kernel, measurement and CLI fuzz properties deeper:
-#   pytest tests/test_elements.py tests/test_measurement.py tests/test_fuzz.py \
-#       --hypothesis-profile=ghzforge-ci
+# CI runs the state, kernel, measurement, executor and CLI fuzz properties deeper:
+#   pytest tests/test_states.py tests/test_elements.py tests/test_measurement.py \
+#       tests/test_protocol.py tests/test_fuzz.py --hypothesis-profile=ghzforge-ci
 settings.register_profile("ghzforge-ci", parent=settings.get_profile("ghzforge"), max_examples=400)
 settings.load_profile("ghzforge")
 
@@ -24,6 +24,14 @@ def fresh_eps(monkeypatch):
     """Forget the GHZFORGE_EPS value kept by ``eps()``, so a value the test
     sets is read; the kept value comes back when the test ends."""
     monkeypatch.setattr(states, "_eps", None)
+
+
+def raw_amplitudes(pair) -> states.PhotonicState:
+    """An ``intermediates`` entry (normalised state, probability of reaching
+    it) as the raw amplitudes of an unnormalised pipeline: the state scaled
+    by the square root of the probability."""
+    state, p = pair
+    return states.scaled(state, math.sqrt(p))
 
 
 def _amp(rng) -> complex:

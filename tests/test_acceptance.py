@@ -13,7 +13,7 @@ import pytest
 import ghzforge as gf
 from ghzforge import analysis, golden, measurement, protocol, states
 
-from conftest import random_state
+from conftest import random_state, raw_amplitudes
 
 TOL = 1e-9
 
@@ -28,21 +28,21 @@ def test_criterion_1_four_photon_qutrit_golden_run():
     report = gf.execute(plan, backend="element", keep_intermediates=True)
 
     # five survivors at uniform amplitude after the junction PBS filter
-    survivors = states.absorb_branch(report.intermediates["j0.step_i"])
+    survivors = raw_amplitudes(report.intermediates["j0.step_i"])
     assert len(survivors.terms) == 5
     assert all(abs(a - 1 / 3) <= TOL for a in survivors.terms.values())
     assert states.states_close(survivors, golden.parity_filter_survivors(), tol=TOL)
     assert abs(report.trace[0] - 5 / 9) <= TOL
 
     # three survivors after the helper-stage coincidence
-    after_aux = states.absorb_branch(report.intermediates["j0.aux0.interfere"])
+    after_aux = raw_amplitudes(report.intermediates["j0.aux0.interfere"])
     assert len(after_aux.terms) == 3
     assert all(abs(abs(a) - math.sqrt(2) / 6) <= TOL for a in after_aux.terms.values())
     assert states.states_close(after_aux, golden.interference_survivors(), tol=TOL)
     assert abs(report.trace[1] - 3 / 10) <= TOL
 
     # pair-analysis outcome distribution and post-states
-    pre_pas = report.intermediates["j0.aux0.analysis"]
+    pre_pas, _ = report.intermediates["j0.aux0.analysis"]
     dist = gf.project_polarization_pair(pre_pas, 20, 21)
     for outcome in dist.outcomes:
         assert abs(outcome.prob - 0.25) <= TOL

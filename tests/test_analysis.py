@@ -5,7 +5,7 @@ import pytest
 
 import ghzforge as gf
 from ghzforge import analysis, cli, golden
-from ghzforge.errors import InvalidParameters, OracleTooLarge
+from ghzforge.errors import InvalidCoefficients, InvalidParameters, OracleTooLarge
 
 
 class TestGhzReference:
@@ -58,7 +58,7 @@ class TestFidelity:
     def test_empty_state_fidelity_zero(self):
         from ghzforge.states import PhotonicState
 
-        assert gf.fidelity(PhotonicState({}, 0.0), gf.ghz_reference(2, 2)) == 0.0
+        assert gf.fidelity(PhotonicState({}), gf.ghz_reference(2, 2)) == 0.0
 
 
 class TestResourceFormulas:
@@ -219,6 +219,35 @@ class TestOracle:
             gf.oracle_run(5, 4)
         with pytest.raises(OracleTooLarge):
             gf.oracle_run(3, 8)
+
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [([1.0], "need 3 coefficients, got 1"), ([1, 1, 1], "squared coefficients"),
+         ([float("nan"), 0, 0], "finite")],
+        ids=["too-few", "not-normalised", "nan"],
+    )
+    def test_coefficients_checked_as_on_the_other_backends(self, coeffs, message):
+        with pytest.raises(InvalidCoefficients, match=message):
+            gf.oracle_run(3, 4, input_coeffs=coeffs)
+        with pytest.raises(InvalidCoefficients, match=message):
+            gf.run(3, 4, backend="rule", input_coeffs=coeffs)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_unknown_odd_mode_rejected_everywhere(self, n):
+        with pytest.raises(InvalidParameters, match="unknown odd-n mode 'bogus'"):
+            gf.oracle_run(3, n, odd_n_mode="bogus")
+        with pytest.raises(InvalidParameters, match="unknown odd-n mode 'bogus'"):
+            analysis.predicted_prob_for_options(3, n, True, "bogus")
+        with pytest.raises(InvalidParameters, match="unknown odd-n mode 'bogus'"):
+            gf.run(3, n, backend="rule", odd_n_mode="bogus")
+
+    @pytest.mark.parametrize("ff", [True, False])
+    @pytest.mark.parametrize("mode", [None, gf.SINGLE_OUTCOME, gf.FULL_FOURIER])
+    def test_odd_mode_read_alike_by_oracle_and_prediction(self, ff, mode):
+        rep = gf.oracle_run(3, 5, feedforward=ff, odd_n_mode=mode)
+        assert rep.predicted == analysis.predicted_prob_for_options(3, 5, ff, mode)
+        assert rep.prob_matches is True
+        assert rep.prob == pytest.approx(gf.run(3, 5, ff, odd_n_mode=mode).prob, rel=1e-12)
 
     def test_trace_product_is_total(self):
         rep = gf.oracle_run(3, 5, feedforward=False)

@@ -219,6 +219,12 @@ class TestRun:
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: circuit file is not valid JSON")
 
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["no-such-file", "directory"])
+    def test_unreadable_circuit_path_exits_2(self, capsys, tmp_path, name):
+        code, out, err = run_cli(capsys, "run", "--circuit", str(tmp_path / name))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: cannot read circuit file: ")
+
     def test_run_requires_parameters(self, capsys):
         code, _, err = run_cli(capsys, "run")
         assert code == 2

@@ -2,12 +2,13 @@ import cmath
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 import ghzforge as gf
-from ghzforge import elements, golden, states
+from ghzforge import analysis, elements, golden, states
 from ghzforge.errors import BDCollision, PortCollision
 
 from conftest import random_state, states_strategy
@@ -256,7 +257,7 @@ def reference_relabel(state, mapping, collision_error, what):
             occ[target] = count
         key = tuple(sorted(occ.items()))
         out[key] = out.get(key, 0j) + amp
-    return states.PhotonicState(out, state.branch_prob)
+    return states.PhotonicState(out)
 
 
 def reference_linear_map(state, images):
@@ -291,9 +292,7 @@ def reference_linear_map(state, images):
             k2 = tuple(sorted(occ.items()))
             out[k2] = out.get(k2, 0j) + co * math.sqrt(factor)
     tol = states.eps()
-    return states.PhotonicState(
-        {t: a for t, a in out.items() if abs(a) >= tol}, state.branch_prob
-    )
+    return states.PhotonicState({t: a for t, a in out.items() if abs(a) >= tol})
 
 
 def reference_pbs(state, a, b, _c, _theta):
@@ -330,7 +329,7 @@ def reference_phase(state, port, _b, _c, phi):
     for term, amp in state.terms.items():
         k = sum(count for (p, _), count in term if p == port)
         out[term] = amp * cmath.exp(1j * phi * k) if k else amp
-    return states.PhotonicState(out, state.branch_prob)
+    return states.PhotonicState(out)
 
 
 KERNELS = {
@@ -352,7 +351,7 @@ def kernel_result(kernel, *args):
         out = kernel(*args)
     except (BDCollision, PortCollision) as exc:
         return type(exc), str(exc)
-    return list(out.terms.items()), out.branch_prob
+    return list(out.terms.items())
 
 
 class TestKernelsMatchGeneralPath:
@@ -425,6 +424,19 @@ class TestRunCircuit:
             pytest.approx(1 / 2),
         ]
         assert states.states_close(out, golden.chain_output_unnormalized(), tol=1e-9)
+
+    @pytest.mark.parametrize(
+        "d, n, feedforward", [(4, 4, True), (3, 6, False), (5, 4, True), (4, 6, True)]
+    )
+    def test_plan_circuit_norm_is_its_trace_product(self, d, n, feedforward):
+        # a state carries no probability: after raw post-selections from the
+        # vacuum, its squared norm is the product of the probabilities so far
+        plan = gf.compile_plan(gf.ProtocolOptions(d=d, n=n, feedforward=feedforward))
+        out, trace = gf.run_circuit(states.vacuum(), plan.circuit_steps())
+        product = math.prod(trace)
+        assert abs(out.norm_sq() - product) <= 1e-12 * product
+        predicted = analysis.predicted_prob_for_options(d, n, feedforward)
+        assert abs(Fraction(product) - predicted) <= predicted * states.PROB_REL_TOL
 
     def test_circuit_json_round_trip(self):
         plan = gf.compile_plan(gf.ProtocolOptions(d=3, n=4))
@@ -557,7 +569,6 @@ class TestFusedModeMapRuns:
         out, trace = fused
         assert trace == []
         assert list(out.terms) == list(reference.terms)
-        assert out.branch_prob == reference.branch_prob
         loose = staggered_merges(s, steps)
         for term, amp in reference.terms.items():
             if term in loose:
@@ -642,7 +653,7 @@ class TestFusedModeMapRuns:
         # other relabels act on the probe, whose kets hold two photons each
         plan = gf.compile_plan(gf.ProtocolOptions(d=3, n=4))
         stages = {stage.kind: stage for stage in plan.stages}
-        s = gf.execute(plan, "element", keep_intermediates=True).intermediates[
+        s, _ = gf.execute(plan, "element", keep_intermediates=True).intermediates[
             "j0.aux0.inject"
         ]
         sizes = []
@@ -706,12 +717,12 @@ class TestDispatch:
     def _ket_keeping(state, port_a, port_b):
         # every ket stays next to its image: a tag has two images
         moved = gf.apply_pbs(state, port_a, port_b)
-        return states.PhotonicState({**state.terms, **moved.terms}, state.branch_prob)
+        return states.PhotonicState({**state.terms, **moved.terms})
 
     @staticmethod
     def _ket_dropping(state, port_a, port_b):
         # every ket is lost: a tag has no image
-        return states.PhotonicState({}, state.branch_prob)
+        return states.PhotonicState({})
 
     @pytest.mark.parametrize("patch", ["_sign_flipping", "_ket_keeping", "_ket_dropping"])
     def test_patched_element_that_is_no_relabel_is_replayed(self, monkeypatch, patch):

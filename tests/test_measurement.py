@@ -33,7 +33,7 @@ class TestCoincidence:
         out, p = gf.postselect_coincidence(s, pattern)
         assert p == pytest.approx(0.36)
         assert list(out.terms) == [gf.ket((0, "H"), (1, "H"))]
-        assert out.branch_prob == pytest.approx(0.36)
+        assert out.norm_sq() == pytest.approx(0.36)  # amplitudes kept as they were
 
     def test_zero_survivors_report_probability_zero(self):
         s = gf.make_state([(gf.ket((0, "H"), (0, "V")), 1.0)])
@@ -90,7 +90,7 @@ def reference_postselect(state, pattern):
     """Group photon counts taken ket by ket and group by group."""
     total = state.norm_sq()
     if total <= 0.0:
-        return states.PhotonicState({}, 0.0), 0.0
+        return states.PhotonicState({}), 0.0
     kept = {
         term: amp
         for term, amp in state.terms.items()
@@ -100,7 +100,7 @@ def reference_postselect(state, pattern):
         )
     }
     prob = sum(abs(a) ** 2 for a in kept.values()) / total
-    return states.PhotonicState(kept, state.branch_prob * prob), prob
+    return states.PhotonicState(kept), prob
 
 
 class TestCoincidenceMatchesGeneralPath:
@@ -112,7 +112,7 @@ class TestCoincidenceMatchesGeneralPath:
         out, p = gf.postselect_coincidence(s, pattern)
         ref, ref_p = reference_postselect(s, pattern)
         assert list(out.terms.items()) == list(ref.terms.items())
-        assert (p, out.branch_prob) == (ref_p, ref.branch_prob)
+        assert p == ref_p
 
 
 def reference_project_pair(state, port_x, port_y):
@@ -132,7 +132,7 @@ def reference_project_pair(state, port_x, port_y):
         rest = buckets[px + py]
         rest[reduced] = rest.get(reduced, 0j) + amp
     return measurement.OutcomeDistribution(tuple(
-        measurement._outcome(label, terms, total, state.branch_prob)
+        measurement._outcome(label, terms, total)
         for label, terms in buckets.items()
     ))
 
@@ -144,7 +144,7 @@ def pair_result(*args):
     except NotSingleOccupancy as exc:
         return str(exc)
     return [
-        (o.label, o.prob, list(o.state.terms.items()), o.state.branch_prob)
+        (o.label, o.prob, list(o.state.terms.items()))
         for o in dist.outcomes
     ]
 
@@ -332,7 +332,7 @@ class TestMergeCorrected:
 
     def test_all_empty_outcomes_merge_to_none(self):
         dist = measurement.OutcomeDistribution(
-            (measurement.Outcome("HH", 0.0, gf.PhotonicState({}, 0.0)),)
+            (measurement.Outcome("HH", 0.0, gf.PhotonicState({})),)
         )
         assert measurement.merge_corrected(dist, self._PI_RULE) is None
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -32,7 +33,10 @@ class TestMakeState:
             ]
         )
         assert s.norm_sq() == pytest.approx(1.0, abs=1e-12)
-        assert s.branch_prob == 1.0
+
+    def test_a_state_is_its_terms_alone(self):
+        # probabilities travel beside states (returned p, Outcome.prob, ledger)
+        assert [f.name for f in dataclasses.fields(states.PhotonicState)] == ["terms"]
 
     def test_exact_cancellation_is_empty(self):
         k = gf.ket((0, "H"), (1, "V"))
@@ -122,19 +126,13 @@ class TestTensor:
         with pytest.raises(PortCollision):
             gf.tensor(epr_pair(0, 1), epr_pair(1, 2))
 
-    def test_branch_prob_multiplies(self):
-        a = states.PhotonicState(dict(epr_pair(0, 1).terms), 0.5)
-        b = states.PhotonicState(dict(epr_pair(2, 3).terms), 0.25)
-        assert gf.tensor(a, b).branch_prob == pytest.approx(0.125)
-
     @given(states_strategy(max_port=2), states_strategy(max_port=2))
     def test_norm_multiplicative(self, a, b):
         shifted = states.PhotonicState(
             {
                 tuple(((p + 10, pol), c) for (p, pol), c in t): amp
                 for t, amp in b.terms.items()
-            },
-            b.branch_prob,
+            }
         )
         product = gf.tensor(a, shifted)
         assert product.norm_sq() == pytest.approx(
