@@ -268,8 +268,10 @@ def oracle_run(
     feedforward: bool = True,
     odd_n_mode: str | None = None,
     input_coeffs: Sequence[float] | None = None,
+    aux_order: Sequence[Sequence[tuple[int, int]]] | None = None,
 ):
-    """Dense term-list pipeline sharing no machinery with either simulator.
+    """Dense term-list pipeline sharing no simulation machinery with either
+    simulator.
 
     The product input is enumerated explicitly as source-value tuples; each
     junction first drops cross-parity tuples, then walks its stage list
@@ -277,8 +279,10 @@ def oracle_run(
     survivor's amplitude by 1/(2*sqrt(2)) (retention times one projection
     outcome).  Success probability is recovered combinatorially from the
     surviving amplitudes and the outcome multiplicity of each stage.
+    ``aux_order`` has ``compile_plan``'s meaning.  Like the other executors it
+    records every stage through ``protocol._Ledger``, under the plan's labels.
     """
-    from .protocol import RunReport  # deferred: protocol builds on this module
+    from .protocol import RunReport, _Ledger  # deferred: protocol builds on this module
 
     _check_params(d, n)
     if d > ORACLE_MAX_D or n > ORACLE_MAX_N:
@@ -288,6 +292,11 @@ def oracle_run(
     odd_n_mode = resolve_odd_mode(odd_n_mode, feedforward)
     coeffs = states.validated_coeffs(d, input_coeffs)
     sources = -(n // -2)
+    pairs = aux_pairs(d)
+    if aux_order is None:
+        aux_order = [pairs] * (sources - 1)
+    elif len(aux_order) != sources - 1 or any(sorted(p) != sorted(pairs) for p in aux_order):
+        raise InvalidParameters("aux_order must permute the same-parity pair set per junction")
 
     # every source-value assignment, with its product amplitude
     tuples: dict[tuple[int, ...], complex] = {}
@@ -302,11 +311,7 @@ def oracle_run(
 
     extend((), 1.0 + 0j)
 
-    trace: list[float] = []
-    labels: list[str] = []
-    prob_chosen = 1.0
-    prob_filtered = 1.0  # pure convention: keep HH/VV pairs, single Fourier outcome
-    prob_ff = 1.0        # pure convention: correct every outcome
+    ledger = _Ledger(feedforward, odd_n_mode)
     damp = 1.0 / (2.0 * math.sqrt(2.0))
     for junction in range(sources - 1):
         total = sum(abs(a) ** 2 for a in tuples.values())
@@ -315,14 +320,9 @@ def oracle_run(
         kept = {
             t: a for t, a in tuples.items() if t[junction] % 2 == t[junction + 1] % 2
         }
-        p1 = sum(abs(a) ** 2 for a in kept.values()) / total
-        trace.append(p1)
-        labels.append(f"j{junction}.parity_filter")
-        prob_chosen *= p1
-        prob_filtered *= p1
-        prob_ff *= p1
+        ledger.record(f"j{junction}.step_i", sum(abs(a) ** 2 for a in kept.values()) / total)
         tuples = kept
-        for stage, (i, j) in enumerate(aux_pairs(d)):
+        for stage, (i, j) in enumerate(aux_order[junction]):
             total = sum(abs(a) ** 2 for a in tuples.values())
             if total == 0.0:
                 break
@@ -333,25 +333,16 @@ def oracle_run(
             }
             # coincidence part: survivors retain half their squared weight
             p_coin = 0.5 * sum(abs(a) ** 2 for a in survivors.values()) * 8.0 / total
-            p_pas = 1.0 if feedforward else 0.5
-            trace.extend([p_coin, p_pas])
-            labels.extend(
-                [f"j{junction}.aux{stage}.filter", f"j{junction}.aux{stage}.pas"]
-            )
-            prob_chosen *= p_coin * p_pas
-            prob_ff *= p_coin
-            prob_filtered *= p_coin * 0.5
+            ledger.record(f"j{junction}.aux{stage}.interfere", p_coin)
+            # filtered keeps HH/VV, half the outcomes; feedforward corrects all
+            ledger.pair_analysis(f"j{junction}.aux{stage}.pas", 0.5, 1.0)
             tuples = survivors
 
-    # odd-photon reduction: measure the first photon of the even chain out
+    # odd-photon reduction: measure the first photon of the even chain out;
+    # keeping one of d uniform outcomes costs 1/d, correcting them all nothing
     drop_first = n % 2 == 1
     if drop_first:
-        p_reduce = 1.0 if odd_n_mode == FULL_FOURIER else 1.0 / d
-        trace.append(p_reduce)
-        labels.append("reduce")
-        prob_chosen *= p_reduce
-        prob_ff *= 1.0
-        prob_filtered *= 1.0 / d
+        ledger.reduction("reduce", 1.0 / d, 1.0)
 
     photons = list(range(1 if drop_first else 0, 2 * sources))
     nsq = sum(abs(a) ** 2 for a in tuples.values())
@@ -371,7 +362,6 @@ def oracle_run(
         else None
     )
     return RunReport.build(
-        "oracle", d, n, feedforward, final,
-        [[p * d + i for i in range(d)] for p in photons],
-        (prob_chosen, prob_filtered, prob_ff), predicted, trace, labels,
+        "oracle", d, n, final, [[p * d + i for i in range(d)] for p in photons],
+        ledger, predicted,
     )

@@ -60,7 +60,10 @@ def _prob_line(x: float | None, exact: Fraction | None = None) -> str:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        try:
+            Path(out_path).write_text(text, encoding="utf-8")
+        except OSError as exc:  # no such directory, a directory, no permission
+            raise InvalidParameters(f"cannot write output file: {exc}") from None
     else:
         sys.stdout.write(text)
 

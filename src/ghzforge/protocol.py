@@ -34,7 +34,10 @@ Two executors interpret a plan:
 
 Both track the two probability accountings side by side: "filtered" keeps
 only HH/VV pair outcomes and the uniform-superposition Fourier outcome, while
-"feedforward" corrects every outcome by conditional phases.
+"feedforward" corrects every outcome by conditional phases.  Every executor
+(the oracle in ``analysis`` too) and ``reduce_to_odd`` record their stages
+through ``_Ledger``, which owns the labels, the three products, the choice of
+accounting and the kept intermediates.
 """
 
 from __future__ import annotations
@@ -377,54 +380,73 @@ class RunReport:
 
     @classmethod
     def build(
-        cls, backend: str, d: int, n: int, feedforward: bool,
-        state: PhotonicState, groups: Sequence[Sequence[int]],
-        probs: tuple[float, float, float], predicted: Fraction | None,
-        trace: list[float], labels: list[str], intermediates: dict | None = None,
+        cls, backend: str, d: int, n: int, state: PhotonicState,
+        groups: Sequence[Sequence[int]], ledger: _Ledger, predicted: Fraction | None,
     ) -> RunReport:
-        """The one way to assemble a report from an executor's final state.
-
-        ``probs`` is (chosen, filtered, feedforward).  An empty state reports
-        every probability and the fidelity as 0, so it never matches a
-        prediction.  Otherwise the state is normalized and compared with the
-        GHZ reference on ``groups``.
-        The match flags are None when there is no prediction.
-        """
+        """The one way to assemble a report: an executor's final state, and its
+        ledger for the trace, labels, products, feedforward flag and kept
+        intermediates.  An empty state reports every probability and the
+        fidelity as 0, so it never matches a prediction; otherwise the state is
+        normalized and compared with the GHZ reference on ``groups``.  The
+        match flags are None when there is no prediction."""
         if state.is_empty:
             final, probs, fid = PhotonicState({}), (0.0, 0.0, 0.0), 0.0
         else:
             reference = analysis.ghz_reference(d, len(groups), groups)
             final, fid = states.normalize(state), analysis.fidelity(state, reference)
+            probs = ledger.probs
         prob, prob_filtered, prob_ff = probs
         return cls(
-            d=d, n=n, backend=backend, feedforward=feedforward,
+            d=d, n=n, backend=backend, feedforward=ledger.feedforward,
             final_state=final,
             prob=prob, prob_filtered=prob_filtered, prob_feedforward=prob_ff,
-            predicted=predicted, trace=trace, stage_labels=labels,
-            fidelity=fid,
-            intermediates={} if intermediates is None else intermediates,
+            predicted=predicted, trace=ledger.trace, stage_labels=ledger.labels,
+            fidelity=fid, intermediates=ledger.intermediates,
         )
 
 
 @dataclass
 class _Ledger:
-    """Stage probabilities in the order measured, with the running products
-    of the (chosen, filtered, feedforward) accountings."""
+    """A run's stage bookkeeping, which every executor and ``reduce_to_odd``
+    record through: labels and probabilities in the order measured, the
+    running (chosen, filtered, feedforward) products and, with ``keep``, each
+    stage's state beside the chosen probability of reaching it.  A pair
+    analysis chooses by ``feedforward``, the odd-n reduction by ``odd_mode``;
+    every other stage measures one value for all three accountings."""
 
+    feedforward: bool
+    odd_mode: str
+    keep: bool = False
     trace: list[float] = field(default_factory=list)
     labels: list[str] = field(default_factory=list)
     probs: tuple[float, float, float] = (1.0, 1.0, 1.0)
+    intermediates: dict[str, tuple[PhotonicState, float]] = field(default_factory=dict)
 
-    def record(self, label: str, p: float, p_filtered: float, p_ff: float) -> None:
+    def record(
+        self, label: str, p: float, p_filtered: float | None = None, p_ff: float | None = None
+    ) -> None:
+        """A stage that measured ``p``; the other two accountings default to it."""
         self.trace.append(p)
         self.labels.append(label)
+        p_filtered = p if p_filtered is None else p_filtered
+        p_ff = p if p_ff is None else p_ff
         chosen, filtered, ff = self.probs
         self.probs = (chosen * p, filtered * p_filtered, ff * p_ff)
 
+    def pair_analysis(self, label: str, p_filtered: float, p_ff: float) -> None:
+        self.record(label, p_ff if self.feedforward else p_filtered, p_filtered, p_ff)
+
+    def reduction(self, label: str, p_single: float, p_full: float) -> None:
+        chosen = p_full if self.odd_mode == FULL_FOURIER else p_single
+        self.record(label, chosen, p_single, p_full)
+
+    def keep_state(self, label: str, state: PhotonicState) -> None:
+        if self.keep:
+            self.intermediates[label] = (state, self.probs[0])
+
 
 def _plan_report(
-    plan: ProtocolPlan, backend: str, state: PhotonicState, ledger: _Ledger,
-    intermediates: dict,
+    plan: ProtocolPlan, backend: str, state: PhotonicState, ledger: _Ledger
 ) -> RunReport:
     opts = plan.options
     predicted = (
@@ -435,24 +457,22 @@ def _plan_report(
         else None
     )
     return RunReport.build(
-        backend, plan.d, plan.n, opts.feedforward, state, plan.output_port_groups(),
-        ledger.probs, predicted, ledger.trace, ledger.labels, intermediates,
+        backend, plan.d, plan.n, state, plan.output_port_groups(), ledger, predicted
     )
 
 
 def _reduce_even_state(
     state: PhotonicState, d: int, mode: str,
     measure_ports: Sequence[int], anchor_ports: Sequence[int],
-) -> tuple[PhotonicState, float, float, float]:
-    """Fourier-measure one photon out; returns (state, p_chosen, p_single, p_full)."""
+) -> tuple[PhotonicState, float, float]:
+    """Fourier-measure one photon out; returns (state ``mode`` keeps, p_single, p_full)."""
     dist = measurement.fourier_measure_path(state, measure_ports, d)
-    rule = measurement.fourier_feedforward_rule([list(anchor_ports)], d)
     if mode == SINGLE_OUTCOME:
-        p_single = dist.prob("0")
         post = dist.state("0")
-        return post, p_single, p_single, dist.total()
-    merged = measurement.merge_corrected(dist, rule) or PhotonicState({})
-    return merged, dist.total(), dist.prob("0"), dist.total()
+    else:
+        rule = measurement.fourier_feedforward_rule([list(anchor_ports)], d)
+        post = measurement.merge_corrected(dist, rule) or PhotonicState({})
+    return post, dist.prob("0"), dist.total()
 
 
 def _run_elements(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
@@ -468,24 +488,22 @@ def _run_elements(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
     """
     opts = plan.options
     state = states.vacuum()
-    ledger = _Ledger()
-    intermediates: dict[str, tuple[PhotonicState, float]] = {}
+    ledger = _Ledger(opts.feedforward, opts.resolved_odd_mode(), keep_intermediates)
 
     for stage in plan.stages:
         if stage.kind == "reduce":
-            state, p, p_single, p_full = _reduce_even_state(
-                state, plan.d, opts.resolved_odd_mode(),
+            state, p_single, p_full = _reduce_even_state(
+                state, plan.d, ledger.odd_mode,
                 plan.photon_ports(0), plan.photon_ports(1),
             )
-            ledger.record(stage.label, p, p_single, p_full)
+            ledger.reduction(stage.label, p_single, p_full)
         elif stage.kind == "aux_pas":
             (step,) = plan.stage_steps(stage)
             result = measurement.pas_pair_analysis(
                 state, step.port_x, step.port_y, step.correction_port
             )
-            p = result.prob_feedforward if opts.feedforward else result.prob_filtered
-            ledger.record(stage.label, p, result.prob_filtered, result.prob_feedforward)
-            if result.merged is None or p <= 0.0:
+            ledger.pair_analysis(stage.label, result.prob_filtered, result.prob_feedforward)
+            if result.merged is None or ledger.trace[-1] <= 0.0:
                 state = PhotonicState({})
                 break
             state = result.merged
@@ -493,14 +511,13 @@ def _run_elements(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
             steps = plan.stage_steps(stage)
             state, ps = elements.run_circuit(state, steps)
             for p in ps:
-                ledger.record(stage.label, p, p, p)
+                ledger.record(stage.label, p)
             if state.is_empty:
                 break
             if not all(isinstance(step, elements.NORM_PRESERVING) for step in steps):
                 state = states.normalize(state)
-        if keep_intermediates:
-            intermediates[stage.label] = (state, ledger.probs[0])
-    return _plan_report(plan, "element", state, ledger, intermediates)
+        ledger.keep_state(stage.label, state)
+    return _plan_report(plan, "element", state, ledger)
 
 
 def _materialize_paths(
@@ -548,16 +565,14 @@ def _run_rules(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
     amps: dict[tuple[int, ...], complex] = {(i, i): c + 0j for i, c in source}
     scale = 1.0  # amps times scale is the normalised chain state
 
-    ledger = _Ledger()
-    intermediates: dict[str, tuple[PhotonicState, float]] = {}
+    ledger = _Ledger(opts.feedforward, opts.resolved_odd_mode(), keep_intermediates)
 
-    def record(label: str, tagged: set[int], rule: Callable[[int], str]) -> None:
-        if keep_intermediates:
-            state = _materialize_paths(
+    def keep(label: str, tagged: set[int], rule: Callable[[int], str]) -> None:
+        if ledger.keep:
+            ledger.keep_state(label, _materialize_paths(
                 d, amps, scale, present,
                 lambda photon, path: rule(path) if photon in tagged else H,
-            )
-            intermediates[label] = (state, ledger.probs[0])
+            ))
 
     for k in range(plan.epr_pair_count - 1):
         scaled_source = [(i, c * scale) for i, c in source]
@@ -568,11 +583,11 @@ def _run_rules(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
         amps = {t: a for t, a in amps.items() if t[ia] % 2 == t[ib] % 2}
         nsq = sum(abs(a) ** 2 for a in amps.values())
         p1 = nsq / total if total else 0.0
-        ledger.record(f"j{k}.step_i", p1, p1, p1)
+        ledger.record(f"j{k}.step_i", p1)
         if not amps:
-            return _plan_report(plan, "rule", PhotonicState({}), ledger, intermediates)
+            return _plan_report(plan, "rule", PhotonicState({}), ledger)
         scale = 1.0 / math.sqrt(nsq)
-        record(f"j{k}.step_i", {ia, ib}, parity_rule)
+        keep(f"j{k}.step_i", {ia, ib}, parity_rule)
 
         crossing: dict[int, list[tuple[int, ...]]] = {}
         for t in amps:
@@ -588,29 +603,26 @@ def _run_rules(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
                     removed += abs(a) ** 2
             surv_nsq = nsq - removed if amps else 0.0
             p_coin = 0.5 * surv_nsq / nsq  # helper branch carries 1/sqrt(2) each way
-            ledger.record(f"j{k}.aux{q}.interfere", p_coin, p_coin, p_coin)
-            ledger.record(f"j{k}.aux{q}.pas", 1.0 if opts.feedforward else 0.5, 0.5, 1.0)
+            ledger.record(f"j{k}.aux{q}.interfere", p_coin)
+            ledger.pair_analysis(f"j{k}.aux{q}.pas", 0.5, 1.0)
             if not amps:
-                return _plan_report(plan, "rule", PhotonicState({}), ledger, intermediates)
+                return _plan_report(plan, "rule", PhotonicState({}), ledger)
             nsq = surv_nsq
             scale = 1.0 / math.sqrt(nsq)
-            record(
+            keep(
                 f"j{k}.aux{q}.pas", {ia, ib},
                 lambda path, _j=j: V if path == _j else H,
             )
 
     photons = plan.output_photons()
     if plan.n % 2 == 1:
-        mode = opts.resolved_odd_mode()
         # photon 0 always shares its source partner's path, so dropping it
         # never merges kets; outcome probabilities are uniform 1/d
-        p_single = 1.0 / d
-        ledger.record("reduce", p_single if mode == SINGLE_OUTCOME else 1.0, p_single, 1.0)
+        ledger.reduction("reduce", 1.0 / d, 1.0)
 
     state = _materialize_paths(d, amps, scale, photons, lambda photon, path: H)
-    if keep_intermediates:
-        intermediates["final"] = (state, ledger.probs[0])
-    return _plan_report(plan, "rule", state, ledger, intermediates)
+    ledger.keep_state("final", state)
+    return _plan_report(plan, "rule", state, ledger)
 
 
 def execute(
@@ -626,6 +638,7 @@ def execute(
             feedforward=plan.options.feedforward,
             odd_n_mode=plan.options.resolved_odd_mode(),
             input_coeffs=plan.options.input_coeffs,
+            aux_order=plan.junction_aux_pairs,
         )
     raise InvalidParameters(f"unknown backend {backend!r}")
 
@@ -666,12 +679,12 @@ def reduce_to_odd(
     groups = [list(g) for g in port_groups]
     if len(groups) < 2:
         raise InvalidParameters(f"need at least two photon port groups, got {len(groups)}")
-    post, p, p_single, p_full = _reduce_even_state(
-        state, d, mode, groups[0], groups[1]
-    )
+    if any(len(g) != d for g in groups):
+        raise InvalidParameters(f"every photon port group needs d = {d} ports")
+    post, p_single, p_full = _reduce_even_state(state, d, mode, groups[0], groups[1])
+    ledger = _Ledger(feedforward=mode == FULL_FOURIER, odd_mode=mode)
+    ledger.reduction("reduce", p_single, p_full)
     return RunReport.build(
-        "reduce", d, len(groups) - 1, mode == FULL_FOURIER, post, groups[1:],
-        (p, p_single, p_full), Fraction(1, d) if mode == SINGLE_OUTCOME else Fraction(1),
-        [p], ["reduce"],
+        "reduce", d, len(groups) - 1, post, groups[1:], ledger,
+        Fraction(1, d) if mode == SINGLE_OUTCOME else Fraction(1),
     )
-

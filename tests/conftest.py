@@ -12,9 +12,11 @@ settings.register_profile(
     max_examples=60,
     suppress_health_check=[HealthCheck.too_slow],
 )
-# CI runs the state, kernel, measurement, executor and CLI fuzz properties deeper:
+# CI runs the state, kernel, measurement, executor, oracle and CLI fuzz
+# properties deeper:
 #   pytest tests/test_states.py tests/test_elements.py tests/test_measurement.py \
-#       tests/test_protocol.py tests/test_fuzz.py --hypothesis-profile=ghzforge-ci
+#       tests/test_protocol.py tests/test_analysis.py tests/test_fuzz.py \
+#       --hypothesis-profile=ghzforge-ci
 settings.register_profile("ghzforge-ci", parent=settings.get_profile("ghzforge"), max_examples=400)
 settings.load_profile("ghzforge")
 

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import ghzforge as gf
 from ghzforge import analysis, cli, golden
@@ -255,6 +256,72 @@ class TestOracle:
         for p in rep.trace:
             product *= p
         assert product == pytest.approx(rep.prob, abs=1e-12)
+
+    def test_oracle_honours_the_plan_aux_order(self):
+        # reversed at (4, 4) with uneven coefficients, the two helper stages
+        # remove different weight, so a default-order oracle traces
+        # 0.6152, 0.495936, 0.5, 0.40413, 0.5 against the plan's order
+        opts = gf.ProtocolOptions(
+            d=4, n=4, input_coeffs=(0.1, 0.3, 0.5, math.sqrt(0.65))
+        )
+        plan = gf.compile_plan(opts, aux_order=[[(1, 3), (0, 2)]])
+        rule, oracle = gf.execute(plan, "rule"), gf.execute(plan, "oracle")
+        assert oracle.stage_labels == rule.stage_labels
+        assert oracle.trace[1] == pytest.approx(0.404909, abs=1e-6)
+        for p, q in zip(oracle.trace, rule.trace):
+            assert p == pytest.approx(q, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "aux_order",
+        [[[(0, 2)]], [[(0, 2), (0, 2)]], [[(0, 2), (1, 3)], [(0, 2)]]],
+        ids=["missing-pair", "repeated-pair", "short-junction"],
+    )
+    def test_aux_order_must_permute_the_pairs(self, aux_order):
+        with pytest.raises(InvalidParameters, match="aux_order must permute"):
+            gf.oracle_run(4, 6, aux_order=aux_order)
+
+
+_MODES = [None, gf.SINGLE_OUTCOME, gf.FULL_FOURIER]
+
+
+class TestOneLabelScheme:
+    """All three executors record their stages under the plan's labels."""
+
+    @pytest.mark.parametrize("mode", _MODES)
+    @pytest.mark.parametrize("ff", [False, True])
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("d", range(2, 5))
+    def test_stage_labels_agree(self, d, n, ff, mode):
+        plan = gf.compile_plan(gf.ProtocolOptions(d=d, n=n, feedforward=ff, odd_n_mode=mode))
+        rule = gf.execute(plan, "rule").stage_labels
+        assert gf.execute(plan, "element").stage_labels == rule
+        assert gf.execute(plan, "oracle").stage_labels == rule
+
+    @given(st.data())
+    def test_rule_and_oracle_agree_stage_by_stage(self, data):
+        d, n = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 6))
+        weights = data.draw(st.lists(st.integers(0, 10), min_size=d, max_size=d))
+        if not any(weights):
+            weights[data.draw(st.integers(0, d - 1))] = 1
+        norm = math.sqrt(sum(w * w for w in weights))
+        opts = gf.ProtocolOptions(
+            d=d, n=n, feedforward=data.draw(st.booleans()),
+            odd_n_mode=data.draw(st.sampled_from(_MODES)),
+            input_coeffs=tuple(w / norm for w in weights),
+        )
+        order = [
+            data.draw(st.permutations(analysis.aux_pairs(d))) for _ in range(-(n // -2) - 1)
+        ]
+        plan = gf.compile_plan(opts, aux_order=order)
+        rule, oracle = gf.execute(plan, "rule"), gf.execute(plan, "oracle")
+        assert oracle.stage_labels == rule.stage_labels
+        pairs = list(zip(oracle.trace, rule.trace)) + [
+            (oracle.prob, rule.prob),
+            (oracle.prob_filtered, rule.prob_filtered),
+            (oracle.prob_feedforward, rule.prob_feedforward),
+        ]
+        for p, q in pairs:
+            assert abs(p - q) <= 1e-12 * abs(q), (p, q)
 
 
 class TestResourceSummary:

@@ -225,6 +225,18 @@ class TestRun:
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: cannot read circuit file: ")
 
+    @pytest.mark.parametrize(
+        "command, name",
+        [("plan", "no/such/dir.txt"), ("run", ".")],
+        ids=["plan-missing-directory", "run-to-a-directory"],
+    )
+    def test_unwritable_out_path_exits_2(self, capsys, tmp_path, command, name):
+        code, out, err = run_cli(
+            capsys, command, "--d", "3", "--n", "4", "--out", str(tmp_path / name)
+        )
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: cannot write output file: ")
+
     def test_run_requires_parameters(self, capsys):
         code, _, err = run_cli(capsys, "run")
         assert code == 2
@@ -272,11 +284,13 @@ class TestRun:
         # absolute tolerance; the relative comparison still sees the halving
         report = gf.run(6, 8, backend="rule")
         assert report.prob_matches is True and cli._gate(report) == 0
+        ledger = protocol._Ledger(
+            False, protocol.SINGLE_OUTCOME, trace=report.trace, labels=report.stage_labels,
+            probs=(report.prob / 2, report.prob_filtered / 2, report.prob_feedforward),
+        )
         halved = protocol.RunReport.build(
-            "rule", 6, 8, False, report.final_state,
-            analysis.default_port_groups(6, 8),
-            (report.prob / 2, report.prob_filtered / 2, report.prob_feedforward),
-            report.predicted, report.trace, report.stage_labels,
+            "rule", 6, 8, report.final_state, analysis.default_port_groups(6, 8),
+            ledger, report.predicted,
         )
         assert halved.fidelity == pytest.approx(1.0, abs=1e-12)
         assert halved.prob_matches is False
@@ -289,10 +303,13 @@ class TestRun:
         report = gf.run(3, 4, backend="rule")
         stray = gf.ket((0, "H"), (3, "H"), (6, "H"), (10, "H"))
         perturbed = states.PhotonicState({**report.final_state.terms, stray: 1e-4 + 0j})
+        ledger = protocol._Ledger(
+            False, protocol.SINGLE_OUTCOME, trace=report.trace, labels=report.stage_labels,
+            probs=(report.prob, report.prob_filtered, report.prob_feedforward),
+        )
         near = protocol.RunReport.build(
-            "rule", 3, 4, False, perturbed, analysis.default_port_groups(3, 4),
-            (report.prob, report.prob_filtered, report.prob_feedforward),
-            report.predicted, report.trace, report.stage_labels,
+            "rule", 3, 4, perturbed, analysis.default_port_groups(3, 4),
+            ledger, report.predicted,
         )
         assert 1.0 - 2e-8 < near.fidelity < 1.0 - states.FIDELITY_TOL
         assert near.prob_matches is True

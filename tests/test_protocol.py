@@ -460,6 +460,20 @@ class TestReduceToOdd:
         with pytest.raises(InvalidParameters, match="two photon port groups"):
             gf.reduce_to_odd(state, 2, port_groups=port_groups)
 
+    @pytest.mark.parametrize(
+        "port_groups",
+        [
+            [[0], [2, 3], [4, 5], [6, 7]],
+            [[0, 1], [2], [4, 5], [6, 7]],
+            [[0, 1], [2, 3], [4, 5], [6]],
+        ],
+        ids=["measured-group", "anchor-group", "later-group"],
+    )
+    def test_every_port_group_needs_d_ports(self, port_groups):
+        even = gf.run(2, 4, backend="rule")
+        with pytest.raises(InvalidParameters, match="needs d = 2 ports"):
+            gf.reduce_to_odd(even.final_state, 2, port_groups=port_groups)
+
     def test_fourier_branches_that_differ_raise_naming_the_outcome(self):
         # (|0,2> + |0,3> + |1,2>)/sqrt(3): outcome 0 leaves (2|2> + |3>)/sqrt(5)
         # and outcome 1 leaves -|3> after its correction, so they cannot merge
@@ -484,8 +498,8 @@ def _reference_run_rules(plan, keep_intermediates):
         if c != 0.0
     ]
     amps = {(i, i): c + 0j for i, c in source}
-    ledger = protocol._Ledger()
-    intermediates = {}
+    ledger = protocol._Ledger(opts.feedforward, opts.resolved_odd_mode(), keep_intermediates)
+    intermediates = ledger.intermediates
 
     def record(label, tagged, rule):
         if keep_intermediates:
@@ -496,9 +510,7 @@ def _reference_run_rules(plan, keep_intermediates):
             intermediates[label] = (state, ledger.probs[0])
 
     def empty():
-        return protocol._plan_report(
-            plan, "rule", states.PhotonicState({}), ledger, intermediates
-        )
+        return protocol._plan_report(plan, "rule", states.PhotonicState({}), ledger)
 
     for k in range(plan.epr_pair_count - 1):
         amps = {t + (i, i): a * c for t, a in amps.items() for i, c in source}
@@ -539,7 +551,7 @@ def _reference_run_rules(plan, keep_intermediates):
     )
     if keep_intermediates:
         intermediates["final"] = (state, ledger.probs[0])
-    return protocol._plan_report(plan, "rule", state, ledger, intermediates)
+    return protocol._plan_report(plan, "rule", state, ledger)
 
 
 def _close(got, want, rel=1e-12):
