@@ -19,11 +19,14 @@ what makes two photons bunching on one port interfere correctly).  An element
 rebuilds only the kets it touches: a ket with no photon in the element's modes
 is copied through unchanged, and an HWP acting on a lone photon among singly
 occupied modes swaps that mode in place, where every bosonic factor is 1.
-The HWP and phase kernels find a port's entries by bisection, which relies on
-kets being canonical and port-major (see ``states``): a hand-built
-``PhotonicState`` must use keys made by ``ket``, ``fock_term`` or
-``make_state``.  PBS, HWP, phase and beam-displacer steps are unitary
-(``NORM_PRESERVING``); injections and post-selections change the norm.
+Kernels work on the flat kets of ``states``: a mode is the int
+``2 * port + (pol == "V")`` and a ket the sorted tuple of its photons' mode
+ints.  A mode map is a dict of mode ints; a ket it leaves alone shares no
+mode with the map's keys, and a ket collides where it comes out with fewer
+distinct modes than it went in.  The HWP and phase kernels find a port's
+photons by bisecting on ``2 * port``.  PBS, HWP, phase and beam-displacer
+steps are unitary (``NORM_PRESERVING``); injections and post-selections
+change the norm.
 
 Circuit steps form one table: every step class derives from ``Step``, carries
 its circuit-file tag (``{"elem": "pbs"}``, or an ``elem``/``kind`` pair for
@@ -59,7 +62,7 @@ from typing import ClassVar, Sequence
 
 from . import states
 from .errors import BDCollision, EmptyState, InvalidParameters, PortCollision
-from .states import FockTerm, Mode, PhotonicState, eps
+from .states import Ket, PhotonicState, _from_kets, eps
 
 _FIELD_PARSERS = {"int": states.port_from_json, "float": states.real_from_json}
 
@@ -171,120 +174,109 @@ class Inject(Step):
 
 def _relabel(
     state: PhotonicState,
-    mapping: dict[Mode, Mode],
+    mapping: dict[int, int],
     collision_error: type[Exception],
     what: str,
 ) -> PhotonicState:
-    """Apply a mode relabeling; error out if two occupied modes collide.
+    """Apply a relabeling of mode ints; error out if two occupied modes collide.
 
     A ket with no mode in ``mapping`` is already canonical and cannot collide,
     so it is copied through as is; only touched kets are rebuilt and sorted.
-    A rebuilt ket that lists one mode twice has collided, and only then does
-    a walk over the ket's modes find the first collision to report."""
-    out: dict[FockTerm, complex] = {}
+    A rebuilt ket with fewer distinct modes than its source has collided, and
+    only then does a walk over the ket's modes find the first collision to
+    report."""
+    out: dict[Ket, complex] = {}
     get = mapping.get
-    for term, amp in state.terms.items():
-        for m, _ in term:
-            if m in mapping:
-                break
-        else:
-            out[term] = out.get(term, 0j) + amp
+    untouched = mapping.keys().isdisjoint
+    for k, amp in state.kets.items():
+        if untouched(k):
+            out[k] = out.get(k, 0j) + amp
             continue
-        new = [(get(m, m), c) for m, c in term]
-        new.sort()
-        key = tuple(new)
-        if len(dict(key)) != len(key):
-            seen: set[Mode] = set()
-            for m, _ in term:
+        key = tuple(sorted(map(get, k, k)))
+        distinct = len(set(key))
+        if distinct < len(key) and distinct < len(set(k)):
+            seen: set[int] = set()
+            for m in dict.fromkeys(k):
                 target = get(m, m)
                 if target in seen:
                     raise collision_error(
-                        f"{what}: modes collide on {target} in term {term}"
+                        f"{what}: modes collide on {states.mode_of(target)} "
+                        f"in term {states.decode(k)}"
                     )
                 seen.add(target)
         out[key] = out.get(key, 0j) + amp
-    return PhotonicState(out)
+    return _from_kets(out)
 
 
 def _apply_mode_linear_map(
-    state: PhotonicState, port: int, images: dict[Mode, tuple[tuple[Mode, complex], ...]]
+    state: PhotonicState, port: int, images: dict[int, tuple[tuple[int, complex], ...]]
 ) -> PhotonicState:
     """Substitute the creation operators of ``port``'s modes by linear images
     on the same port, with exact bosonic factors.
 
-    Each ket's entries on the port are found by bisection (see ``states``
-    for why that works); a ket with none is copied.  A ket whose
-    occupations are all 1 and which has a single photon on the port has every
-    bosonic factor equal to 1.0, so that photon's mode is replaced in place
-    (same sort position) with the same amplitudes the full expansion gives.
-    Amplitudes below tolerance are then dropped in place, keeping ket order."""
-    out: dict[FockTerm, complex] = {}
-    lo = ((port,),)
-    for term, amp in state.terms.items():
-        at = bisect_left(term, lo)
-        if at == len(term) or term[at][0][0] != port:
-            out[term] = amp
+    Each ket's photons on the port are found by bisecting on ``2 * port``;
+    a ket with none is copied.  A ket without a repeated mode and with a
+    single photon on the port has every bosonic factor equal to 1.0, so that
+    photon's mode is replaced in place (same sort position) with the same
+    amplitudes the full expansion gives.  Amplitudes below tolerance are then
+    dropped in place, keeping ket order."""
+    out: dict[Ket, complex] = {}
+    lo = 2 * port
+    hi = lo + 2
+    for k, amp in state.kets.items():
+        at = bisect_left(k, lo)
+        if at == len(k) or k[at] >= hi:
+            out[k] = amp
             continue
-        end = at + 1
-        if end < len(term) and term[end][0][0] == port:
-            end += 1
-        if end == at + 1:
-            for _, c in term:
-                if c != 1:
-                    break
-            else:  # a lone photon among singly occupied modes: swap in place
-                head, tail = term[:at], term[end:]
-                for m2, u in images[term[at][0]]:
-                    if u != 0:
-                        k2 = head + ((m2, 1),) + tail
-                        out[k2] = out.get(k2, 0j) + amp * u
-                continue
-        touched, rest = term[at:end], term[:at] + term[end:]
+        end = bisect_left(k, hi, at + 1)
+        if end == at + 1 and len(set(k)) == len(k):
+            # a lone photon among singly occupied modes: swap in place
+            head, tail = k[:at], k[end:]
+            for m2, u in images[k[at]]:
+                if u != 0:
+                    k2 = head + (m2,) + tail
+                    out[k2] = out.get(k2, 0j) + amp * u
+            continue
+        rest = k[:at] + k[end:]
         coeff0 = amp
-        for _, c in term:
+        for c in states.mode_counts(k):
             coeff0 /= math.sqrt(math.factorial(c))
         # expand the product of touched creation operators photon by photon
-        monomials: dict[tuple[Mode, ...], complex] = {(): coeff0}
-        for m, c in touched:
-            for _ in range(c):
-                nxt: dict[tuple[Mode, ...], complex] = {}
-                for key, co in monomials.items():
-                    for m2, u in images[m]:
-                        if u == 0:
-                            continue
-                        k2 = tuple(sorted(key + (m2,)))
-                        nxt[k2] = nxt.get(k2, 0j) + co * u
-                monomials = nxt
+        monomials: dict[Ket, complex] = {(): coeff0}
+        for m in k[at:end]:
+            nxt: dict[Ket, complex] = {}
+            for key, co in monomials.items():
+                for m2, u in images[m]:
+                    if u == 0:
+                        continue
+                    k2 = tuple(sorted(key + (m2,)))
+                    nxt[k2] = nxt.get(k2, 0j) + co * u
+            monomials = nxt
         for key, co in monomials.items():
-            occ: dict[Mode, int] = dict(rest)
-            for m2 in key:
-                occ[m2] = occ.get(m2, 0) + 1
+            k2 = tuple(sorted(rest + key))
             factor = 1.0
-            for c2 in occ.values():
+            for c2 in states.mode_counts(k2):
                 factor *= math.factorial(c2)
-            k2 = tuple(sorted(occ.items()))
             out[k2] = out.get(k2, 0j) + co * math.sqrt(factor)
     tol = eps()
-    for t in [t for t, a in out.items() if not abs(a) >= tol]:  # NaN goes too
-        del out[t]
-    return PhotonicState(out)
+    for k in [k for k, a in out.items() if not abs(a) >= tol]:  # NaN goes too
+        del out[k]
+    return _from_kets(out)
 
 
 def apply_pbs(state: PhotonicState, port_a: int, port_b: int) -> PhotonicState:
     """H transmits, V swaps arms; a pure mode permutation, so norm-preserving."""
     if port_a == port_b:
         raise PortCollision("PBS needs two distinct ports")
-    mapping = {
-        (port_a, states.V): (port_b, states.V),
-        (port_b, states.V): (port_a, states.V),
-    }
-    return _relabel(state, mapping, PortCollision, "pbs")
+    va, vb = 2 * port_a + 1, 2 * port_b + 1
+    return _relabel(state, {va: vb, vb: va}, PortCollision, "pbs")
 
 
 def apply_hwp(state: PhotonicState, port: int, theta: float) -> PhotonicState:
     c = math.cos(2.0 * theta)
     s = math.sin(2.0 * theta)
-    h, v = (port, states.H), (port, states.V)
+    h = 2 * port
+    v = h + 1
     images = {
         h: ((h, complex(c)), (v, complex(s))),
         v: ((h, complex(s)), (v, complex(-c))),
@@ -294,14 +286,17 @@ def apply_hwp(state: PhotonicState, port: int, theta: float) -> PhotonicState:
 
 def apply_phase(state: PhotonicState, port: int, phi: float) -> PhotonicState:
     """Every photon in the port (either polarization) acquires exp(i*phi)."""
-    out: dict[FockTerm, complex] = {}
+    out: dict[Ket, complex] = {}
     factors: dict[int, complex] = {}  # exp(i*phi*k), once per photon count k
-    for term, amp in state.terms.items():
-        k = states.photons_in_port(term, port)
+    lo = 2 * port
+    hi = lo + 2
+    for key, amp in state.kets.items():
+        at = bisect_left(key, lo)
+        k = bisect_left(key, hi, at) - at
         if k and k not in factors:
             factors[k] = cmath.exp(1j * phi * k)
-        out[term] = amp * factors[k] if k else amp
-    return PhotonicState(out)
+        out[key] = amp * factors[k] if k else amp
+    return _from_kets(out)
 
 
 def apply_bd_merge(
@@ -309,12 +304,7 @@ def apply_bd_merge(
 ) -> PhotonicState:
     if len({port_even, port_odd, port_out}) != 3:
         raise PortCollision("BD merge needs three distinct ports")
-    mapping = {
-        (port_even, states.H): (port_out, states.H),
-        (port_even, states.V): (port_out, states.V),
-        (port_odd, states.H): (port_out, states.H),
-        (port_odd, states.V): (port_out, states.V),
-    }
+    mapping = {2 * p + b: 2 * port_out + b for p in (port_even, port_odd) for b in (0, 1)}
     return _relabel(state, mapping, BDCollision, "bd_merge")
 
 
@@ -324,16 +314,13 @@ def apply_bd_split(
     """Inverse of the merge: H goes to the even port, V to the odd port."""
     if len({port_in, port_even, port_odd}) != 3:
         raise PortCollision("BD split needs three distinct ports")
-    destinations = {port_even, port_odd}
-    for term in state.terms:
-        for (p, _), _ in term:
-            if p in destinations:
-                p = port_even if states.photons_in_port(term, port_even) else port_odd
-                raise PortCollision(f"BD split destination port {p} is occupied")
-    mapping = {
-        (port_in, states.H): (port_even, states.H),
-        (port_in, states.V): (port_odd, states.V),
-    }
+    even = {2 * port_even, 2 * port_even + 1}
+    vacant = (even | {2 * port_odd, 2 * port_odd + 1}).isdisjoint
+    for k in state.kets:
+        if not vacant(k):
+            p = port_odd if even.isdisjoint(k) else port_even
+            raise PortCollision(f"BD split destination port {p} is occupied")
+    mapping = {2 * port_in: 2 * port_even, 2 * port_in + 1: 2 * port_odd + 1}
     return _relabel(state, mapping, PortCollision, "bd_split")
 
 
@@ -364,8 +351,8 @@ def _replay(state: PhotonicState, run: list) -> PhotonicState:
     return state
 
 
-def _probe_map(state: PhotonicState, run: list) -> dict[Mode, Mode] | None:
-    """The run's composed mode map, or None where no clean one is seen.
+def _probe_map(state: PhotonicState, run: list) -> dict[int, int] | None:
+    """The run's composed map of mode ints, or None where no clean one is seen.
 
     The map is read off a probe state with one ket per mode that the state
     occupies on the run's ports; each such photon shares its ket with a tag
@@ -375,19 +362,20 @@ def _probe_map(state: PhotonicState, run: list) -> dict[Mode, Mode] | None:
     that is not a clean relabel (a tag with other than one image, an amplitude
     other than exactly 1), gives None."""
     ports = {p for step in run for p in vars(step).values()}  # every field is a port
-    modes = sorted({m for term in state.terms for m, _ in term if m[0] in ports})
-    tag0 = max(ports) + 1
-    tags = {((tag0 + r, states.H), 1): m for r, m in enumerate(modes)}
+    run_modes = {2 * p + b for p in ports for b in (0, 1)}
+    modes = sorted(run_modes & set().union(*state.kets))
+    tag0 = 2 * (max(ports) + 1)
+    tags = {tag0 + 2 * r: m for r, m in enumerate(modes)}
     try:
-        probe = _replay(PhotonicState({((m, 1), t): 1 + 0j for t, m in tags.items()}), run)
+        probe = _replay(_from_kets({(m, t): 1 + 0j for t, m in tags.items()}), run)
     except Exception:  # whatever a step raised, the replay raises the state's own
         return None
-    mapping: dict[Mode, Mode] = {}
-    for term, amp in probe.terms.items():
-        if amp != 1 or len(term) != 2 or term[1] not in tags:
+    mapping: dict[int, int] = {}
+    for k, amp in probe.kets.items():
+        if amp != 1 or len(k) != 2 or k[1] not in tags:
             return None
-        (image, count), tag = term
-        if count != 1 or image[0] >= tag0:
+        image, tag = k
+        if image >= tag0:
             return None
         m = tags.pop(tag)
         if image != m:

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from . import elements, states
 from .errors import BranchMismatch, MissingCorrection, NotSingleOccupancy
-from .states import FockTerm, PhotonicState, eps
+from .states import Ket, PhotonicState, _from_kets, eps
 
 
 @dataclass(frozen=True)
@@ -48,20 +49,22 @@ def postselect_coincidence(
     total = state.norm_sq()
     if total <= 0.0:
         return PhotonicState({}), 0.0
-    group_of = {port: g for g, group in enumerate(pattern.groups) for port in group}
+    group_of = {
+        2 * port + b: g for g, group in enumerate(pattern.groups) for port in group for b in (0, 1)
+    }
     n_groups = len(pattern.groups)
     kept = {}
-    for term, amp in state.terms.items():
+    for k, amp in state.kets.items():
         counts = [0] * n_groups
-        for (port, _), count in term:
-            g = group_of.get(port)
+        for m in k:
+            g = group_of.get(m)
             if g is not None:
-                counts[g] += count
+                counts[g] += 1
         if counts.count(1) == n_groups:
-            kept[term] = amp
+            kept[k] = amp
     kept_nsq = sum(abs(a) ** 2 for a in kept.values())
     prob = kept_nsq / total
-    return PhotonicState(kept), prob
+    return _from_kets(kept), prob
 
 
 @dataclass(frozen=True)
@@ -102,9 +105,8 @@ def distribution_to_jsonable(dist: OutcomeDistribution) -> list[dict]:
     ]
 
 
-def _outcome(label: str, terms: dict[FockTerm, complex], total: float) -> Outcome:
+def _outcome(label: str, sub: PhotonicState, total: float) -> Outcome:
     """Probability and normalized post-state of one projective outcome."""
-    sub = PhotonicState(terms)
     nsq = sub.norm_sq()
     prob = nsq / total if total > 0 else 0.0
     if nsq <= eps() ** 2:
@@ -117,32 +119,22 @@ def project_polarization_pair(
 ) -> OutcomeDistribution:
     """Joint H/V projection of the two single photons at port_x and port_y."""
     total = state.norm_sq()
-    buckets: dict[str, dict[FockTerm, complex]] = {
-        "HH": {}, "HV": {}, "VH": {}, "VV": {}
-    }
-    for term, amp in state.terms.items():
-        # one walk finds both photons (a second photon or a count above 1
-        # pushes a port's tally past 1) and keeps every other entry
-        reduced = []
-        hits_x = hits_y = 0
-        for entry in term:
-            (port, pol), count = entry
-            if port == port_x:
-                hits_x += 1 if count == 1 else 2
-                px = pol
-            if port == port_y:
-                hits_y += 1 if count == 1 else 2
-                py = pol
-            if port != port_x and port != port_y:
-                reduced.append(entry)
-        if hits_x != 1 or hits_y != 1:
-            bad = port_x if hits_x != 1 else port_y
+    buckets: list[dict[Ket, complex]] = [{}, {}, {}, {}]  # HH, HV, VH, VV
+    lx, ly = 2 * port_x, 2 * port_y
+    for k, amp in state.kets.items():
+        ix = bisect_left(k, lx)
+        iy = bisect_left(k, ly)
+        if bisect_left(k, lx + 2, ix) != ix + 1 or bisect_left(k, ly + 2, iy) != iy + 1:
+            bad = port_x if bisect_left(k, lx + 2, ix) != ix + 1 else port_y
             raise NotSingleOccupancy(f"port {bad} does not hold exactly one photon")
-        key = tuple(reduced)
-        rest = buckets[px + py]
+        rest = buckets[2 * (k[ix] & 1) + (k[iy] & 1)]
+        if ix > iy:
+            ix, iy = iy, ix
+        key = k[:ix] + k[ix + 1:iy] + k[iy + 1:] if ix < iy else k[:ix] + k[ix + 1:]
         rest[key] = rest.get(key, 0j) + amp
     return OutcomeDistribution(tuple(
-        _outcome(label, terms, total) for label, terms in buckets.items()
+        _outcome(label, _from_kets(kets), total)
+        for label, kets in zip(("HH", "HV", "VH", "VV"), buckets)
     ))
 
 
@@ -164,28 +156,27 @@ def fourier_measure_path(
     # a port listed twice keeps its first path
     path_of = {port: j for j, port in reversed(list(enumerate(ports)))}
     total = state.norm_sq()
-    pol_seen: set[str] = set()
-    located: list[tuple[FockTerm, complex, int]] = []
-    for term, amp in state.terms.items():
-        inside = [(m, c) for m, c in term if m[0] in path_of]
-        if len(inside) != 1 or inside[0][1] != 1:
+    pol_seen: set[int] = set()
+    located: list[tuple[Ket, complex, int]] = []
+    for k, amp in state.kets.items():
+        inside = [i for i, m in enumerate(k) if m >> 1 in path_of]
+        if len(inside) != 1:
             raise NotSingleOccupancy(
                 "measured port group must hold exactly one photon per ket"
             )
-        (port, pol), _ = inside[0]
-        pol_seen.add(pol)
-        reduced = tuple(m for m in term if m[0][0] != port)
-        located.append((reduced, amp, path_of[port]))
+        (i,) = inside
+        pol_seen.add(k[i] & 1)
+        located.append((k[:i] + k[i + 1:], amp, path_of[k[i] >> 1]))
     if len(pol_seen) > 1:
         raise NotSingleOccupancy("measured photon polarization is not uniform")
     outcomes = []
     root = 1.0 / math.sqrt(d)
     for k in range(d):
-        acc: dict[FockTerm, complex] = {}
+        acc: dict[Ket, complex] = {}
         for reduced, amp, j in located:
             phase = cmath.exp(2j * math.pi * j * k / d)
             acc[reduced] = acc.get(reduced, 0j) + amp * phase * root
-        outcomes.append(_outcome(str(k), acc, total))
+        outcomes.append(_outcome(str(k), _from_kets(acc), total))
     return OutcomeDistribution(tuple(outcomes))
 
 

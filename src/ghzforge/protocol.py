@@ -52,7 +52,7 @@ from .analysis import FULL_FOURIER, SINGLE_OUTCOME  # re-exported as gf.*
 from .elements import BDMerge, BDSplit, HWP, Inject, PBS
 from .errors import InvalidAuxPair, InvalidParameters, PortCollision
 from .measurement import CoincidencePattern, CoincidenceSelect, PasPairSelect
-from .states import H, V, PhotonicState, eps, ket
+from .states import H, V, PhotonicState, eps
 
 _TAG = math.pi / 4.0      # HWP angle swapping H and V
 _DIAGONAL = math.pi / 8.0  # HWP angle rotating into the +/- basis
@@ -209,9 +209,11 @@ def build_epr_source(
     both horizontal; path-to-polarization tagging happens later per stage."""
     if len(ports_a) != d or len(ports_b) != d or len({*ports_a, *ports_b}) != 2 * d:
         raise PortCollision("sources need d disjoint ports per photon")
+    for port in (*ports_a, *ports_b):
+        states.mode(port, H)
     tol = eps()
-    return PhotonicState({
-        ket((a, H), (b, H)): complex(c)
+    return states._from_kets({
+        tuple(sorted((2 * a, 2 * b))): complex(c)
         for a, b, c in zip(ports_a, ports_b, states.validated_coeffs(d, coeffs))
         if abs(c) >= tol
     })
@@ -223,10 +225,13 @@ def build_aux_source(
     """Helper pair (|i_H i_H> + |j_V j_V>)/sqrt(2) on the given path ports."""
     if not (0 <= i < j) or i % 2 != j % 2:
         raise InvalidAuxPair(f"need i < j with equal parity, got ({i}, {j})")
+    xi, yi, xj, yj = ports_x[i], ports_y[i], ports_x[j], ports_y[j]
+    for port in (xi, yi, xj, yj):
+        states.mode(port, H)
     amp = complex(1.0 / math.sqrt(2.0))
-    return PhotonicState({
-        ket((ports_x[i], H), (ports_y[i], H)): amp,
-        ket((ports_x[j], V), (ports_y[j], V)): amp,
+    return states._from_kets({
+        tuple(sorted((2 * xi, 2 * yi))): amp,
+        tuple(sorted((2 * xj + 1, 2 * yj + 1))): amp,
     })
 
 
@@ -234,18 +239,24 @@ def polarization_tag(
     state: PhotonicState, port_group: Sequence[int], rule: Callable[[int], str]
 ) -> PhotonicState:
     """Set the polarization of every photon in path p of the group to rule(p)."""
-    port_to_path = {port: path for path, port in enumerate(port_group)}
+    mapping: dict[int, int] = {}
+    for path, port in enumerate(port_group):
+        _, pol = states.mode(port, rule(path))
+        mapping[2 * port] = mapping[2 * port + 1] = 2 * port + (pol == V)
+    get = mapping.get
     out: dict = {}
-    for term, amp in state.terms.items():
-        occ: dict = {}
-        for (port, pol), count in term:
-            target = (port, rule(port_to_path[port])) if port in port_to_path else (port, pol)
-            if target in occ:
-                raise PortCollision(f"tagging merges occupied modes on port {port}")
-            occ[target] = count
-        new_term = tuple(sorted(occ.items()))
-        out[new_term] = out.get(new_term, 0j) + amp
-    return PhotonicState(out)
+    for k, amp in state.kets.items():
+        # a port's photons sit together and all take one mode, so the ket
+        # stays sorted; it merges modes where a port held both H and V
+        new = tuple(map(get, k, k))
+        distinct = len(set(new))
+        if distinct < len(new) and distinct < len(set(k)):
+            port = next(
+                k[i] >> 1 for i in range(1, len(k)) if new[i] == new[i - 1] and k[i] != k[i - 1]
+            )
+            raise PortCollision(f"tagging merges occupied modes on port {port}")
+        out[new] = out.get(new, 0j) + amp
+    return states._from_kets(out)
 
 
 def parity_rule(path: int) -> str:
@@ -527,13 +538,14 @@ def _materialize_paths(
     photons: Sequence[int],
     pol_of: Callable[[int, int], str],
 ) -> PhotonicState:
-    terms = {}
-    for t, a in amps.items():
-        modes = [
-            (photon * d + t[photon], pol_of(photon, t[photon])) for photon in photons
-        ]
-        terms[ket(*modes)] = a * scale
-    return PhotonicState(terms)
+    # photon p's ports lie below photon p + 1's, so each ket comes out sorted
+    return states._from_kets({
+        tuple(
+            2 * (photon * d + t[photon]) + (pol_of(photon, t[photon]) == V)
+            for photon in photons
+        ): a * scale
+        for t, a in amps.items()
+    })
 
 
 def _run_rules(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:

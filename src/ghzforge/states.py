@@ -1,12 +1,24 @@
 """Sparse multi-photon Fock states over (path, polarization) modes.
 
 A mode is a spatial port paired with a polarization label.  A basis ket is
-a bosonic occupation multiset over modes, kept in a canonical sorted form
-so it can serve as a dictionary key.  The sort is port-major, so a port's
-entries (at most its H and its V mode) sit next to each other, and
-``photons_in_port`` and the HWP kernel in ``elements`` find them by bisection
-instead of a walk over the ket.  A ``PhotonicState`` built by hand must
-therefore use keys made by ``ket``, ``fock_term`` or ``make_state``.
+a bosonic occupation multiset over modes.  The public form of a ket, the
+``FockTerm``, is the canonical nested tuple ``(((port, pol), count), ...)``,
+sorted port-major then polarization; ``ket``, ``fock_term`` and
+``make_state`` build it, and the state JSON writes it.
+
+Internally a mode is the int ``2 * port + (pol == "V")`` and a ket is the
+sorted tuple of its photons' mode ints, a bunched mode repeated once per
+photon (``Ket``).  The int order is the port-major mode order, so a port's
+photons sit next to each other and a kernel finds them by bisecting on
+``2 * port``.  ``PhotonicState`` stores these flat kets; its ``terms`` is a
+read-only nested view of them (``TermsView``): its length is the number of
+kets, a lookup encodes only the asked key, and iteration decodes in storage
+order.  ``PhotonicState(terms)`` takes nested keys and canonicalises them,
+summing the amplitudes of keys that name one ket, so a hand-built state is
+as canonical as a computed one; kernels build states from flat kets through
+``_from_kets``.  Sorted output (``sorted_items``, ``pretty``, the JSON) keeps
+the nested order, which differs from the flat order once a mode holds two
+photons: ``|0H,3H>`` sorts before ``|0H,0H>``.
 
 A state is a sparse map from kets to complex amplitudes and nothing else.
 Probabilities travel beside states, not on them: a post-selection returns
@@ -32,8 +44,10 @@ import math
 import os
 import sys
 from bisect import bisect_left
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyState, InvalidCoefficients, InvalidParameters, PortCollision
@@ -44,6 +58,7 @@ POLARIZATIONS = (H, V)
 
 Mode = tuple[int, str]
 FockTerm = tuple[tuple[Mode, int], ...]
+Ket = tuple[int, ...]  # sorted mode ints 2 * port + (pol == V), one per photon
 
 _DEFAULT_EPS = 1e-9
 _eps: float | None = None  # the GHZFORGE_EPS value kept by the first eps() call
@@ -94,7 +109,7 @@ def validated_coeffs(d: int, coeffs: Sequence[float] | None) -> list[float]:
 
 
 def mode(port: int, pol: str) -> Mode:
-    if not isinstance(port, int) or port < 0:
+    if not _is_int(port) or port < 0:
         raise ValueError(f"port must be a non-negative integer, got {port!r}")
     if pol not in POLARIZATIONS:
         raise ValueError(f"polarization must be 'H' or 'V', got {pol!r}")
@@ -174,35 +189,140 @@ def photons_in_port(term: FockTerm, port: int) -> int:
     return k
 
 
-@dataclass
-class PhotonicState:
-    """Sparse map FockTerm -> amplitude."""
+# --- the flat encoding --------------------------------------------------------
 
-    terms: dict[FockTerm, complex]
+
+def mode_of(m: int) -> Mode:
+    """The (port, pol) mode of a mode int."""
+    return (m >> 1, POLARIZATIONS[m & 1])
+
+
+_POL_BIT = {H: 0, V: 1}
+
+
+def encode(term: FockTerm) -> Ket | None:
+    """The flat ket of a canonical nested term; None for anything else (a
+    mode out of order or repeated, an unknown polarization, a count < 1)."""
+    k: list[int] = []
+    try:
+        for (port, pol), count in term:
+            m = 2 * port + _POL_BIT[pol]
+            if k and m <= k[-1] or count < 1:
+                return None
+            k += (m,) * count
+    except (TypeError, ValueError, KeyError):
+        return None
+    return tuple(k)
+
+
+def mode_counts(k: Ket) -> list[int]:
+    """The occupation of each mode of ``k``, in mode order."""
+    return [len(list(run)) for _, run in groupby(k)]
+
+
+def decode(k: Ket) -> FockTerm:
+    """The canonical nested term of a flat ket."""
+    out: list[tuple[Mode, int]] = []
+    prev = None
+    for m in k:
+        if m == prev:
+            out[-1] = (out[-1][0], out[-1][1] + 1)
+        else:
+            out.append((mode_of(m), 1))
+            prev = m
+    return tuple(out)
+
+
+class _Items(ItemsView):
+    def __iter__(self) -> Iterator[tuple[FockTerm, complex]]:
+        for k, amp in self._mapping.kets.items():
+            yield decode(k), amp
+
+
+class _Values(ValuesView):
+    def __iter__(self) -> Iterator[complex]:
+        return iter(self._mapping.kets.values())
+
+
+class TermsView(Mapping):
+    """Read-only nested view ``FockTerm -> amplitude`` of a state's flat kets.
+
+    ``len`` is O(1), a lookup encodes only the asked key and iteration
+    decodes the kets in storage order."""
+
+    __slots__ = ("kets",)
+
+    def __init__(self, kets: dict[Ket, complex]) -> None:
+        self.kets = kets
+
+    def __len__(self) -> int:
+        return len(self.kets)
+
+    def __iter__(self) -> Iterator[FockTerm]:
+        return map(decode, self.kets)
+
+    def __getitem__(self, term: FockTerm) -> complex:
+        try:
+            return self.kets[encode(term)]
+        except KeyError:
+            raise KeyError(term) from None
+
+    def items(self) -> _Items:
+        return _Items(self)
+
+    def values(self) -> _Values:
+        return _Values(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+def _canonical(terms: Mapping[FockTerm, complex]) -> dict[Ket, complex]:
+    """Flat kets of nested keys in any order; keys naming one ket are summed."""
+    out: dict[Ket, complex] = {}
+    for term, amp in terms.items():
+        k = encode(fock_term(term))
+        out[k] = out[k] + amp if k in out else amp
+    return out
+
+
+@dataclass(slots=True)
+class PhotonicState:
+    """Sparse map ket -> amplitude, stored as flat kets; ``terms`` is their
+    nested view, and ``PhotonicState(terms)`` takes nested keys."""
+
+    terms: Mapping[FockTerm, complex]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.terms, TermsView):
+            self.terms = TermsView(_canonical(self.terms))
+
+    @property
+    def kets(self) -> dict[Ket, complex]:
+        """The flat kets in storage order; read only."""
+        return self.terms.kets
 
     @property
     def is_empty(self) -> bool:
-        return not self.terms
+        return not self.terms.kets
 
     def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for a in self.terms.values())
+        return sum(abs(a) ** 2 for a in self.terms.kets.values())
 
     def photon_number(self) -> int:
         """Total photon number of the (uniform) sector; 0 for the vacuum."""
-        if not self.terms:
+        if not self.terms.kets:
             return 0
-        return term_photon_count(next(iter(self.terms)))
+        return len(next(iter(self.terms.kets)))
 
     def ports(self) -> set[int]:
-        out: set[int] = set()
-        for term in self.terms:
-            out |= term_ports(term)
-        return out
+        return {m >> 1 for m in set().union(*self.terms.kets)}
 
     def amplitude(self, term: FockTerm) -> complex:
-        return self.terms.get(fock_term(term), 0j)
+        return self.terms.kets.get(encode(fock_term(term)), 0j)
 
     def sorted_items(self) -> list[tuple[FockTerm, complex]]:
+        """Items in nested order (see the module docstring)."""
         return sorted(self.terms.items())
 
     def pretty(self) -> str:
@@ -217,18 +337,28 @@ class PhotonicState:
         return iter(self.sorted_items())
 
 
+def _from_kets(kets: dict[Ket, complex], _new=object.__new__) -> PhotonicState:
+    """The state of canonical flat kets, taken as they are: the one way
+    kernels build a state (without running ``__init__``, which is slower)."""
+    view = _new(TermsView)
+    view.kets = kets
+    state = _new(PhotonicState)
+    state.terms = view
+    return state
+
+
 def vacuum() -> PhotonicState:
     """Zero-photon state; tensoring with it is the identity."""
-    return PhotonicState({(): 1.0 + 0j})
+    return _from_kets({(): 1.0 + 0j})
 
 
-def _pruned(terms: dict[FockTerm, complex]) -> dict[FockTerm, complex]:
+def _pruned(kets: dict[Ket, complex]) -> dict[Ket, complex]:
     tol = eps()
-    return {t: a for t, a in terms.items() if abs(a) >= tol}
+    return {k: a for k, a in kets.items() if abs(a) >= tol}
 
 
-def _check_uniform_sector(terms: dict[FockTerm, complex]) -> None:
-    counts = {term_photon_count(t) for t in terms}
+def _check_uniform_sector(kets: dict[Ket, complex]) -> None:
+    counts = {len(k) for k in kets}
     if len(counts) > 1:
         raise ValueError(f"mixed photon-number sectors: {sorted(counts)}")
 
@@ -238,26 +368,26 @@ def make_state(kets: Iterable[tuple[FockTerm, complex]]) -> PhotonicState:
 
     Raises EmptyState when every amplitude cancels or falls below tolerance.
     """
-    acc: dict[FockTerm, complex] = {}
+    acc: dict[Ket, complex] = {}
     for raw_term, amp in kets:
         amp = complex(amp)
         if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
             raise ValueError(f"non-finite amplitude {amp!r}")
-        term = fock_term(raw_term)
-        acc[term] = acc.get(term, 0j) + amp
+        k = encode(fock_term(raw_term))
+        acc[k] = acc.get(k, 0j) + amp
     terms = _pruned(acc)
     if not terms:
         raise EmptyState("all amplitudes cancel or vanish")
     _check_uniform_sector(terms)
     if sum(abs(a) ** 2 for a in terms.values()) > 1.0 + eps():
         raise ValueError("squared norm exceeds 1; amplitudes are not a sub-state")
-    return PhotonicState(terms)
+    return _from_kets(terms)
 
 
 def scaled(state: PhotonicState, factor: complex) -> PhotonicState:
     tol = eps()
-    return PhotonicState(
-        {t: b for t, a in state.terms.items() if abs(b := a * factor) >= tol}
+    return _from_kets(
+        {k: b for k, a in state.kets.items() if abs(b := a * factor) >= tol}
     )
 
 
@@ -278,35 +408,33 @@ def tensor(a: PhotonicState, b: PhotonicState) -> PhotonicState:
     shared = a.ports() & b.ports()
     if shared:
         raise PortCollision(f"operands share spatial ports {sorted(shared)}")
-    terms: dict[FockTerm, complex] = {}
-    for ta, aa in a.terms.items():
-        for tb, ab in b.terms.items():
-            terms[tuple(sorted(ta + tb))] = aa * ab
-    return PhotonicState(_pruned(terms))
+    kets: dict[Ket, complex] = {}
+    for ka, aa in a.kets.items():
+        for kb, ab in b.kets.items():
+            kets[tuple(sorted(ka + kb))] = aa * ab
+    return _from_kets(_pruned(kets))
 
 
 def inner_product(a: PhotonicState, b: PhotonicState) -> complex:
     """<a|b> over matching kets (amplitudes of ``a`` conjugated)."""
-    if len(a.terms) > len(b.terms):
-        return complex(
-            sum(a.terms[t].conjugate() * ab for t, ab in b.terms.items() if t in a.terms)
-        )
-    return complex(
-        sum(aa.conjugate() * b.terms[t] for t, aa in a.terms.items() if t in b.terms)
-    )
+    ka, kb = a.kets, b.kets
+    if len(ka) > len(kb):
+        return complex(sum(ka[k].conjugate() * ab for k, ab in kb.items() if k in ka))
+    return complex(sum(aa.conjugate() * kb[k] for k, aa in ka.items() if k in kb))
 
 
 def states_close(a: PhotonicState, b: PhotonicState, tol: float | None = None) -> bool:
     """Term-by-term amplitude agreement within tolerance."""
     tol = eps() if tol is None else tol
-    for term in set(a.terms) | set(b.terms):
-        if abs(a.terms.get(term, 0j) - b.terms.get(term, 0j)) > tol:
+    ka, kb = a.kets, b.kets
+    for k in ka.keys() | kb.keys():
+        if abs(ka.get(k, 0j) - kb.get(k, 0j)) > tol:
             return False
     return True
 
 
 def state_to_jsonable(state: PhotonicState) -> list[dict]:
-    """Canonical JSON form: terms sorted, one object per ket."""
+    """Canonical JSON form: terms in nested order, one object per ket."""
     out = []
     for term, amp in state.sorted_items():
         out.append(

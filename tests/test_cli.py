@@ -16,10 +16,30 @@ from ghzforge.cli import main
 _ONE_PHOTON = '[{"elem": "inject", "state": [{"modes": [[0, "H", 1]], "re": 1, "im": 0}]}'
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_json_close(got, want, rel=1e-12, where="$"):
+    """Equal structure and equal non-float values; floats within ``rel``
+    relative (a stored 0.0 must come back as 0.0)."""
+    if isinstance(want, float):
+        assert isinstance(got, float) and abs(got - want) <= rel * abs(want), (where, got, want)
+    elif isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            assert_json_close(got[key], want[key], rel, f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_json_close(g, w, rel, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, (where, got, want)
 
 
 class TestPlan:
@@ -128,6 +148,22 @@ class TestRun:
         data = json.loads(out)
         assert data["prob"] == pytest.approx(1 / 12)
         assert data["fidelity"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "stored, argv",
+        [
+            ("element_run_5_8_ff.json", ["--d", "5", "--n", "8", "--feedforward"]),
+            ("element_run_4_7_fourier.json",
+             ["--d", "4", "--n", "7", "--feedforward", "--odd-mode", "fourier"]),
+        ],
+    )
+    def test_element_run_matches_its_stored_output(self, capsys, stored, argv):
+        # the final kets in the same order, every float within 1e-12 relative
+        code, out, _ = run_cli(capsys, "run", *argv, "--backend", "element", "--format", "json")
+        assert code == 0
+        got, want = json.loads(out), json.loads((DATA / stored).read_text())
+        assert [e["modes"] for e in got["final_state"]] == [e["modes"] for e in want["final_state"]]
+        assert_json_close(got, want)
 
     def test_json_is_byte_identical_to_library_result(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--d", "2", "--n", "4", "--format", "json")
@@ -420,10 +456,8 @@ class TestVerify:
     def test_flipped_pbs_convention_fails_survivor_anchor(self, capsys, monkeypatch):
         # mutate the routing convention: horizontal reflects instead
         def flipped(state, port_a, port_b):
-            mapping = {
-                (port_a, "H"): (port_b, "H"),
-                (port_b, "H"): (port_a, "H"),
-            }
+            ha, hb = 2 * port_a, 2 * port_b  # the H mode ints, 2*port + (pol == V)
+            mapping = {ha: hb, hb: ha}
             return elements._relabel(state, mapping, gf.errors.PortCollision, "pbs")
 
         monkeypatch.setattr(elements, "apply_pbs", flipped)

@@ -116,6 +116,15 @@ class TestHWP:
         assert out.amplitude(two_v) == pytest.approx(-1 / SQ2, abs=1e-12)
         assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
+    def test_acts_on_a_hand_built_state(self):
+        # the constructor sorts the unsorted key, so the port is found
+        s = states.PhotonicState({(((3, "V"), 1), ((0, "H"), 1)): 1.0})
+        out = gf.apply_hwp(s, 3, math.pi / 4)
+        assert list(out.terms) == [gf.ket((0, "H"), (3, "H"))]
+        assert out.amplitude(gf.ket((0, "H"), (3, "H"))) == pytest.approx(1.0)
+        phased = gf.apply_phase(s, 0, 1.0)
+        assert phased.amplitude(gf.ket((0, "H"), (3, "V"))) == pytest.approx(cmath.exp(1j))
+
     @given(states_strategy(max_port=2), st.floats(-2.0, 2.0, allow_nan=False))
     @example(
         gf.make_state([
@@ -675,14 +684,14 @@ class TestDispatch:
 
     @staticmethod
     def _swapped_split(state, port_in, port_even, port_odd):
-        # routes H to the odd port and V to the even one
-        mapping = {(port_in, "H"): (port_odd, "H"), (port_in, "V"): (port_even, "V")}
+        # routes H to the odd port and V to the even one (mode int 2*port + (pol == V))
+        mapping = {2 * port_in: 2 * port_odd, 2 * port_in + 1: 2 * port_even + 1}
         return elements._relabel(state, mapping, PortCollision, "bd_split")
 
     @staticmethod
     def _merge_to_vertical(state, port_even, port_odd, port_out):
         # every photon leaves the merge vertically polarized
-        mapping = {(p, pol): (port_out, "V") for p in (port_even, port_odd) for pol in "HV"}
+        mapping = {2 * p + b: 2 * port_out + 1 for p in (port_even, port_odd) for b in (0, 1)}
         return elements._relabel(state, mapping, BDCollision, "bd_merge")
 
     @pytest.mark.parametrize("name", ["apply_bd_merge", "apply_bd_split"])
@@ -741,7 +750,9 @@ class TestDispatch:
         with pytest.raises(gf.errors.BranchMismatch, match="does not merge"):
             golden.qutrit_walkthrough_checks()
 
-    @pytest.mark.parametrize("d, n, feedforward", [(3, 4, False), (4, 6, True)])
+    @pytest.mark.parametrize(
+        "d, n, feedforward", [(3, 4, False), (4, 6, True), (5, 8, True), (4, 7, True)]
+    )
     def test_calls_per_kind_equal_plan_step_counts(self, monkeypatch, d, n, feedforward):
         plan = gf.compile_plan(gf.ProtocolOptions(d=d, n=n, feedforward=feedforward))
         kinds = {gf.PBS: "apply_pbs", gf.HWP: "apply_hwp",

@@ -132,7 +132,7 @@ def reference_project_pair(state, port_x, port_y):
         rest = buckets[px + py]
         rest[reduced] = rest.get(reduced, 0j) + amp
     return measurement.OutcomeDistribution(tuple(
-        measurement._outcome(label, terms, total)
+        measurement._outcome(label, states.PhotonicState(terms), total)
         for label, terms in buckets.items()
     ))
 

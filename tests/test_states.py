@@ -250,3 +250,83 @@ class TestTolerance:
         assert abs(
             gf.inner_product(pruned, s) - gf.inner_product(s, s)
         ) <= len(junk) * gf.eps()
+
+
+@st.composite
+def nested_terms(draw):
+    """Canonical nested kets of one photon number, bunching allowed, with
+    amplitudes of unit total norm and none below 0.04."""
+    photons = draw(st.integers(0, 4))
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        modes = draw(st.lists(
+            st.tuples(st.integers(0, 5), st.sampled_from("HV")),
+            min_size=photons, max_size=photons,
+        ))
+        size = draw(st.floats(0.1, 1.0))
+        terms[gf.ket(*modes)] = complex(size * draw(st.sampled_from([1, -1, 1j, -1j])))
+    scale = 1.0 / math.sqrt(sum(abs(a) ** 2 for a in terms.values()))
+    return {t: a * scale for t, a in terms.items()}
+
+
+class TestFlatKets:
+    def test_a_mode_is_one_int_in_port_major_order(self):
+        s = gf.make_state([(gf.ket((3, "V"), (0, "H"), (3, "V")), 1.0)])
+        assert list(s.kets) == [(0, 7, 7)]
+        assert list(s.terms) == [gf.fock_term([((0, "H"), 1), ((3, "V"), 2)])]
+
+    @given(nested_terms())
+    def test_nested_terms_round_trip(self, terms):
+        s = states.PhotonicState(terms)
+        assert list(s.terms.items()) == list(terms.items())
+        assert len(s.terms) == len(terms)
+        assert all(t in s.terms and s.terms[t] == a for t, a in terms.items())
+        back = states.state_from_json(states.state_to_json(s))
+        assert dict(back.terms.items()) == terms
+        assert states.state_to_jsonable(back) == states.state_to_jsonable(s)
+        for (t, _), k in zip(s.terms.items(), s.kets):
+            assert states.term_ports(t) == {m >> 1 for m in k}
+            for port in range(7):
+                assert states.photons_in_port(t, port) == sum(m >> 1 == port for m in k)
+        assert s.ports() == set().union(*map(states.term_ports, terms))
+
+    def test_bunched_kets_keep_the_nested_order(self):
+        # flat (0, 6) sorts after (0, 0); nested |0H,3H> sorts before |0H,0H>
+        s = gf.make_state([
+            (gf.ket((0, "H"), (0, "H")), 0.6), (gf.ket((0, "H"), (3, "H")), 0.8),
+        ])
+        want = [gf.ket((0, "H"), (3, "H")), gf.ket((0, "H"), (0, "H"))]
+        assert [t for t, _ in s.sorted_items()] == want
+        assert [t for t, _ in s] == want
+        assert s.pretty().splitlines()[1:] == [
+            "  (+0.8000+0.0000j)|0H 3H>", "  (+0.6000+0.0000j)|0H 0H>",
+        ]
+        assert [e["modes"] for e in states.state_to_jsonable(s)] == [
+            [[0, "H", 1], [3, "H", 1]], [[0, "H", 2]],
+        ]
+
+    @pytest.mark.parametrize("port", [True, False])
+    def test_bool_port_rejected(self, port):
+        with pytest.raises(ValueError, match="port must be a non-negative integer"):
+            states.mode(port, "H")
+        with pytest.raises(ValueError, match="port must be a non-negative integer"):
+            gf.ket((port, "H"))
+        with pytest.raises(ValueError, match="port must be a non-negative integer"):
+            states.PhotonicState({(((port, "V"), 1),): 1.0})
+
+    def test_hand_built_keys_are_canonicalised(self):
+        unsorted = (((3, "V"), 1), ((0, "H"), 1))
+        s = states.PhotonicState({unsorted: 0.5, (((0, "H"), 1), ((3, "V"), 1)): 0.5})
+        assert list(s.terms.items()) == [(gf.ket((0, "H"), (3, "V")), 1.0)]
+        # a lookup takes canonical keys only, as a dict of them would
+        assert unsorted not in s.terms
+        with pytest.raises(KeyError):
+            s.terms[unsorted]
+        assert s.amplitude(unsorted) == 1.0
+
+    def test_terms_is_a_read_only_view(self):
+        s = golden.qutrit_chain_input()
+        with pytest.raises(TypeError):
+            s.terms[gf.ket((0, "H"), (3, "H"), (6, "H"), (9, "H"))] = 1.0
+        assert s.terms == states.PhotonicState(dict(s.terms.items())).terms
+        assert s == states.PhotonicState(dict(s.terms.items()))
