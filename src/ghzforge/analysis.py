@@ -101,7 +101,7 @@ def aux_count(d: int, n: int) -> int:
     """Auxiliary entangled pairs consumed; ceiling and binomial forms must agree."""
     _check_params(d, n)
     per_junction_ceiling = -((d * (d - 2)) // -4)  # ceil(d(d-2)/4)
-    per_junction_binomial = len(aux_pairs(d))
+    per_junction_binomial = len(_aux_pairs_cached(d))
     if per_junction_ceiling != per_junction_binomial:
         raise AssertionError(
             f"aux-count forms disagree for d={d}: "
@@ -122,8 +122,14 @@ def eta1(d: int) -> float:
 
 
 def eta2_exact(d: int, k: int) -> Fraction:
-    """Survival rate of the k-th auxiliary stage in the per-stage accounting
-    where each stage removes its two targeted cross terms and halves the rest."""
+    """Survival rate of the k-th auxiliary stage in the paper's per-stage
+    accounting, where each stage removes its two targeted cross terms and
+    halves the rest; ``plan`` prints these as its "helper stage k rate" lines.
+
+    From d = 5 the rule and element executors measure other per-stage
+    rates, and only the products agree: at d = 5, n = 4 these rates are
+    11/26, 9/22, 7/18 and 5/14, while ``run`` measures 9/26, 7/18, 1/2 and
+    5/14 at its ``interfere`` stages."""
     _check_params(d, 2)
     n_stages = len(_aux_pairs_cached(d))
     if not 1 <= k <= n_stages:
@@ -136,19 +142,57 @@ def eta2(d: int, k: int) -> float:
     return float(eta2_exact(d, k))
 
 
+def _cancel_shared(num: range, den: range) -> tuple[int, int]:
+    """Products of the factors only in ``num`` and of those only in ``den``.
+
+    Each side marks its factors in a bytearray, one byte per value, indexed
+    by the value minus the smallest factor of either side, with one slice
+    assignment; read as little-endian ints, the shared factors are the AND
+    of the two and each side keeps its XOR with it.  Only the leftover
+    factors are multiplied."""
+    ends = [end for side in (num, den) if side for end in (side[0], side[-1])]
+    if not ends:
+        return 1, 1
+    lo = min(ends)
+    size = max(ends) - lo + 1
+
+    def marks(side: range) -> int:
+        buf = bytearray(size)
+        if side:
+            up = side if side.step > 0 else side[::-1]
+            buf[up.start - lo : up.stop - lo : up.step] = b"\x01" * len(up)
+        return int.from_bytes(buf, "little")
+
+    def product(bits: int) -> int:
+        buf = bits.to_bytes(size, "little")
+        out = 1
+        i = buf.find(1)
+        while i >= 0:
+            out *= lo + i
+            i = buf.find(1, i + 1)
+        return out
+
+    num_bits, den_bits = marks(num), marks(den)
+    shared = num_bits & den_bits
+    return product(num_bits ^ shared), product(den_bits ^ shared)
+
+
 def eta_product_exact(d: int) -> Fraction:
     """Exact eta1 * prod_k eta2(k), equal to multiplying eta2_exact stage by stage.
 
     Every stage factor is evaluated: the numerator factors s - 2k and the
-    denominator factors s - 2(k-1) are built as two sets.  Each side steps by
-    -2, so its factors are distinct and the factors the sides share cancel
-    exactly; only the leftovers are multiplied, and the factor 2**N of the
-    denominator is a shift.  Nothing is cached: every call builds both sets."""
+    denominator factors s - 2(k-1) are marked as two bitmaps.  Each side steps
+    by -2, so its factors are distinct and the factors the sides share cancel
+    exactly (``_cancel_shared``); only the leftovers are multiplied, and the
+    factor 2**N of the denominator is a shift.  Nothing is cached: every call
+    marks both sides."""
     n_stages = aux_count(d, 4)
     survivors = d * d - 2 * ((d + 1) // 2) * (d // 2)
-    num = set(range(survivors - 2, survivors - 2 * n_stages - 1, -2))
-    den = set(range(survivors, survivors - 2 * n_stages + 1, -2))
-    return eta1_exact(d) * Fraction(math.prod(num - den), math.prod(den - num) << n_stages)
+    num, den = _cancel_shared(
+        range(survivors - 2, survivors - 2 * n_stages - 1, -2),
+        range(survivors, survivors - 2 * n_stages + 1, -2),
+    )
+    return eta1_exact(d) * Fraction(num, den << n_stages)
 
 
 def predicted_prob_for_options(

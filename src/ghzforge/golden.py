@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import analysis, elements, measurement, protocol, states
+from .errors import InvalidParameters
 from .states import H, V, PhotonicState, ket
 
 
@@ -291,6 +292,10 @@ def qubit_chain_checks() -> list[CheckResult]:
 
 
 def identity_checks(max_d: int = 128) -> list[CheckResult]:
+    """The pair-count, filter-leftover and telescope identities, exactly,
+    for every d in 2..max_d; a range without a d raises InvalidParameters."""
+    if max_d < 2:
+        raise InvalidParameters(f"identity checks need max_d >= 2, got {max_d}")
     forms_ok = True
     leftover_ok = True
     telescope_ok = True

@@ -62,6 +62,18 @@ class TestFidelity:
         assert gf.fidelity(PhotonicState({}), gf.ghz_reference(2, 2)) == 0.0
 
 
+def _eta_product_by_sets(d):
+    """eta_product_exact as two Python sets of stage factors: the reference
+    that the bitmap cancellation must equal."""
+    n_stages = gf.aux_count(d, 4)
+    survivors = d * d - 2 * ((d + 1) // 2) * (d // 2)
+    num = set(range(survivors - 2, survivors - 2 * n_stages - 1, -2))
+    den = set(range(survivors, survivors - 2 * n_stages + 1, -2))
+    return analysis.eta1_exact(d) * Fraction(
+        math.prod(num - den), math.prod(den - num) << n_stages
+    )
+
+
 class TestResourceFormulas:
     @pytest.mark.parametrize(
         "d,n,expected",
@@ -149,6 +161,26 @@ class TestResourceFormulas:
         assert not by_name["identities: telescoped stage product"].passed
         assert cli.main(["verify"]) == 1
         assert "FAIL  identities: telescoped stage product" in capsys.readouterr().out
+
+    @given(
+        st.integers(-40, 40), st.integers(0, 30), st.sampled_from([2, -2]),
+        st.integers(-40, 40), st.integers(0, 30), st.sampled_from([2, -2]),
+    )
+    def test_bitmap_cancellation_matches_set_differences(self, a, m, sa, b, k, sb):
+        # stride-2 progressions that may reach 0, go negative or be empty
+        num, den = range(a, a + sa * m, sa), range(b, b + sb * k, sb)
+        assert analysis._cancel_shared(num, den) == (
+            math.prod(set(num) - set(den)), math.prod(set(den) - set(num))
+        )
+
+    def test_eta_product_matches_set_reference(self):
+        for d in range(2, 301):
+            assert analysis.eta_product_exact(d) == _eta_product_by_sets(d)
+
+    @pytest.mark.parametrize("max_d", [1, 0, -3])
+    def test_identity_checks_need_a_d(self, max_d):
+        with pytest.raises(InvalidParameters):
+            golden.identity_checks(max_d)
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8, 17, 32, 64])
     def test_resource_summary_eta2_values_are_stage_fractions(self, d):
