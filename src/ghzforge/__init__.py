@@ -61,12 +61,12 @@ from .protocol import (
     run,
 )
 from .states import (
+    EPS,
     H,
     V,
     FockTerm,
     Mode,
     PhotonicState,
-    eps,
     fock_term,
     inner_product,
     ket,
@@ -79,8 +79,8 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "H", "V", "Mode", "FockTerm", "PhotonicState",
-    "eps", "fock_term", "ket", "make_state", "normalize", "tensor",
+    "EPS", "H", "V", "Mode", "FockTerm", "PhotonicState",
+    "fock_term", "ket", "make_state", "normalize", "tensor",
     "inner_product", "vacuum",
     "PBS", "HWP", "Phase", "BDMerge", "BDSplit", "Inject", "Circuit",
     "apply_pbs", "apply_hwp", "apply_phase", "apply_bd_merge", "apply_bd_split",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from itertools import combinations
 from typing import Sequence
 
 from . import states
@@ -79,35 +79,19 @@ def junction_count(n: int) -> int:
     return (n - 1) // 2
 
 
-@lru_cache(maxsize=None)
-def _aux_pairs_cached(d: int) -> tuple[tuple[int, int], ...]:
-    evens = [i for i in range(d) if i % 2 == 0]
-    odds = [i for i in range(d) if i % 2 == 1]
-    pairs = []
-    for cls in (evens, odds):
-        for a in range(len(cls)):
-            for b in range(a + 1, len(cls)):
-                pairs.append((cls[a], cls[b]))
-    return tuple(pairs)
-
-
 def aux_pairs(d: int) -> list[tuple[int, int]]:
     """Same-parity unordered path pairs targeted by one filter stage each,
-    even pairs first, lexicographic within each parity class."""
-    return list(_aux_pairs_cached(d))
+    even pairs first, lexicographic within each parity class; a new list on
+    every call.  Its length is ``aux_count(d, 4)``."""
+    return list(combinations(range(0, d, 2), 2)) + list(combinations(range(1, d, 2), 2))
 
 
 def aux_count(d: int, n: int) -> int:
-    """Auxiliary entangled pairs consumed; ceiling and binomial forms must agree."""
+    """Auxiliary entangled pairs consumed: the paper's ceil(d(d-2)/4) per
+    junction, which equals C(ceil(d/2), 2) + C(floor(d/2), 2), the number of
+    same-parity pairs; ``verify`` checks the two forms agree."""
     _check_params(d, n)
-    per_junction_ceiling = -((d * (d - 2)) // -4)  # ceil(d(d-2)/4)
-    per_junction_binomial = len(_aux_pairs_cached(d))
-    if per_junction_ceiling != per_junction_binomial:
-        raise AssertionError(
-            f"aux-count forms disagree for d={d}: "
-            f"{per_junction_ceiling} != {per_junction_binomial}"
-        )
-    return per_junction_ceiling * junction_count(n)
+    return -((d * (d - 2)) // -4) * junction_count(n)
 
 
 def eta1_exact(d: int) -> Fraction:
@@ -131,7 +115,7 @@ def eta2_exact(d: int, k: int) -> Fraction:
     11/26, 9/22, 7/18 and 5/14, while ``run`` measures 9/26, 7/18, 1/2 and
     5/14 at its ``interfere`` stages."""
     _check_params(d, 2)
-    n_stages = len(_aux_pairs_cached(d))
+    n_stages = aux_count(d, 4)
     if not 1 <= k <= n_stages:
         raise InvalidParameters(f"stage index k={k} outside 1..{n_stages}")
     survivors = d * d * eta1_exact(d)  # integer-valued fraction

@@ -62,7 +62,7 @@ from typing import ClassVar, Sequence
 
 from . import states
 from .errors import BDCollision, EmptyState, InvalidParameters, PortCollision
-from .states import Ket, PhotonicState, _from_kets, eps
+from .states import EPS, Ket, PhotonicState, _from_kets
 
 _FIELD_PARSERS = {"int": states.port_from_json, "float": states.real_from_json}
 
@@ -258,8 +258,7 @@ def _apply_mode_linear_map(
             for c2 in states.mode_counts(k2):
                 factor *= math.factorial(c2)
             out[k2] = out.get(k2, 0j) + co * math.sqrt(factor)
-    tol = eps()
-    for k in [k for k, a in out.items() if not abs(a) >= tol]:  # NaN goes too
+    for k in [k for k, a in out.items() if not abs(a) >= EPS]:  # NaN goes too
         del out[k]
     return _from_kets(out)
 

@@ -293,17 +293,17 @@ def qubit_chain_checks() -> list[CheckResult]:
 
 def identity_checks(max_d: int = 128) -> list[CheckResult]:
     """The pair-count, filter-leftover and telescope identities, exactly,
-    for every d in 2..max_d; a range without a d raises InvalidParameters."""
+    for every d in 2..max_d; a range without a d raises InvalidParameters.
+    The pair count is ``analysis.aux_count``, the paper's ceiling form,
+    checked against its binomial form."""
     if max_d < 2:
         raise InvalidParameters(f"identity checks need max_d >= 2, got {max_d}")
     forms_ok = True
     leftover_ok = True
     telescope_ok = True
     for d in range(2, max_d + 1):
-        ceiling = -((d * (d - 2)) // -4)
-        binomial = len(analysis.aux_pairs(d))
-        forms_ok &= ceiling == binomial
         n4 = analysis.aux_count(d, 4)
+        forms_ok &= n4 == math.comb((d + 1) // 2, 2) + math.comb(d // 2, 2)
         e1 = analysis.eta1_exact(d)
         leftover_ok &= e1 - Fraction(2 * n4, d * d) == Fraction(1, d)
         telescope_ok &= analysis.eta_product_exact(d) == Fraction(1, 2**n4 * d)

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from . import elements, states
 from .errors import BranchMismatch, MissingCorrection, NotSingleOccupancy
-from .states import Ket, PhotonicState, _from_kets, eps
+from .states import EPS, Ket, PhotonicState, _from_kets
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def _outcome(label: str, sub: PhotonicState, total: float) -> Outcome:
     """Probability and normalized post-state of one projective outcome."""
     nsq = sub.norm_sq()
     prob = nsq / total if total > 0 else 0.0
-    if nsq <= eps() ** 2:
+    if nsq <= EPS ** 2:
         return Outcome(label, prob, PhotonicState({}))
     return Outcome(label, prob, states.scaled(sub, 1.0 / math.sqrt(nsq)))
 
@@ -209,13 +209,13 @@ def fourier_feedforward_rule(
 def merge_corrected(dist: OutcomeDistribution, rule: PhaseRule) -> PhotonicState | None:
     """The one continuing state of ``dist`` once ``rule`` corrects each outcome.
 
-    Outcomes at probability eps or below are skipped; every other corrected
+    Outcomes at probability ``EPS`` or below are skipped; every other corrected
     branch must equal the first within ``MERGE_TOL`` per amplitude, else
     BranchMismatch names the outcome (a circuit bug, or an input that is not
     a GHZ state).  None when every outcome is empty."""
     merged: PhotonicState | None = None
     for o in dist.outcomes:
-        if o.prob <= eps():
+        if o.prob <= EPS:
             continue
         post = feedforward(o.state, o.label, rule)
         if merged is None:
@@ -265,8 +265,8 @@ class PasPairSelect(elements.Step):
     tag = {"elem": "postselect", "kind": "pas_pair"}
     port_x: int
     port_y: int
-    mode: str = field(default="filtered", metadata={"choices": PAS_MODES})
-    correction_port: int = 0
+    mode: str = field(metadata={"choices": PAS_MODES})
+    correction_port: int
 
     def apply(self, state: PhotonicState) -> tuple[PhotonicState, float]:
         result = pas_pair_analysis(

@@ -52,7 +52,7 @@ from .analysis import FULL_FOURIER, SINGLE_OUTCOME  # re-exported as gf.*
 from .elements import BDMerge, BDSplit, HWP, Inject, PBS
 from .errors import InvalidAuxPair, InvalidParameters, PortCollision
 from .measurement import CoincidencePattern, CoincidenceSelect, PasPairSelect
-from .states import H, V, PhotonicState, eps
+from .states import EPS, H, V, PhotonicState
 
 _TAG = math.pi / 4.0      # HWP angle swapping H and V
 _DIAGONAL = math.pi / 8.0  # HWP angle rotating into the +/- basis
@@ -211,11 +211,10 @@ def build_epr_source(
         raise PortCollision("sources need d disjoint ports per photon")
     for port in (*ports_a, *ports_b):
         states.mode(port, H)
-    tol = eps()
     return states._from_kets({
         tuple(sorted((2 * a, 2 * b))): complex(c)
         for a, b, c in zip(ports_a, ports_b, states.validated_coeffs(d, coeffs))
-        if abs(c) >= tol
+        if abs(c) >= EPS
     })
 
 
@@ -243,20 +242,7 @@ def polarization_tag(
     for path, port in enumerate(port_group):
         _, pol = states.mode(port, rule(path))
         mapping[2 * port] = mapping[2 * port + 1] = 2 * port + (pol == V)
-    get = mapping.get
-    out: dict = {}
-    for k, amp in state.kets.items():
-        # a port's photons sit together and all take one mode, so the ket
-        # stays sorted; it merges modes where a port held both H and V
-        new = tuple(map(get, k, k))
-        distinct = len(set(new))
-        if distinct < len(new) and distinct < len(set(k)):
-            port = next(
-                k[i] >> 1 for i in range(1, len(k)) if new[i] == new[i - 1] and k[i] != k[i - 1]
-            )
-            raise PortCollision(f"tagging merges occupied modes on port {port}")
-        out[new] = out.get(new, 0j) + amp
-    return states._from_kets(out)
+    return elements._relabel(state, mapping, PortCollision, "tagging")
 
 
 def parity_rule(path: int) -> str:
@@ -368,8 +354,8 @@ class RunReport:
         1 - ``states.FIDELITY_TOL``."""
         return self.prob_matches is not False and self.fidelity >= 1.0 - states.FIDELITY_TOL
 
-    def to_jsonable(self, include_state: bool = True) -> dict:
-        out = {
+    def to_jsonable(self) -> dict:
+        return {
             "d": self.d,
             "n": self.n,
             "backend": self.backend,
@@ -383,11 +369,8 @@ class RunReport:
             "stage_labels": list(self.stage_labels),
             "prob_matches": self.prob_matches,
             "fidelity_matches": self.fidelity_matches,
+            "final_state": states.state_to_jsonable(self.final_state),
         }
-        out["final_state"] = (
-            states.state_to_jsonable(self.final_state) if include_state else None
-        )
-        return out
 
     @classmethod
     def build(

@@ -30,8 +30,9 @@ far (1/16 for the replayed (4, 4) feedforward plan circuit); a renormalised
 state (``normalize``, a projective outcome, an element-executor stage) has
 norm**2 = 1.
 
-This module also owns the tolerance policy (``eps`` and the ``*_TOL``
-constants) and the strict readers of circuit-file values (``*_from_json``).
+This module also owns the tolerance policy, constants that nothing can
+change (``EPS`` and the ``*_TOL`` values), and the strict readers of
+circuit-file values (``*_from_json``).
 
 States are values: every operation returns a new instance and nothing
 here mutates its arguments.
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 from bisect import bisect_left
 from collections.abc import ItemsView, Mapping, ValuesView
@@ -60,35 +60,12 @@ Mode = tuple[int, str]
 FockTerm = tuple[tuple[Mode, int], ...]
 Ket = tuple[int, ...]  # sorted mode ints 2 * port + (pol == V), one per photon
 
-_DEFAULT_EPS = 1e-9
-_eps: float | None = None  # the GHZFORGE_EPS value kept by the first eps() call
-
-# The named tolerances; none of them is read from the environment.
+# The named tolerances; every one is a constant.
+EPS = 1e-9  # amplitudes below it are pruned; a norm or probability at or below it is 0
 PROB_REL_TOL = Fraction(1, 10**9)  # a probability vs its exact prediction, relative
 FIDELITY_TOL = 1e-9  # a run matches only at fidelity >= 1 - FIDELITY_TOL
 MERGE_TOL = 1e-7  # per-amplitude gap allowed between branches that must be one state
 COEFF_TOL = 1e-6  # |sum of squared source coefficients - 1| allowed
-
-
-def eps() -> float:
-    """Amplitude/probability tolerance; GHZFORGE_EPS overrides the default.
-
-    The variable is read once per process: the first call parses it and keeps
-    a valid value for every later call.  A value that is not a positive finite
-    number is not kept, so it raises InvalidParameters on every call."""
-    global _eps
-    if _eps is None:
-        raw = os.environ.get("GHZFORGE_EPS")
-        try:
-            value = _DEFAULT_EPS if raw is None else float(raw)
-        except ValueError:
-            value = math.nan
-        if not (math.isfinite(value) and value > 0.0):
-            raise InvalidParameters(
-                f"GHZFORGE_EPS must be a positive finite number, got {raw!r}"
-            )
-        _eps = value
-    return _eps
 
 
 def validated_coeffs(d: int, coeffs: Sequence[float] | None) -> list[float]:
@@ -353,8 +330,7 @@ def vacuum() -> PhotonicState:
 
 
 def _pruned(kets: dict[Ket, complex]) -> dict[Ket, complex]:
-    tol = eps()
-    return {k: a for k, a in kets.items() if abs(a) >= tol}
+    return {k: a for k, a in kets.items() if abs(a) >= EPS}
 
 
 def _check_uniform_sector(kets: dict[Ket, complex]) -> None:
@@ -379,15 +355,14 @@ def make_state(kets: Iterable[tuple[FockTerm, complex]]) -> PhotonicState:
     if not terms:
         raise EmptyState("all amplitudes cancel or vanish")
     _check_uniform_sector(terms)
-    if sum(abs(a) ** 2 for a in terms.values()) > 1.0 + eps():
+    if sum(abs(a) ** 2 for a in terms.values()) > 1.0 + EPS:
         raise ValueError("squared norm exceeds 1; amplitudes are not a sub-state")
     return _from_kets(terms)
 
 
 def scaled(state: PhotonicState, factor: complex) -> PhotonicState:
-    tol = eps()
     return _from_kets(
-        {k: b for k, a in state.kets.items() if abs(b := a * factor) >= tol}
+        {k: b for k, a in state.kets.items() if abs(b := a * factor) >= EPS}
     )
 
 
@@ -398,7 +373,7 @@ def norm(state: PhotonicState) -> float:
 def normalize(state: PhotonicState) -> PhotonicState:
     """Rescale to unit norm."""
     n = norm(state)
-    if n <= eps():
+    if n <= EPS:
         raise EmptyState("cannot normalize a (near-)zero state")
     return scaled(state, 1.0 / n)
 
@@ -423,9 +398,8 @@ def inner_product(a: PhotonicState, b: PhotonicState) -> complex:
     return complex(sum(aa.conjugate() * kb[k] for k, aa in ka.items() if k in kb))
 
 
-def states_close(a: PhotonicState, b: PhotonicState, tol: float | None = None) -> bool:
+def states_close(a: PhotonicState, b: PhotonicState, tol: float = EPS) -> bool:
     """Term-by-term amplitude agreement within tolerance."""
-    tol = eps() if tol is None else tol
     ka, kb = a.kets, b.kets
     for k in ka.keys() | kb.keys():
         if abs(ka.get(k, 0j) - kb.get(k, 0j)) > tol:

@@ -1,6 +1,5 @@
 import math
 
-import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 import ghzforge as gf
@@ -19,13 +18,6 @@ settings.register_profile(
 #       --hypothesis-profile=ghzforge-ci
 settings.register_profile("ghzforge-ci", parent=settings.get_profile("ghzforge"), max_examples=400)
 settings.load_profile("ghzforge")
-
-
-@pytest.fixture
-def fresh_eps(monkeypatch):
-    """Forget the GHZFORGE_EPS value kept by ``eps()``, so a value the test
-    sets is read; the kept value comes back when the test ends."""
-    monkeypatch.setattr(states, "_eps", None)
 
 
 def raw_amplitudes(pair) -> states.PhotonicState:

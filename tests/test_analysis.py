@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -83,13 +87,17 @@ class TestResourceFormulas:
         assert gf.aux_count(d, n) == expected
 
     def test_pair_list_matches_count(self):
-        # cross-check against direct same-parity pair counting
-        for d in range(2, 12):
+        # the enumeration, the closed form and the binomial form agree, and the
+        # list comes in the documented order, built afresh on every call
+        for d in range(2, 301):
             pairs = gf.aux_pairs(d)
-            even = (d + 1) // 2
-            odd = d // 2
-            assert len(pairs) == even * (even - 1) // 2 + odd * (odd - 1) // 2
+            binomial = math.comb((d + 1) // 2, 2) + math.comb(d // 2, 2)
+            assert len(pairs) == gf.aux_count(d, 4) == binomial
             assert all(i < j and i % 2 == j % 2 for i, j in pairs)
+            assert len(set(pairs)) == len(pairs)
+            assert pairs == sorted(pairs, key=lambda p: (p[0] % 2, p))
+            again = gf.aux_pairs(d)
+            assert again == pairs and again is not pairs
 
     def test_eta1_walkthrough_value(self):
         assert analysis.eta1_exact(3) == Fraction(5, 9)
@@ -159,6 +167,7 @@ class TestResourceFormulas:
         )
         by_name = {c.name: c for c in golden.identity_checks()}
         assert not by_name["identities: telescoped stage product"].passed
+        assert not by_name["identities: pair count, binomial vs ceiling"].passed
         assert cli.main(["verify"]) == 1
         assert "FAIL  identities: telescoped stage product" in capsys.readouterr().out
 
@@ -176,6 +185,24 @@ class TestResourceFormulas:
     def test_eta_product_matches_set_reference(self):
         for d in range(2, 301):
             assert analysis.eta_product_exact(d) == _eta_product_by_sets(d)
+
+    def test_identity_checks_leave_no_memory_behind(self):
+        # nothing may keep what verify's identity checks compute: in a fresh
+        # interpreter, under 1 MiB is still allocated once they return
+        src = str(Path(gf.__file__).resolve().parents[1])
+        code = (
+            "import tracemalloc\n"
+            "from ghzforge import golden\n"
+            "tracemalloc.start()\n"
+            "assert all(c.passed for c in golden.identity_checks())\n"
+            "print(tracemalloc.get_traced_memory()[0])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 2**20
 
     @pytest.mark.parametrize("max_d", [1, 0, -3])
     def test_identity_checks_need_a_d(self, max_d):

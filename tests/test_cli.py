@@ -287,8 +287,8 @@ class TestRun:
         assert code == 1
 
     def test_coefficients_within_tolerance_run_on_every_backend(self, capsys):
-        # the squares sum to 1 + 5e-10: inside the one coefficient tolerance
-        # (1e-6), outside GHZFORGE_EPS, and every backend accepts them
+        # the squares sum to 1 + 5e-10: inside the one coefficient tolerance,
+        # ``COEFF_TOL`` (1e-6), and every backend accepts them
         probs = {}
         for backend in ("rule", "oracle", "element"):
             code, out, err = run_cli(
@@ -516,24 +516,6 @@ class TestReduceOdd:
 
 
 class TestEnvironment:
-    def test_eps_override_respected(self, capsys, monkeypatch, fresh_eps):
-        monkeypatch.setenv("GHZFORGE_EPS", "1e-12")
-        assert gf.eps() == 1e-12
-        code, out, _ = run_cli(capsys, "run", "--d", "2", "--n", "4")
-        assert code == 0
-        assert json.loads(out)["prob"] == pytest.approx(0.5)
-
-    @pytest.mark.parametrize("value", ["abc", "inf", "-1"])
-    def test_invalid_eps_exits_2(self, capsys, monkeypatch, fresh_eps, value):
-        # non-numeric, non-finite and non-positive values are usage errors
-        monkeypatch.setenv("GHZFORGE_EPS", value)
-        with pytest.raises(gf.errors.InvalidParameters):
-            gf.eps()
-        code, out, err = run_cli(capsys, "run", "--d", "2", "--n", "4")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "GHZFORGE_EPS" in err
-
     def test_usage_error_from_argparse(self, capsys):
         code, _, err = run_cli(capsys, "plan", "--d", "3")
         assert code == 2

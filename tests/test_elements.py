@@ -141,7 +141,7 @@ class TestHWP:
         # at most |e1| on that block <= sqrt(k+1) * eps, and the per-ket error
         # is at most (sqrt(k+1) + 1) * eps: 3 * eps for the <= 3 photons drawn.
         out = gf.apply_hwp(gf.apply_hwp(s, 1, theta), 1, theta)
-        assert states.states_close(out, s, tol=3 * states.eps())
+        assert states.states_close(out, s, tol=3 * states.EPS)
 
 
 class TestPhase:
@@ -300,8 +300,7 @@ def reference_linear_map(state, images):
                 factor *= math.factorial(c2)
             k2 = tuple(sorted(occ.items()))
             out[k2] = out.get(k2, 0j) + co * math.sqrt(factor)
-    tol = states.eps()
-    return states.PhotonicState({t: a for t, a in out.items() if abs(a) >= tol})
+    return states.PhotonicState({t: a for t, a in out.items() if abs(a) >= states.EPS})
 
 
 def reference_pbs(state, a, b, _c, _theta):

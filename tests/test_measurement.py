@@ -233,6 +233,13 @@ class TestPolarizationPair:
         assert [d["outcome"] for d in data] == ["HH", "HV", "VH", "VV"]
         assert data[0]["prob"] == pytest.approx(1.0)
 
+    def test_pas_step_needs_mode_and_correction_port(self):
+        # no default: a forgotten correction port must not mean port 0
+        with pytest.raises(TypeError):
+            gf.PasPairSelect(3, 4)
+        with pytest.raises(TypeError):
+            gf.PasPairSelect(3, 4, "feedforward")
+
 
 class TestFourier:
     def test_qubit_pair_reduces_like_diagonal_measurement(self):

@@ -222,22 +222,9 @@ class TestSerialization:
 
 
 class TestTolerance:
-    def test_eps_env_override(self, monkeypatch, fresh_eps):
-        monkeypatch.setenv("GHZFORGE_EPS", "1e-3")
-        assert gf.eps() == 1e-3
-        # amplitudes below the loosened tolerance now prune away
+    def test_amplitude_below_eps_prunes(self):
         with pytest.raises(EmptyState):
-            gf.make_state([(gf.ket((0, "H")), 1e-4)])
-
-    def test_eps_is_read_once_and_a_bad_value_never_kept(self, monkeypatch, fresh_eps):
-        monkeypatch.setenv("GHZFORGE_EPS", "abc")
-        for _ in range(2):
-            with pytest.raises(gf.errors.InvalidParameters):
-                gf.eps()
-        monkeypatch.setenv("GHZFORGE_EPS", "1e-3")
-        assert gf.eps() == 1e-3
-        monkeypatch.setenv("GHZFORGE_EPS", "1e-5")
-        assert gf.eps() == 1e-3
+            gf.make_state([(gf.ket((0, "H")), gf.EPS / 10)])
 
     def test_pruning_bounds_inner_product_shift(self):
         s = gf.make_state(
@@ -249,7 +236,7 @@ class TestTolerance:
         assert len(pruned.terms) == len(with_junk)
         assert abs(
             gf.inner_product(pruned, s) - gf.inner_product(s, s)
-        ) <= len(junk) * gf.eps()
+        ) <= len(junk) * gf.EPS
 
 
 @st.composite
