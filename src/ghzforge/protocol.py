@@ -15,10 +15,14 @@ coincidences, rotates the helper arms into the diagonal basis and projects
 them as a pair.  Odd photon numbers finish with a Fourier-basis path
 measurement of the first photon.
 
-A plan is geometry only: stage labels and kinds, junctions, aux pairs and
-each helper stage's ports.  ``ProtocolPlan.stage_steps`` is the one place
-that builds a stage's optical steps from it, for the element backend and
-circuit export, so compiling a plan for the rule backend builds no optics.
+A plan is compiled as geometry only: stage labels and kinds, junctions, aux
+pairs and each helper stage's ports.  ``ProtocolPlan.stage_steps`` is the one
+place that builds a stage's optical steps from it.  ``ProtocolPlan.optics``
+calls it once per stage the first time the element backend or circuit export
+needs the optics, and the plan keeps that table for every later execute, so
+compiling or running a plan on the rule or oracle backend builds no optics.
+The table holds steps, never their results: every execute still applies
+each step through ``Step.apply``.
 
 Two executors interpret a plan:
 
@@ -42,6 +46,7 @@ accounting and the kept intermediates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -85,6 +90,12 @@ class PlanStage:
 
 @dataclass
 class ProtocolPlan:
+    """A compiled (d, n) protocol: its options, counts and stage geometry.
+
+    The optics are built from the geometry on first element use and kept
+    (``optics``), so a compiled plan is not to be mutated: a changed stage
+    list or option would not reach optics already built."""
+
     options: ProtocolOptions
     epr_pair_count: int
     aux_pair_count: int
@@ -176,8 +187,19 @@ class ProtocolPlan:
             return [PasPairSelect(ax, ay, pas_mode, correction_port=pa[j])]
         return [HWP(pa[j], _TAG), HWP(pb[j], _TAG)]  # the helper stage's untag
 
+    @functools.cached_property
+    def optics(self) -> tuple[tuple[tuple[elements.Step, ...], bool], ...]:
+        """Per stage, in order: its steps and whether every one is unitary
+        (``elements.NORM_PRESERVING``).  Built by ``stage_steps`` on first
+        use and kept; it holds steps only, never states they produced."""
+        table = []
+        for stage in self.stages:
+            steps = tuple(self.stage_steps(stage))
+            table.append((steps, all(isinstance(s, elements.NORM_PRESERVING) for s in steps)))
+        return tuple(table)
+
     def circuit_steps(self) -> list:
-        return [step for stage in self.stages for step in self.stage_steps(stage)]
+        return [step for steps, _ in self.optics for step in steps]
 
     def to_jsonable(self) -> dict:
         return {
@@ -259,7 +281,8 @@ def compile_plan(
     is injected by its own ``sources``-kind stage ``j{k}.source`` just before
     junction k's first tag.  Each helper stage records its junction, its aux
     pair and the first of the ten ports its helper pair uses; the optics are
-    built from that by ``ProtocolPlan.stage_steps`` where they are run.
+    built from that by ``ProtocolPlan.stage_steps`` when ``ProtocolPlan.optics``
+    is first read.
     ``aux_order`` optionally overrides the per-junction auxiliary pair order;
     it must be a permutation of the same-parity pair set for each junction.
     """
@@ -470,7 +493,8 @@ def _reduce_even_state(
 
 
 def _run_elements(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
-    """Literal-optics executor: fold every stage's steps over the state.
+    """Literal-optics executor: fold every stage's steps (``plan.optics``)
+    over the state.
 
     The state is renormalised after each stage that injects a source or
     post-selects (``sources``, ``pbs_filter``, ``aux_inject``,
@@ -484,7 +508,7 @@ def _run_elements(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
     state = states.vacuum()
     ledger = _Ledger(opts.feedforward, opts.resolved_odd_mode(), keep_intermediates)
 
-    for stage in plan.stages:
+    for stage, (steps, unitary) in zip(plan.stages, plan.optics):
         if stage.kind == "reduce":
             state, p_single, p_full = _reduce_even_state(
                 state, plan.d, ledger.odd_mode,
@@ -492,7 +516,7 @@ def _run_elements(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
             )
             ledger.reduction(stage.label, p_single, p_full)
         elif stage.kind == "aux_pas":
-            (step,) = plan.stage_steps(stage)
+            (step,) = steps
             result = measurement.pas_pair_analysis(
                 state, step.port_x, step.port_y, step.correction_port
             )
@@ -502,13 +526,12 @@ def _run_elements(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
                 break
             state = result.merged
         else:
-            steps = plan.stage_steps(stage)
             state, ps = elements.run_circuit(state, steps)
             for p in ps:
                 ledger.record(stage.label, p)
             if state.is_empty:
                 break
-            if not all(isinstance(step, elements.NORM_PRESERVING) for step in steps):
+            if not unitary:
                 state = states.normalize(state)
         ledger.keep_state(stage.label, state)
     return _plan_report(plan, "element", state, ledger)

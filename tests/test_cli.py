@@ -277,7 +277,7 @@ class TestRun:
         code, _, err = run_cli(capsys, "run")
         assert code == 2
 
-    def test_coefficient_run_exits_zero_without_prediction(self, capsys):
+    def test_coefficient_run_exits_one_without_prediction(self, capsys):
         code, out, _ = run_cli(
             capsys, "run", "--d", "2", "--n", "4", "--coeffs", "0.6,0.8",
         )

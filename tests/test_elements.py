@@ -768,7 +768,28 @@ class TestDispatch:
                 return _original(*args)
 
             monkeypatch.setattr(elements, name, counted)
-        report = gf.execute(plan, "element")
-        assert report.prob_matches
-        assert calls == expected
+        # the plan keeps its steps, not their results: every execute calls
+        # each ``apply_*`` once per step again
+        for _ in range(2):
+            assert gf.execute(plan, "element").prob_matches
+        assert calls == {name: 2 * count for name, count in expected.items()}
         assert all(expected.values())
+
+    def test_patch_after_first_execute_reaches_the_kept_optics(self, monkeypatch):
+        # a swapped split must break a plan that already ran, as it breaks a
+        # fresh one: the plan holds steps, not the states they produced
+        opts = gf.ProtocolOptions(d=3, n=4)
+        fresh, used = gf.compile_plan(opts), gf.compile_plan(opts)
+        good = gf.execute(used, "element")
+        assert good.matches
+        monkeypatch.setattr(elements, "apply_bd_split", self._swapped_split)
+
+        def outcome(plan):
+            try:
+                return gf.execute(plan, "element").to_jsonable()
+            except gf.errors.BranchMismatch as exc:
+                return repr(exc)
+
+        broken = outcome(used)
+        assert broken != good.to_jsonable()
+        assert broken == outcome(fresh)

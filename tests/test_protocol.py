@@ -827,3 +827,57 @@ class TestPlanGeometry:
             assert report.prob_matches is True
         with pytest.raises(AssertionError, match="built optics"):
             plan.circuit_steps()
+
+
+def _count_stage_steps(monkeypatch):
+    """Count calls of ``ProtocolPlan.stage_steps`` by stage label."""
+    calls: list[str] = []
+    original = protocol.ProtocolPlan.stage_steps
+
+    def counted(self, stage):
+        calls.append(stage.label)
+        return original(self, stage)
+
+    monkeypatch.setattr(protocol.ProtocolPlan, "stage_steps", counted)
+    return calls
+
+
+class TestOnceBuiltOptics:
+    """A plan builds its optics on first element use and keeps them."""
+
+    @pytest.mark.parametrize(
+        "d, n, feedforward", [(3, 4, False), (3, 6, True), (4, 7, True), (5, 4, False)]
+    )
+    def test_two_element_executes_agree_and_build_once(self, monkeypatch, d, n, feedforward):
+        calls = _count_stage_steps(monkeypatch)
+        plan = gf.compile_plan(gf.ProtocolOptions(d=d, n=n, feedforward=feedforward))
+        assert calls == []
+        first = gf.execute(plan, "element")
+        second = gf.execute(plan, "element")
+        assert first.prob_matches and first.fidelity_matches
+        assert second.to_jsonable() == first.to_jsonable()
+        assert list(second.final_state.terms.items()) == list(first.final_state.terms.items())
+        assert calls == [s.label for s in plan.stages]
+        plan.to_jsonable()  # circuit export reads the same table
+        assert calls == [s.label for s in plan.stages]
+
+    def test_optics_hold_each_stage_steps_and_unitarity(self):
+        plan = gf.compile_plan(gf.ProtocolOptions(d=4, n=7, feedforward=True))
+        assert len(plan.optics) == len(plan.stages)
+        for stage, (steps, unitary) in zip(plan.stages, plan.optics):
+            assert list(steps) == plan.stage_steps(stage), stage.label
+            assert unitary == all(isinstance(s, elements.NORM_PRESERVING) for s in steps)
+        kinds = {s.kind: u for s, (_, u) in zip(plan.stages, plan.optics)}
+        assert kinds["tag"] and kinds["aux_analysis"]
+        assert not (kinds["sources"] or kinds["pbs_filter"] or kinds["aux_interfere"])
+
+    @pytest.mark.parametrize(
+        "d, n, feedforward", [(3, 4, False), (3, 5, True), (4, 6, False), (2, 3, True)]
+    )
+    def test_rule_and_oracle_never_build_optics(self, monkeypatch, d, n, feedforward):
+        calls = _count_stage_steps(monkeypatch)
+        plan = gf.compile_plan(gf.ProtocolOptions(d=d, n=n, feedforward=feedforward))
+        assert gf.execute(plan, "rule").matches
+        assert gf.execute(plan, "oracle").matches
+        assert calls == []
+        assert "optics" not in vars(plan)
