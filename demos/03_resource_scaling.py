@@ -29,4 +29,5 @@ print("  helper stages:", [round(r, 4) for r in rates])
 product = analysis.eta1(5)
 for r in rates:
     product *= r
-print(f"  product: {product:.6f}  vs closed form {analysis.predicted_prob(5, 4):.6f}")
+closed_form = float(analysis.predicted_prob_for_options(5, 4, True))
+print(f"  product: {product:.6f}  vs closed form {closed_form:.6f}")

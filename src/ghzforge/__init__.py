@@ -3,8 +3,8 @@
 The package is organized as a small stack: sparse Fock states
 (:mod:`ghzforge.states`), optical elements (:mod:`ghzforge.elements`),
 measurements and post-selection (:mod:`ghzforge.measurement`), the protocol
-compiler with its two executors (:mod:`ghzforge.protocol`), closed-form
-analysis plus the brute-force cross-check (:mod:`ghzforge.analysis`), and a
+compiler with its three executors (:mod:`ghzforge.protocol`), closed-form
+analysis plus the brute-force oracle executor (:mod:`ghzforge.analysis`), and a
 pinned regression checklist (:mod:`ghzforge.golden`).
 """
 
@@ -17,8 +17,6 @@ from .analysis import (
     eta2,
     fidelity,
     ghz_reference,
-    oracle_run,
-    predicted_prob,
     resource_summary,
 )
 from .elements import (
@@ -92,6 +90,6 @@ __all__ = [
     "run", "reduce_to_odd", "build_epr_source", "build_aux_source",
     "polarization_tag", "SINGLE_OUTCOME", "FULL_FOURIER",
     "ghz_reference", "fidelity", "aux_count", "aux_pairs", "eta1", "eta2",
-    "predicted_prob", "classify_terms", "resource_summary", "oracle_run",
+    "classify_terms", "resource_summary",
     "errors",
 ]

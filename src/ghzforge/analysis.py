@@ -1,5 +1,7 @@
-"""Closed-form resource counts, reference states, fidelity and the
-independent brute-force pipeline used to cross-check both simulators.
+"""Closed-form resource counts, reference states, fidelity and the oracle:
+a brute-force executor, independent of the other two, that
+``protocol.execute`` runs on a compiled plan.  This module imports nothing
+from ``protocol``.
 
 Counting identities are evaluated in exact rational arithmetic and only
 converted to float at the API boundary, so the identity checks below are
@@ -202,10 +204,6 @@ def predicted_prob_for_options(
     return p
 
 
-def predicted_prob(d: int, n: int, feedforward: bool = True) -> float:
-    return float(predicted_prob_for_options(d, n, feedforward))
-
-
 DIAGONAL = "diagonal"
 CROSS_PARITY = "cross-parity"
 SAME_PARITY = "same-parity"
@@ -274,8 +272,8 @@ def resource_summary(d: int, n: int) -> ResourceSummary:
         aux_count=aux_count(d, n),
         eta1=eta1(d),
         eta2_values=tuple(eta2(d, k) for k in range(1, per_junction + 1)),
-        predicted_prob_ff=predicted_prob(d, n, True),
-        predicted_prob_filtered=predicted_prob(d, n, False),
+        predicted_prob_ff=float(predicted_prob_for_options(d, n, True)),
+        predicted_prob_filtered=float(predicted_prob_for_options(d, n, False)),
     )
 
 
@@ -290,41 +288,28 @@ def resource_csv_row(summary: ResourceSummary) -> str:
 # --- brute-force oracle -----------------------------------------------------
 
 
-def oracle_run(
-    d: int,
-    n: int,
-    feedforward: bool = True,
-    odd_n_mode: str | None = None,
-    input_coeffs: Sequence[float] | None = None,
-    aux_order: Sequence[Sequence[tuple[int, int]]] | None = None,
-):
-    """Dense term-list pipeline sharing no simulation machinery with either
-    simulator.
+def oracle_run(plan, ledger) -> PhotonicState:
+    """The final state of ``plan`` (a ``protocol.ProtocolPlan``) from a dense
+    term-list pipeline sharing no simulation machinery with the other
+    executors, its stages recorded in ``ledger`` (a ``protocol._Ledger``).
 
-    The product input is enumerated explicitly as source-value tuples; each
-    junction first drops cross-parity tuples, then walks its stage list
-    removing exactly the stage's two targeted cross terms while damping every
-    survivor's amplitude by 1/(2*sqrt(2)) (retention times one projection
-    outcome).  Success probability is recovered combinatorially from the
-    surviving amplitudes and the outcome multiplicity of each stage.
-    ``aux_order`` has ``compile_plan``'s meaning.  Like the other executors it
-    records every stage through ``protocol._Ledger``, under the plan's labels.
-    """
-    from .protocol import RunReport, _Ledger  # deferred: protocol builds on this module
-
-    _check_params(d, n)
+    It reads d, n, the source coefficients and the per-junction aux order
+    from the plan, which ``protocol.compile_plan`` checked; ``execute`` makes
+    the ledger and the report.  The product input is enumerated explicitly
+    as source-value tuples; each junction first drops cross-parity tuples,
+    then walks its stage list removing exactly the stage's two targeted
+    cross terms while damping every survivor's amplitude by 1/(2*sqrt(2))
+    (retention times one projection outcome).  Success probability is
+    recovered combinatorially from the surviving amplitudes and the outcome
+    multiplicity of each stage.  Past ``ORACLE_MAX_D`` or ``ORACLE_MAX_N``
+    it raises OracleTooLarge."""
+    d, n = plan.d, plan.n
     if d > ORACLE_MAX_D or n > ORACLE_MAX_N:
         raise OracleTooLarge(
             f"oracle bounded to d <= {ORACLE_MAX_D}, n <= {ORACLE_MAX_N}"
         )
-    odd_n_mode = resolve_odd_mode(odd_n_mode, feedforward)
-    coeffs = states.validated_coeffs(d, input_coeffs)
+    coeffs = states.validated_coeffs(d, plan.options.input_coeffs)
     sources = -(n // -2)
-    pairs = aux_pairs(d)
-    if aux_order is None:
-        aux_order = [pairs] * (sources - 1)
-    elif len(aux_order) != sources - 1 or any(sorted(p) != sorted(pairs) for p in aux_order):
-        raise InvalidParameters("aux_order must permute the same-parity pair set per junction")
 
     # every source-value assignment, with its product amplitude
     tuples: dict[tuple[int, ...], complex] = {}
@@ -339,7 +324,6 @@ def oracle_run(
 
     extend((), 1.0 + 0j)
 
-    ledger = _Ledger(feedforward, odd_n_mode)
     damp = 1.0 / (2.0 * math.sqrt(2.0))
     for junction in range(sources - 1):
         total = sum(abs(a) ** 2 for a in tuples.values())
@@ -350,7 +334,7 @@ def oracle_run(
         }
         ledger.record(f"j{junction}.step_i", sum(abs(a) ** 2 for a in kept.values()) / total)
         tuples = kept
-        for stage, (i, j) in enumerate(aux_order[junction]):
+        for stage, (i, j) in enumerate(plan.junction_aux_pairs[junction]):
             total = sum(abs(a) ** 2 for a in tuples.values())
             if total == 0.0:
                 break
@@ -372,24 +356,14 @@ def oracle_run(
     if drop_first:
         ledger.reduction("reduce", 1.0 / d, 1.0)
 
-    photons = list(range(1 if drop_first else 0, 2 * sources))
+    photons = range(1 if drop_first else 0, 2 * sources)
     nsq = sum(abs(a) ** 2 for a in tuples.values())
-    final = PhotonicState({})
-    if nsq > 0.0:
-        # the oracle's own 1/sqrt(norm): the report takes the fidelity of the
-        # amplitudes it is given, so raw ones would round differently
-        scale = 1.0 / math.sqrt(nsq)
-        kets = []
-        for t, a in tuples.items():
-            modes = [(photon * d + t[photon // 2], states.H) for photon in photons]
-            kets.append((ket(*modes), a * scale))
-        final = states.make_state(kets)
-    predicted = (
-        predicted_prob_for_options(d, n, feedforward, odd_n_mode)
-        if input_coeffs is None
-        else None
-    )
-    return RunReport.build(
-        "oracle", d, n, final, [[p * d + i for i in range(d)] for p in photons],
-        ledger, predicted,
-    )
+    if nsq == 0.0:
+        return PhotonicState({})
+    # the oracle's own 1/sqrt(norm): the report takes the fidelity of the
+    # amplitudes it is given, so raw ones would round differently
+    scale = 1.0 / math.sqrt(nsq)
+    return states.make_state([
+        (ket(*((photon * d + t[photon // 2], states.H) for photon in photons)), a * scale)
+        for t, a in tuples.items()
+    ])

@@ -319,8 +319,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce_odd(args: argparse.Namespace) -> int:
-    if args.n % 2 != 0:
-        raise InvalidParameters("reduce-odd expects the even photon count of the input state")
+    if args.n % 2 or args.n < 4:
+        raise InvalidParameters(f"reduce-odd needs an even n >= 4, got n={args.n}")
     even = protocol.run(
         args.d, args.n, feedforward=True, backend=args.backend,
         input_coeffs=_parse_coeffs(args.coeffs),

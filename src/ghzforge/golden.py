@@ -337,7 +337,7 @@ def agreement_checks() -> list[CheckResult]:
     for d, n in ((2, 4), (3, 4)):
         rule = protocol.run(d, n, feedforward=True, backend="rule")
         element = protocol.run(d, n, feedforward=True, backend="element")
-        oracle = analysis.oracle_run(d, n, feedforward=True)
+        oracle = protocol.run(d, n, feedforward=True, backend="oracle")
         probs_ok = (
             _close(rule.prob, element.prob)
             and _close(rule.prob, oracle.prob)

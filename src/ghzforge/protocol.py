@@ -24,24 +24,30 @@ compiling or running a plan on the rule or oracle backend builds no optics.
 The table holds steps, never their results: every execute still applies
 each step through ``Step.apply``.
 
-Two executors interpret a plan:
+Three executors interpret a plan, each a function from (plan, ledger) to
+the run's final state:
 
 * the element backend folds the literal optical circuit (the golden
-  reference), and
+  reference),
 * the rule backend applies each stage's kept-term predicate and amplitude
   factor directly to path tuples, which is exact for every (d, n) and much
   smaller.  Helper stages only remove kets, so after each parity filter it
   indexes the kets whose junction photons sit on different paths under both
   paths (the crossing index), lets stage (i, j) remove only path j's entries,
   and carries the normalisation as one scale factor, so a junction costs
-  O(d**2) across all of its d**2 / 4 helper stages.
+  O(d**2) across all of its d**2 / 4 helper stages, and
+* the oracle (``analysis.oracle_run``) enumerates every source-value tuple
+  on its own, within a size bound.
 
-Both track the two probability accountings side by side: "filtered" keeps
-only HH/VV pair outcomes and the uniform-superposition Fourier outcome, while
-"feedforward" corrects every outcome by conditional phases.  Every executor
-(the oracle in ``analysis`` too) and ``reduce_to_odd`` record their stages
-through ``_Ledger``, which owns the labels, the three products, the choice of
-accounting and the kept intermediates.
+``execute`` is the one way to run a plan: it builds the run's ``_Ledger``
+from the plan's options, hands it to the executor, which records every stage
+in it, and makes the one report from the final state (``_plan_report``).
+The ledger owns the labels, the three products, the choice of accounting and
+the kept intermediates.  All three track the two probability accountings
+side by side: "filtered" keeps only HH/VV pair outcomes and the
+uniform-superposition Fourier outcome, while "feedforward" corrects every
+outcome by conditional phases.  ``reduce_to_odd`` records its one stage
+through a ledger of its own.
 """
 
 from __future__ import annotations
@@ -492,7 +498,7 @@ def _reduce_even_state(
     return post, dist.prob("0"), dist.total()
 
 
-def _run_elements(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
+def _run_elements(plan: ProtocolPlan, ledger: _Ledger) -> PhotonicState:
     """Literal-optics executor: fold every stage's steps (``plan.optics``)
     over the state.
 
@@ -504,10 +510,7 @@ def _run_elements(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
     untag) is unitary, so its state is carried as it is, with a squared norm
     of 1 up to rounding.
     """
-    opts = plan.options
     state = states.vacuum()
-    ledger = _Ledger(opts.feedforward, opts.resolved_odd_mode(), keep_intermediates)
-
     for stage, (steps, unitary) in zip(plan.stages, plan.optics):
         if stage.kind == "reduce":
             state, p_single, p_full = _reduce_even_state(
@@ -534,7 +537,7 @@ def _run_elements(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
             if not unitary:
                 state = states.normalize(state)
         ledger.keep_state(stage.label, state)
-    return _plan_report(plan, "element", state, ledger)
+    return state
 
 
 def _materialize_paths(
@@ -554,7 +557,7 @@ def _materialize_paths(
     })
 
 
-def _run_rules(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
+def _run_rules(plan: ProtocolPlan, ledger: _Ledger) -> PhotonicState:
     """Predicate-level executor: per-photon path tuples with stage keep rules.
 
     Sources stream in as in the plan: each tuple starts as source 0's (i, i),
@@ -583,8 +586,6 @@ def _run_rules(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
     amps: dict[tuple[int, ...], complex] = {(i, i): c + 0j for i, c in source}
     scale = 1.0  # amps times scale is the normalised chain state
 
-    ledger = _Ledger(opts.feedforward, opts.resolved_odd_mode(), keep_intermediates)
-
     def keep(label: str, tagged: set[int], rule: Callable[[int], str]) -> None:
         if ledger.keep:
             ledger.keep_state(label, _materialize_paths(
@@ -603,7 +604,7 @@ def _run_rules(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
         p1 = nsq / total if total else 0.0
         ledger.record(f"j{k}.step_i", p1)
         if not amps:
-            return _plan_report(plan, "rule", PhotonicState({}), ledger)
+            return PhotonicState({})
         scale = 1.0 / math.sqrt(nsq)
         keep(f"j{k}.step_i", {ia, ib}, parity_rule)
 
@@ -624,7 +625,7 @@ def _run_rules(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
             ledger.record(f"j{k}.aux{q}.interfere", p_coin)
             ledger.pair_analysis(f"j{k}.aux{q}.pas", 0.5, 1.0)
             if not amps:
-                return _plan_report(plan, "rule", PhotonicState({}), ledger)
+                return PhotonicState({})
             nsq = surv_nsq
             scale = 1.0 / math.sqrt(nsq)
             keep(
@@ -640,25 +641,22 @@ def _run_rules(plan: ProtocolPlan, keep_intermediates: bool) -> RunReport:
 
     state = _materialize_paths(d, amps, scale, photons, lambda photon, path: H)
     ledger.keep_state("final", state)
-    return _plan_report(plan, "rule", state, ledger)
+    return state
 
 
 def execute(
     plan: ProtocolPlan, backend: str = "rule", keep_intermediates: bool = False
 ) -> RunReport:
-    if backend == "rule":
-        return _run_rules(plan, keep_intermediates)
-    if backend == "element":
-        return _run_elements(plan, keep_intermediates)
-    if backend == "oracle":
-        return analysis.oracle_run(
-            plan.d, plan.n,
-            feedforward=plan.options.feedforward,
-            odd_n_mode=plan.options.resolved_odd_mode(),
-            input_coeffs=plan.options.input_coeffs,
-            aux_order=plan.junction_aux_pairs,
-        )
-    raise InvalidParameters(f"unknown backend {backend!r}")
+    """Run ``plan`` on ``backend`` ("rule", "element" or "oracle"): build the
+    run's one ledger from the plan's options, let the executor record its
+    stages in it and return the final state, and make the one report."""
+    executor = {"rule": _run_rules, "element": _run_elements,
+                "oracle": analysis.oracle_run}.get(backend)
+    if executor is None:
+        raise InvalidParameters(f"unknown backend {backend!r}")
+    opts = plan.options
+    ledger = _Ledger(opts.feedforward, opts.resolved_odd_mode(), keep_intermediates)
+    return _plan_report(plan, backend, executor(plan, ledger), ledger)
 
 
 def run(

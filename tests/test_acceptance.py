@@ -91,7 +91,7 @@ def test_criterion_3_closed_form_conformance():
     for d in (2, 3, 4, 5):
         for n in (4, 5, 6, 7, 8):
             report = gf.run(d, n, feedforward=True, backend="rule")
-            predicted = analysis.predicted_prob(d, n, True)
+            predicted = float(analysis.predicted_prob_for_options(d, n, True))
             assert abs(report.prob - predicted) <= TOL, (d, n)
             assert report.fidelity >= 1.0 - TOL, (d, n)
             checked += 1
@@ -105,14 +105,14 @@ def test_criterion_4_oracle_equivalence():
     for d in (2, 3, 4):
         for n in (2, 3, 4, 5, 6):
             rule = gf.run(d, n, feedforward=True, backend="rule")
-            oracle = gf.oracle_run(d, n, feedforward=True)
+            oracle = gf.run(d, n, feedforward=True, backend="oracle")
             assert abs(rule.prob - oracle.prob) <= TOL, (d, n)
             assert abs(rule.prob_filtered - oracle.prob_filtered) <= TOL, (d, n)
             assert gf.fidelity(rule.final_state, oracle.final_state) >= 1.0 - TOL, (d, n)
             checked += 1
     element = gf.run(3, 4, feedforward=True, backend="element")
     rule = gf.run(3, 4, feedforward=True, backend="rule")
-    oracle = gf.oracle_run(3, 4, feedforward=True)
+    oracle = gf.run(3, 4, feedforward=True, backend="oracle")
     assert abs(element.prob - rule.prob) <= TOL
     assert abs(element.prob - oracle.prob) <= TOL
     assert gf.fidelity(element.final_state, rule.final_state) >= 1.0 - TOL

@@ -126,7 +126,6 @@ class TestResourceFormulas:
     )
     def test_predicted_prob(self, d, n, ff, expected):
         assert analysis.predicted_prob_for_options(d, n, ff) == expected
-        assert gf.predicted_prob(d, n, ff) == float(expected)
 
     @pytest.mark.parametrize(
         "ff,odd_mode,expected",
@@ -259,26 +258,26 @@ class TestClassification:
 
 class TestOracle:
     def test_qutrit_chain(self):
-        rep = gf.oracle_run(3, 4, feedforward=True)
+        rep = gf.run(3, 4, feedforward=True, backend="oracle")
         assert rep.prob == pytest.approx(1 / 6, abs=1e-12)
         assert rep.prob_filtered == pytest.approx(1 / 12, abs=1e-12)
         assert rep.fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_qubit_chain(self):
-        rep = gf.oracle_run(2, 4, feedforward=True)
+        rep = gf.run(2, 4, feedforward=True, backend="oracle")
         assert rep.prob == pytest.approx(0.5, abs=1e-12)
         assert gf.fidelity(rep.final_state, gf.ghz_reference(2, 4)) == pytest.approx(1.0)
 
     def test_six_photon_qutrit(self):
-        rep = gf.oracle_run(3, 6, feedforward=True)
+        rep = gf.run(3, 6, feedforward=True, backend="oracle")
         assert rep.prob == pytest.approx(1 / 36, abs=1e-12)
         assert rep.fidelity == pytest.approx(1.0, abs=1e-9)
 
     def test_size_bound(self):
         with pytest.raises(OracleTooLarge):
-            gf.oracle_run(5, 4)
+            gf.run(5, 4, feedforward=True, backend="oracle")
         with pytest.raises(OracleTooLarge):
-            gf.oracle_run(3, 8)
+            gf.run(3, 8, feedforward=True, backend="oracle")
 
     @pytest.mark.parametrize(
         "coeffs, message",
@@ -288,14 +287,14 @@ class TestOracle:
     )
     def test_coefficients_checked_as_on_the_other_backends(self, coeffs, message):
         with pytest.raises(InvalidCoefficients, match=message):
-            gf.oracle_run(3, 4, input_coeffs=coeffs)
+            gf.run(3, 4, feedforward=True, backend="oracle", input_coeffs=coeffs)
         with pytest.raises(InvalidCoefficients, match=message):
             gf.run(3, 4, backend="rule", input_coeffs=coeffs)
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_unknown_odd_mode_rejected_everywhere(self, n):
         with pytest.raises(InvalidParameters, match="unknown odd-n mode 'bogus'"):
-            gf.oracle_run(3, n, odd_n_mode="bogus")
+            gf.run(3, n, feedforward=True, backend="oracle", odd_n_mode="bogus")
         with pytest.raises(InvalidParameters, match="unknown odd-n mode 'bogus'"):
             analysis.predicted_prob_for_options(3, n, True, "bogus")
         with pytest.raises(InvalidParameters, match="unknown odd-n mode 'bogus'"):
@@ -304,13 +303,13 @@ class TestOracle:
     @pytest.mark.parametrize("ff", [True, False])
     @pytest.mark.parametrize("mode", [None, gf.SINGLE_OUTCOME, gf.FULL_FOURIER])
     def test_odd_mode_read_alike_by_oracle_and_prediction(self, ff, mode):
-        rep = gf.oracle_run(3, 5, feedforward=ff, odd_n_mode=mode)
+        rep = gf.run(3, 5, feedforward=ff, backend="oracle", odd_n_mode=mode)
         assert rep.predicted == analysis.predicted_prob_for_options(3, 5, ff, mode)
         assert rep.prob_matches is True
         assert rep.prob == pytest.approx(gf.run(3, 5, ff, odd_n_mode=mode).prob, rel=1e-12)
 
     def test_trace_product_is_total(self):
-        rep = gf.oracle_run(3, 5, feedforward=False)
+        rep = gf.run(3, 5, feedforward=False, backend="oracle")
         product = 1.0
         for p in rep.trace:
             product *= p
@@ -337,7 +336,8 @@ class TestOracle:
     )
     def test_aux_order_must_permute_the_pairs(self, aux_order):
         with pytest.raises(InvalidParameters, match="aux_order must permute"):
-            gf.oracle_run(4, 6, aux_order=aux_order)
+            opts = gf.ProtocolOptions(d=4, n=6, feedforward=True)
+            gf.execute(gf.compile_plan(opts, aux_order=aux_order), "oracle")
 
 
 _MODES = [None, gf.SINGLE_OUTCOME, gf.FULL_FOURIER]

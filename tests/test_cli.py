@@ -513,6 +513,13 @@ class TestReduceOdd:
     def test_odd_input_rejected(self, capsys):
         code, _, err = run_cli(capsys, "reduce-odd", "--d", "2", "--n", "3")
         assert code == 2
+        assert err == "error: reduce-odd needs an even n >= 4, got n=3\n"
+
+    def test_two_photon_input_rejected(self, capsys):
+        # dropping a photon from two would leave one: no GHZ state to check
+        code, _, err = run_cli(capsys, "reduce-odd", "--d", "3", "--n", "2")
+        assert code == 2
+        assert err == "error: reduce-odd needs an even n >= 4, got n=2\n"
 
 
 class TestEnvironment:

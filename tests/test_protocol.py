@@ -228,7 +228,7 @@ class TestBackendAgreement:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_rule_matches_oracle(self, d, n):
         rule = gf.run(d, n, feedforward=True, backend="rule")
-        oracle = gf.oracle_run(d, n, feedforward=True)
+        oracle = gf.run(d, n, feedforward=True, backend="oracle")
         assert rule.prob == pytest.approx(oracle.prob, abs=1e-9)
         assert rule.prob_filtered == pytest.approx(oracle.prob_filtered, abs=1e-9)
         assert gf.fidelity(rule.final_state, oracle.final_state) == pytest.approx(
@@ -248,7 +248,7 @@ class TestBackendAgreement:
         coeffs = (0.6, 0.0, 0.8)
         rule = gf.run(3, 4, feedforward=True, backend="rule", input_coeffs=coeffs)
         element = gf.run(3, 4, feedforward=True, backend="element", input_coeffs=coeffs)
-        oracle = gf.oracle_run(3, 4, feedforward=True, input_coeffs=coeffs)
+        oracle = gf.run(3, 4, feedforward=True, backend="oracle", input_coeffs=coeffs)
         assert rule.predicted_prob is None
         assert rule.prob_matches is None
         assert rule.fidelity < 1.0 - 1e-6  # honestly not a uniform target
@@ -302,6 +302,26 @@ class TestElementNorms:
             renormalised[any(s is out for s in normalised)].add(stage.kind)
         assert renormalised[True] == {"sources", "pbs_filter", "aux_inject", "aux_interfere"}
         assert renormalised[False] == {"tag", "aux_analysis"}
+
+
+class TestOneReport:
+    @pytest.mark.parametrize("backend", ["rule", "element", "oracle"])
+    @pytest.mark.parametrize("feedforward", [True, False])
+    @pytest.mark.parametrize("d, n", [(3, 4), (3, 5)])
+    def test_execute_makes_exactly_one_report(self, monkeypatch, backend, feedforward, d, n):
+        plan_report, reports = protocol._plan_report, []
+
+        def counted_report(*args):
+            reports.append(plan_report(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(protocol, "_plan_report", counted_report)
+        plan = gf.compile_plan(gf.ProtocolOptions(d=d, n=n, feedforward=feedforward))
+        report = gf.execute(plan, backend)
+        assert len(reports) == 1
+        assert reports[0] is report
+        assert report.backend == backend
+        assert report.matches
 
 
 class TestStreaming:
@@ -386,7 +406,9 @@ class TestEdgeCases:
 
     def test_three_photon_run(self):
         report = gf.run(3, 3, feedforward=True, backend="rule")
-        assert report.prob == pytest.approx(analysis.predicted_prob(3, 3, True), abs=1e-12)
+        assert report.prob == pytest.approx(
+            float(analysis.predicted_prob_for_options(3, 3, True)), abs=1e-12
+        )
         assert report.fidelity == pytest.approx(1.0, abs=1e-9)
 
     def test_report_serialization_keys(self):
