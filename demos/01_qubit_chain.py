@@ -10,7 +10,7 @@ more sources extends the state two photons at a time.
 import math
 
 import ghzforge as gf
-from ghzforge import golden, measurement, states
+from ghzforge import golden
 
 # --- polarization picture ---------------------------------------------------
 

@@ -52,17 +52,25 @@ def default_port_groups(d: int, n_photons: int) -> list[list[int]]:
 def ghz_reference(
     d: int, n: int, port_groups: Sequence[Sequence[int]] | None = None
 ) -> PhotonicState:
-    """(1/sqrt(d)) * sum_i |i>^(x n) in path encoding, all photons horizontal."""
+    """(1/sqrt(d)) * sum_i |i>^(x n) in path encoding, all photons horizontal.
+
+    Ket i holds one H photon on port ``g[i]`` of every group ``g``; the d kets
+    are built flat, in i order.  Every port is a non-negative int and no two
+    paths share one, so the d kets are distinct and unbunched."""
     _check_params(d, n)
     groups = port_groups if port_groups is not None else default_port_groups(d, n)
     if len(groups) != n or any(len(g) != d for g in groups):
         raise InvalidParameters("port groups must give each of the n photons d paths")
-    amp = 1.0 / math.sqrt(d)
-    kets = [
-        (ket(*((g[i], states.H) for g in groups)), amp)
-        for i in range(d)
-    ]
-    return states.make_state(kets)
+    ports = [g[i] for i in range(d) for g in groups]
+    if not all(type(port) is int and port >= 0 for port in ports):
+        for port in ports:  # states.mode names the first bad port
+            states.mode(port, states.H)
+    if len(set(ports)) != n * d:
+        raise InvalidParameters("port groups must not share a port")
+    amp = complex(1.0 / math.sqrt(d))
+    return states._from_kets(
+        {tuple(sorted(2 * g[i] for g in groups)): amp for i in range(d)}
+    )
 
 
 def fidelity(state: PhotonicState, reference: PhotonicState) -> float:
@@ -302,12 +310,15 @@ def oracle_run(plan, ledger) -> PhotonicState:
     (retention times one projection outcome).  Success probability is
     recovered combinatorially from the surviving amplitudes and the outcome
     multiplicity of each stage.  Past ``ORACLE_MAX_D`` or ``ORACLE_MAX_N``
-    it raises OracleTooLarge."""
+    it raises OracleTooLarge; asked to keep intermediate states (``ledger.keep``),
+    which it has none of, it raises InvalidParameters."""
     d, n = plan.d, plan.n
     if d > ORACLE_MAX_D or n > ORACLE_MAX_N:
         raise OracleTooLarge(
             f"oracle bounded to d <= {ORACLE_MAX_D}, n <= {ORACLE_MAX_N}"
         )
+    if ledger.keep:
+        raise InvalidParameters("the oracle keeps no intermediate states")
     coeffs = states.validated_coeffs(d, plan.options.input_coeffs)
     sources = -(n // -2)
 

@@ -9,6 +9,7 @@ runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from decimal import Decimal
@@ -354,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--feedforward", action="store_true")
     p_plan.add_argument("--full", action="store_true", help="include the compiled stage list (json)")
     add_common(p_plan, ("pretty", "json", "csv"))
-    p_plan.set_defaults(func=cmd_plan)
 
     p_run = sub.add_parser("run", help="execute the protocol and report the outcome")
     p_run.add_argument("--d", type=int, default=None)
@@ -365,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--coeffs", default=None, help="comma-separated source coefficients")
     p_run.add_argument("--circuit", default=None, help="run a circuit JSON file instead")
     add_common(p_run, ("json", "pretty"))
-    p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="grid of (d, n) cells, plot-ready")
     p_sweep.add_argument("--d", required=True, help="value or range such as 2..4")
@@ -373,12 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--feedforward", action="store_true")
     p_sweep.add_argument("--backend", choices=("rule", "element", "oracle"), default="rule")
     add_common(p_sweep, ("csv", "json", "pretty"))
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the pinned regression checklist")
     p_verify.add_argument("--json", action="store_true", help="alias for --format json")
     add_common(p_verify, ("pretty", "json"))
-    p_verify.set_defaults(func=cmd_verify)
 
     p_reduce = sub.add_parser(
         "reduce-odd", help="drop one photon from a simulated even-photon state"
@@ -389,13 +386,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("--backend", choices=("rule", "element"), default="rule")
     p_reduce.add_argument("--coeffs", default=None)
     add_common(p_reduce, ("json", "pretty"))
-    p_reduce.set_defaults(func=cmd_reduce_odd)
 
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -404,7 +406,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run" and not args.circuit:
             if args.d is None or args.n is None:
                 parser.error("run requires --d and --n (or --circuit)")
-        return args.func(args)
+        # looked up now rather than bound into the parser, which outlives
+        # this call: a ``cmd_*`` replaced since then is the one that runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

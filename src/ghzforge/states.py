@@ -50,7 +50,7 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
-from .errors import EmptyState, InvalidCoefficients, InvalidParameters, PortCollision
+from .errors import EmptyState, InvalidCoefficients, PortCollision
 
 H = "H"
 V = "V"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ghzforge as gf
-from ghzforge import analysis, cli, golden
+from ghzforge import analysis, cli, golden, protocol, states
 from ghzforge.errors import InvalidCoefficients, InvalidParameters, OracleTooLarge
 
 
@@ -36,6 +36,57 @@ class TestGhzReference:
     def test_invalid_params(self):
         with pytest.raises(InvalidParameters):
             gf.ghz_reference(1, 4)
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_flat_kets_equal_the_nested_construction(self, d):
+        """Key for key, in order and to the bit, against ``make_state`` of
+        nested kets, on the default groups and on each plan's output groups."""
+        for n in range(2, 13):
+            plan = protocol.compile_plan(protocol.ProtocolOptions(d=d, n=n, feedforward=True))
+            for groups in (None, plan.output_port_groups()):
+                flat = gf.ghz_reference(d, n, groups)
+                nested = _nested_reference(d, n, groups)
+                assert list(flat.kets) == list(nested.kets), (d, n, groups)
+                assert [repr(a) for a in flat.kets.values()] == [
+                    repr(a) for a in nested.kets.values()
+                ], (d, n, groups)
+                assert all(type(a) is complex for a in flat.kets.values())
+
+    @pytest.mark.parametrize(
+        "groups",
+        [[[0, 1], [0, 1]], [[0, 1], [1, 0]], [[0, 1], [2, 1]], [[0, 0], [1, 2]]],
+        ids=["same-group-twice", "swapped", "one-port-shared", "repeated-in-a-group"],
+    )
+    def test_groups_sharing_a_port_are_rejected(self, groups):
+        with pytest.raises(InvalidParameters, match="must not share a port"):
+            gf.ghz_reference(2, 2, groups)
+
+    @pytest.mark.parametrize("port", [-1, True, "3", 2.0, None])
+    def test_a_bad_port_keeps_the_mode_error(self, port):
+        with pytest.raises(ValueError) as want:
+            states.mode(port, states.H)
+        with pytest.raises(ValueError) as got:
+            gf.ghz_reference(2, 2, [[0, 1], [port, 5]])
+        assert str(got.value) == str(want.value)
+        assert "port must be a non-negative integer" in str(got.value)
+
+    def test_a_bad_port_is_reported_before_a_shared_one(self):
+        with pytest.raises(ValueError, match="got -1"):
+            gf.ghz_reference(2, 2, [[0, 1], [0, -1]])
+
+    def test_wrong_group_shape(self):
+        with pytest.raises(InvalidParameters, match="d paths"):
+            gf.ghz_reference(2, 2, [[0, 1], [2]])
+        with pytest.raises(InvalidParameters, match="d paths"):
+            gf.ghz_reference(2, 3, [[0, 1], [2, 3]])
+
+
+def _nested_reference(d, n, groups):
+    """The GHZ reference through the validating nested path, ket by ket."""
+    groups = groups if groups is not None else analysis.default_port_groups(d, n)
+    return states.make_state(
+        [(gf.ket(*((g[i], states.H) for g in groups)), 1.0 / math.sqrt(d)) for i in range(d)]
+    )
 
 
 class TestFidelity:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -467,6 +468,46 @@ class TestVerify:
             return  # the mutated convention may break the pipeline outright
         by_name = {c.name: c for c in checks}
         assert not by_name["qutrit chain: parity-filter survivors"].passed
+
+
+_SUBCOMMAND_ARGV = {
+    "plan": ["plan", "--d", "3", "--n", "4"],
+    "run": ["run", "--d", "3", "--n", "4"],
+    "sweep": ["sweep", "--d", "2", "--n", "4"],
+    "verify": ["verify"],
+    "reduce-odd": ["reduce-odd", "--d", "3", "--n", "4"],
+}
+
+
+class TestOneParser:
+    def test_later_calls_build_no_parser(self, capsys, monkeypatch):
+        assert main(["plan", "--d", "3", "--n", "4"]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert main(["plan", "--d", "3", "--n", "4"]) == 0
+        assert main(["plan", "--d", "3"]) == 2  # a usage error, on the same parser
+        assert main(["plan", "--d", "3", "--n", "4", "--format", "json"]) == 0
+        assert built == []
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", sorted(_SUBCOMMAND_ARGV))
+    def test_a_command_patched_after_a_call_is_the_one_run(self, capsys, monkeypatch, command):
+        """The parser outlives a call, so ``main`` must look the subcommand up
+        when it runs; one bound into the parser would miss the patch."""
+        assert main(["plan", "--d", "2", "--n", "2"]) == 0
+        seen = []
+        monkeypatch.setattr(
+            cli, "cmd_" + command.replace("-", "_"), lambda args: seen.append(args.command) or 42
+        )
+        assert main(_SUBCOMMAND_ARGV[command]) == 42
+        assert seen == [command]
+        capsys.readouterr()
 
 
 class TestModuleEntryPoint:

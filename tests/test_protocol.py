@@ -324,6 +324,18 @@ class TestOneReport:
         assert report.matches
 
 
+class TestOracleIntermediates:
+    def test_run_refuses_to_keep_them(self):
+        with pytest.raises(InvalidParameters, match="the oracle keeps no intermediate states"):
+            gf.run(3, 4, feedforward=True, backend="oracle", keep_intermediates=True)
+
+    def test_execute_refuses_to_keep_them(self):
+        plan = gf.compile_plan(gf.ProtocolOptions(d=3, n=4, feedforward=True))
+        with pytest.raises(InvalidParameters, match="the oracle keeps no intermediate states"):
+            gf.execute(plan, "oracle", keep_intermediates=True)
+        assert gf.execute(plan, "oracle").intermediates == {}
+
+
 class TestStreaming:
     @staticmethod
     def largest_intermediate(d, n):
