@@ -54,22 +54,22 @@ def ghz_reference(
 ) -> PhotonicState:
     """(1/sqrt(d)) * sum_i |i>^(x n) in path encoding, all photons horizontal.
 
-    Ket i holds one H photon on port ``g[i]`` of every group ``g``; the d kets
-    are built flat, in i order.  Every port is a non-negative int and no two
-    paths share one, so the d kets are distinct and unbunched."""
+    Ket i holds one H photon on port ``g[i]`` of every group ``g``, in i
+    order.  Every port is a non-negative int and no two paths share one, so
+    the d kets are distinct and unbunched.  A compiled plan builds its own
+    once (``ProtocolPlan.reference``)."""
     _check_params(d, n)
     groups = port_groups if port_groups is not None else default_port_groups(d, n)
     if len(groups) != n or any(len(g) != d for g in groups):
         raise InvalidParameters("port groups must give each of the n photons d paths")
     ports = [g[i] for i in range(d) for g in groups]
-    if not all(type(port) is int and port >= 0 for port in ports):
-        for port in ports:  # states.mode names the first bad port
-            states.mode(port, states.H)
+    for port in ports:  # states.mode names the first bad port
+        states.mode(port, states.H)
     if len(set(ports)) != n * d:
         raise InvalidParameters("port groups must not share a port")
-    amp = complex(1.0 / math.sqrt(d))
-    return states._from_kets(
-        {tuple(sorted(2 * g[i] for g in groups)): amp for i in range(d)}
+    amp = 1.0 / math.sqrt(d)
+    return states.make_state(
+        (tuple(((g[i], states.H), 1) for g in groups), amp) for i in range(d)
     )
 
 

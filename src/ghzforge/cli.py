@@ -338,7 +338,10 @@ def cmd_reduce_odd(args: argparse.Namespace) -> int:
 # --- parser -----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first call and returned by every
+    later one, so it is not to be changed by a caller."""
     parser = argparse.ArgumentParser(
         prog="ghzforge",
         description="Simulate post-selected preparation of n-photon d-level GHZ states.",
@@ -390,14 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """The process's one parser, built on first use."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _shared_parser()
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

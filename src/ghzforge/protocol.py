@@ -98,15 +98,22 @@ class PlanStage:
 class ProtocolPlan:
     """A compiled (d, n) protocol: its options, counts and stage geometry.
 
-    The optics are built from the geometry on first element use and kept
-    (``optics``), so a compiled plan is not to be mutated: a changed stage
-    list or option would not reach optics already built."""
+    The GHZ reference on the output photons is built with the plan
+    (``reference``), since every backend's report needs it; the optics are
+    built from the geometry on first element use and kept (``optics``).  So
+    a compiled plan is not to be mutated: a changed stage list or option
+    would not reach the reference or optics already built."""
 
     options: ProtocolOptions
     epr_pair_count: int
     aux_pair_count: int
     junction_aux_pairs: list[list[tuple[int, int]]]
     stages: list[PlanStage]
+    reference: PhotonicState = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        groups = self.output_port_groups()
+        self.reference = analysis.ghz_reference(self.d, len(groups), groups)
 
     @property
     def d(self) -> int:
@@ -404,18 +411,17 @@ class RunReport:
     @classmethod
     def build(
         cls, backend: str, d: int, n: int, state: PhotonicState,
-        groups: Sequence[Sequence[int]], ledger: _Ledger, predicted: Fraction | None,
+        reference: PhotonicState | None, ledger: _Ledger, predicted: Fraction | None,
     ) -> RunReport:
         """The one way to assemble a report: an executor's final state, and its
         ledger for the trace, labels, products, feedforward flag and kept
         intermediates.  An empty state reports every probability and the
-        fidelity as 0, so it never matches a prediction; otherwise the state is
-        normalized and compared with the GHZ reference on ``groups``.  The
-        match flags are None when there is no prediction."""
+        fidelity as 0, so it never matches a prediction (and ``reference`` may
+        be None); otherwise the state is normalized and compared with the GHZ
+        ``reference``.  The match flags are None when there is no prediction."""
         if state.is_empty:
             final, probs, fid = PhotonicState({}), (0.0, 0.0, 0.0), 0.0
         else:
-            reference = analysis.ghz_reference(d, len(groups), groups)
             final, fid = states.normalize(state), analysis.fidelity(state, reference)
             probs = ledger.probs
         prob, prob_filtered, prob_ff = probs
@@ -479,9 +485,7 @@ def _plan_report(
         if opts.input_coeffs is None
         else None
     )
-    return RunReport.build(
-        backend, plan.d, plan.n, state, plan.output_port_groups(), ledger, predicted
-    )
+    return RunReport.build(backend, plan.d, plan.n, state, plan.reference, ledger, predicted)
 
 
 def _reduce_even_state(
@@ -700,7 +704,8 @@ def reduce_to_odd(
     post, p_single, p_full = _reduce_even_state(state, d, mode, groups[0], groups[1])
     ledger = _Ledger(feedforward=mode == FULL_FOURIER, odd_mode=mode)
     ledger.reduction("reduce", p_single, p_full)
+    reference = None if post.is_empty else analysis.ghz_reference(d, len(groups) - 1, groups[1:])
     return RunReport.build(
-        "reduce", d, len(groups) - 1, post, groups[1:], ledger,
+        "reduce", d, len(groups) - 1, post, reference, ledger,
         Fraction(1, d) if mode == SINGLE_OUTCOME else Fraction(1),
     )

@@ -38,19 +38,21 @@ class TestGhzReference:
             gf.ghz_reference(1, 4)
 
     @pytest.mark.parametrize("d", range(2, 17))
-    def test_flat_kets_equal_the_nested_construction(self, d):
+    def test_equals_the_ket_by_ket_construction(self, d):
         """Key for key, in order and to the bit, against ``make_state`` of
-        nested kets, on the default groups and on each plan's output groups."""
+        ``ket`` terms, on the default groups and on each plan's output groups,
+        and so is the reference the plan built."""
         for n in range(2, 13):
             plan = protocol.compile_plan(protocol.ProtocolOptions(d=d, n=n, feedforward=True))
             for groups in (None, plan.output_port_groups()):
-                flat = gf.ghz_reference(d, n, groups)
+                built = gf.ghz_reference(d, n, groups)
                 nested = _nested_reference(d, n, groups)
-                assert list(flat.kets) == list(nested.kets), (d, n, groups)
-                assert [repr(a) for a in flat.kets.values()] == [
+                assert list(built.kets) == list(nested.kets), (d, n, groups)
+                assert [repr(a) for a in built.kets.values()] == [
                     repr(a) for a in nested.kets.values()
                 ], (d, n, groups)
-                assert all(type(a) is complex for a in flat.kets.values())
+                assert all(type(a) is complex for a in built.kets.values())
+            assert list(plan.reference.kets.items()) == list(built.kets.items())
 
     @pytest.mark.parametrize(
         "groups",
@@ -82,7 +84,7 @@ class TestGhzReference:
 
 
 def _nested_reference(d, n, groups):
-    """The GHZ reference through the validating nested path, ket by ket."""
+    """The GHZ reference built ket by ket, each ``ket`` validated twice."""
     groups = groups if groups is not None else analysis.default_port_groups(d, n)
     return states.make_state(
         [(gf.ket(*((g[i], states.H) for g in groups)), 1.0 / math.sqrt(d)) for i in range(d)]

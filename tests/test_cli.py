@@ -326,7 +326,7 @@ class TestRun:
             probs=(report.prob / 2, report.prob_filtered / 2, report.prob_feedforward),
         )
         halved = protocol.RunReport.build(
-            "rule", 6, 8, report.final_state, analysis.default_port_groups(6, 8),
+            "rule", 6, 8, report.final_state, analysis.ghz_reference(6, 8),
             ledger, report.predicted,
         )
         assert halved.fidelity == pytest.approx(1.0, abs=1e-12)
@@ -345,7 +345,7 @@ class TestRun:
             probs=(report.prob, report.prob_filtered, report.prob_feedforward),
         )
         near = protocol.RunReport.build(
-            "rule", 3, 4, perturbed, analysis.default_port_groups(3, 4),
+            "rule", 3, 4, perturbed, analysis.ghz_reference(3, 4),
             ledger, report.predicted,
         )
         assert 1.0 - 2e-8 < near.fidelity < 1.0 - states.FIDELITY_TOL

@@ -324,6 +324,32 @@ class TestOneReport:
         assert report.matches
 
 
+class TestPlanReference:
+    def test_compiling_builds_the_output_reference(self):
+        for n in (4, 5):
+            plan = gf.compile_plan(gf.ProtocolOptions(d=3, n=n, odd_n_mode=gf.FULL_FOURIER))
+            groups = plan.output_port_groups()
+            assert plan.reference.kets == gf.ghz_reference(3, len(groups), groups).kets
+
+    @pytest.mark.parametrize("backend", ["rule", "element", "oracle"])
+    def test_executing_builds_no_reference(self, monkeypatch, backend):
+        plan = gf.compile_plan(gf.ProtocolOptions(d=3, n=5, feedforward=True))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a report rebuilt the GHZ reference")
+
+        monkeypatch.setattr(analysis, "ghz_reference", refuse)
+        for _ in range(2):
+            report = gf.execute(plan, backend)
+            assert report.fidelity == pytest.approx(1.0, abs=1e-12) and report.matches
+
+    def test_plans_compare_without_their_reference(self):
+        opts = gf.ProtocolOptions(d=3, n=4)
+        a, b = gf.compile_plan(opts), gf.compile_plan(opts)
+        assert a == b and a.reference is not b.reference
+        assert "reference" not in repr(a)
+
+
 class TestOracleIntermediates:
     def test_run_refuses_to_keep_them(self):
         with pytest.raises(InvalidParameters, match="the oracle keeps no intermediate states"):
