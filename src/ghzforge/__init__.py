@@ -12,7 +12,6 @@ from . import errors
 from .analysis import (
     aux_count,
     aux_pairs,
-    classify_terms,
     eta1,
     eta2,
     fidelity,
@@ -90,6 +89,6 @@ __all__ = [
     "run", "reduce_to_odd", "build_epr_source", "build_aux_source",
     "polarization_tag", "SINGLE_OUTCOME", "FULL_FOURIER",
     "ghz_reference", "fidelity", "aux_count", "aux_pairs", "eta1", "eta2",
-    "classify_terms", "resource_summary",
+    "resource_summary",
     "errors",
 ]

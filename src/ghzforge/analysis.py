@@ -73,11 +73,12 @@ def ghz_reference(
     )
 
 
-def fidelity(state: PhotonicState, reference: PhotonicState) -> float:
-    """|<ref|state/||state||>|**2; an empty state has fidelity 0."""
+def fidelity(state: PhotonicState, reference: PhotonicState, *, normalized: bool = False) -> float:
+    """|<ref|state/||state||>|**2; an empty state has fidelity 0.  A state
+    already normalised is passed with ``normalized=True`` and used as it is."""
     if state.is_empty:
         return 0.0
-    overlap = states.inner_product(reference, states.normalize(state))
+    overlap = states.inner_product(reference, state if normalized else states.normalize(state))
     return min(abs(overlap) ** 2, 1.0)
 
 
@@ -210,47 +211,6 @@ def predicted_prob_for_options(
     if n % 2 == 1 and single:
         p *= Fraction(1, d)
     return p
-
-
-DIAGONAL = "diagonal"
-CROSS_PARITY = "cross-parity"
-SAME_PARITY = "same-parity"
-
-
-@dataclass(frozen=True)
-class MCTClassification:
-    """Partition of the d**2 junction terms |i i j j> by how they are removed."""
-
-    d: int
-    by_pair: dict[tuple[int, int], str]
-
-    @property
-    def diagonal_count(self) -> int:
-        return sum(1 for c in self.by_pair.values() if c == DIAGONAL)
-
-    @property
-    def cross_parity_count(self) -> int:
-        return sum(1 for c in self.by_pair.values() if c == CROSS_PARITY)
-
-    @property
-    def same_parity_count(self) -> int:
-        return sum(1 for c in self.by_pair.values() if c == SAME_PARITY)
-
-
-def classify_terms(d: int) -> MCTClassification:
-    """Diagonal terms survive; cross-parity cross terms die at the PBS filter;
-    same-parity cross terms need one auxiliary stage per unordered pair."""
-    _check_params(d, 2)
-    by_pair: dict[tuple[int, int], str] = {}
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                by_pair[(i, j)] = DIAGONAL
-            elif i % 2 != j % 2:
-                by_pair[(i, j)] = CROSS_PARITY
-            else:
-                by_pair[(i, j)] = SAME_PARITY
-    return MCTClassification(d, by_pair)
 
 
 @dataclass(frozen=True)

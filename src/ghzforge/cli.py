@@ -211,7 +211,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         else:
             lines = [f"circuit run: {args.circuit}", f"  trace: {trace}",
                      f"  probability: {_prob_line(prob)}",
-                     f"  final state: {len(final.terms)} terms"]
+                     f"  final state: {len(final.kets)} terms"]
             _emit("\n".join(lines) + "\n", args.out)
         return 0
     report = protocol.run(

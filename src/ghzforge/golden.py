@@ -170,7 +170,7 @@ def _state_check(
     form, which keeps the raw amplitudes: the state scaled by sqrt(p)."""
     state, p = got
     ok = states.states_close(states.scaled(state, math.sqrt(p)), want, tol=states.MERGE_TOL)
-    return CheckResult(name, ok, f"{len(state.terms)} terms, branch={p:.6g}")
+    return CheckResult(name, ok, f"{len(state.kets)} terms, branch={p:.6g}")
 
 
 def _untag_all(state: PhotonicState, d: int, photons: list[int]) -> PhotonicState:
@@ -273,7 +273,7 @@ def qubit_chain_checks() -> list[CheckResult]:
     results = [
         CheckResult(
             "qubit chain: polarization-picture survivors",
-            out.terms == qubit_polarization_output().terms
+            out == qubit_polarization_output()
             and len(trace) == 1
             and _close(trace[0], 0.5),
             f"trace={trace}",

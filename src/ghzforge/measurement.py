@@ -94,17 +94,6 @@ class OutcomeDistribution:
         return sum(o.prob for o in self.outcomes)
 
 
-def distribution_to_jsonable(dist: OutcomeDistribution) -> list[dict]:
-    return [
-        {
-            "outcome": o.label,
-            "prob": o.prob,
-            "state": states.state_to_jsonable(o.state),
-        }
-        for o in dist.outcomes
-    ]
-
-
 def _outcome(label: str, sub: PhotonicState, total: float) -> Outcome:
     """Probability and normalized post-state of one projective outcome."""
     nsq = sub.norm_sq()

@@ -422,7 +422,8 @@ class RunReport:
         if state.is_empty:
             final, probs, fid = PhotonicState({}), (0.0, 0.0, 0.0), 0.0
         else:
-            final, fid = states.normalize(state), analysis.fidelity(state, reference)
+            final = states.normalize(state)
+            fid = analysis.fidelity(final, reference, normalized=True)
             probs = ledger.probs
         prob, prob_filtered, prob_ff = probs
         return cls(

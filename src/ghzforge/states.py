@@ -10,12 +10,13 @@ Internally a mode is the int ``2 * port + (pol == "V")`` and a ket is the
 sorted tuple of its photons' mode ints, a bunched mode repeated once per
 photon (``Ket``).  The int order is the port-major mode order, so a port's
 photons sit next to each other and a kernel finds them by bisecting on
-``2 * port``.  ``PhotonicState`` stores these flat kets; its ``terms`` is a
-read-only nested view of them (``TermsView``): its length is the number of
-kets, a lookup encodes only the asked key, and iteration decodes in storage
-order.  ``PhotonicState(terms)`` takes nested keys and canonicalises them,
-summing the amplitudes of keys that name one ket, so a hand-built state is
-as canonical as a computed one; kernels build states from flat kets through
+``2 * port``.  A ``PhotonicState``'s one field is ``kets``, these flat kets
+mapped to their amplitudes.  Its ``terms`` is a read-only nested view built
+on each access: its length is the number of kets, a lookup encodes only the
+asked key, and iteration and ``items()`` decode in storage order.
+``PhotonicState(terms)`` takes nested keys and canonicalises them, summing
+the amplitudes of keys that name one ket, so a hand-built state is as
+canonical as a computed one; kernels build states from flat kets through
 ``_from_kets``.  Sorted output (``sorted_items``, ``pretty``, the JSON) keeps
 the nested order, which differs from the flat order once a mode holds two
 photons: ``|0H,3H>`` sorts before ``|0H,0H>``.
@@ -43,8 +44,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from bisect import bisect_left
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -147,25 +147,6 @@ def ket(*modes_: Mode) -> FockTerm:
     return fock_term((m, 1) for m in modes_)
 
 
-def term_photon_count(term: FockTerm) -> int:
-    return sum(count for _, count in term)
-
-
-def term_ports(term: FockTerm) -> set[int]:
-    return {port for (port, _), _ in term}
-
-
-def photons_in_port(term: FockTerm, port: int) -> int:
-    # ((port,),) sorts after every entry on a lower port and before every
-    # entry on ``port``
-    i = bisect_left(term, ((port,),))
-    k = 0
-    while i < len(term) and term[i][0][0] == port:
-        k += term[i][1]
-        i += 1
-    return k
-
-
 # --- the flat encoding --------------------------------------------------------
 
 
@@ -210,97 +191,71 @@ def decode(k: Ket) -> FockTerm:
     return tuple(out)
 
 
-class _Items(ItemsView):
-    def __iter__(self) -> Iterator[tuple[FockTerm, complex]]:
-        for k, amp in self._mapping.kets.items():
-            yield decode(k), amp
+class _Terms(Mapping):
+    """The nested view of a state's flat kets (see the module docstring)."""
 
-
-class _Values(ValuesView):
-    def __iter__(self) -> Iterator[complex]:
-        return iter(self._mapping.kets.values())
-
-
-class TermsView(Mapping):
-    """Read-only nested view ``FockTerm -> amplitude`` of a state's flat kets.
-
-    ``len`` is O(1), a lookup encodes only the asked key and iteration
-    decodes the kets in storage order."""
-
-    __slots__ = ("kets",)
+    __slots__ = ("_kets",)
 
     def __init__(self, kets: dict[Ket, complex]) -> None:
-        self.kets = kets
+        self._kets = kets
 
     def __len__(self) -> int:
-        return len(self.kets)
+        return len(self._kets)
 
     def __iter__(self) -> Iterator[FockTerm]:
-        return map(decode, self.kets)
+        return map(decode, self._kets)
 
     def __getitem__(self, term: FockTerm) -> complex:
         try:
-            return self.kets[encode(term)]
+            return self._kets[encode(term)]
         except KeyError:
             raise KeyError(term) from None
 
-    def items(self) -> _Items:
-        return _Items(self)
+    def items(self) -> list[tuple[FockTerm, complex]]:
+        return [(decode(k), amp) for k, amp in self._kets.items()]
 
-    def values(self) -> _Values:
-        return _Values(self)
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
+    def values(self) -> ValuesView[complex]:
+        return self._kets.values()
 
 
-def _canonical(terms: Mapping[FockTerm, complex]) -> dict[Ket, complex]:
-    """Flat kets of nested keys in any order; keys naming one ket are summed."""
-    out: dict[Ket, complex] = {}
-    for term, amp in terms.items():
-        k = encode(fock_term(term))
-        out[k] = out[k] + amp if k in out else amp
-    return out
-
-
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class PhotonicState:
-    """Sparse map ket -> amplitude, stored as flat kets; ``terms`` is their
-    nested view, and ``PhotonicState(terms)`` takes nested keys."""
+    """Sparse map ket -> amplitude: ``kets`` holds the flat kets, ``terms``
+    is their nested view, and ``PhotonicState(terms)`` takes nested keys."""
 
-    terms: Mapping[FockTerm, complex]
+    kets: dict[Ket, complex]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.terms, TermsView):
-            self.terms = TermsView(_canonical(self.terms))
+    def __init__(self, terms: Mapping[FockTerm, complex]) -> None:
+        kets: dict[Ket, complex] = {}
+        for term, amp in terms.items():
+            k = encode(fock_term(term))
+            kets[k] = kets[k] + amp if k in kets else amp
+        self.kets = kets
 
     @property
-    def kets(self) -> dict[Ket, complex]:
-        """The flat kets in storage order; read only."""
-        return self.terms.kets
+    def terms(self) -> Mapping[FockTerm, complex]:
+        return _Terms(self.kets)
 
     @property
     def is_empty(self) -> bool:
-        return not self.terms.kets
+        return not self.kets
 
     def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for a in self.terms.kets.values())
+        return sum(abs(a) ** 2 for a in self.kets.values())
 
     def photon_number(self) -> int:
         """Total photon number of the (uniform) sector; 0 for the vacuum."""
-        if not self.terms.kets:
-            return 0
-        return len(next(iter(self.terms.kets)))
+        return len(next(iter(self.kets), ()))
 
     def ports(self) -> set[int]:
-        return {m >> 1 for m in set().union(*self.terms.kets)}
+        return {m >> 1 for m in set().union(*self.kets)}
 
     def amplitude(self, term: FockTerm) -> complex:
-        return self.terms.kets.get(encode(fock_term(term)), 0j)
+        return self.kets.get(encode(fock_term(term)), 0j)
 
     def sorted_items(self) -> list[tuple[FockTerm, complex]]:
         """Items in nested order (see the module docstring)."""
-        return sorted(self.terms.items())
+        return sorted((decode(k), amp) for k, amp in self.kets.items())
 
     def pretty(self) -> str:
         parts = []
@@ -316,11 +271,10 @@ class PhotonicState:
 
 def _from_kets(kets: dict[Ket, complex], _new=object.__new__) -> PhotonicState:
     """The state of canonical flat kets, taken as they are: the one way
-    kernels build a state (without running ``__init__``, which is slower)."""
-    view = _new(TermsView)
-    view.kets = kets
+    kernels build a state (without running ``__init__``, which canonicalises
+    nested keys)."""
     state = _new(PhotonicState)
-    state.terms = view
+    state.kets = kets
     return state
 
 
@@ -431,11 +385,3 @@ def state_from_jsonable(data: list[dict]) -> PhotonicState:
         )
         kets.append((term, complex(real_from_json(entry["re"]), real_from_json(entry["im"]))))
     return make_state(kets)
-
-
-def state_to_json(state: PhotonicState) -> str:
-    return json.dumps(state_to_jsonable(state), indent=2)
-
-
-def state_from_json(text: str) -> PhotonicState:
-    return state_from_jsonable(json.loads(text))

@@ -276,39 +276,6 @@ class TestResourceFormulas:
             analysis.eta2_exact(d, stages + 1)
 
 
-class TestClassification:
-    @pytest.mark.parametrize(
-        "d,diagonal,cross,same",
-        [(2, 2, 2, 0), (3, 3, 4, 2), (5, 5, 12, 8)],
-    )
-    def test_partition_counts(self, d, diagonal, cross, same):
-        table = gf.classify_terms(d)
-        assert table.diagonal_count == diagonal
-        assert table.cross_parity_count == cross
-        assert table.same_parity_count == same
-        assert diagonal + cross + same == d * d
-
-    def test_matches_exhaustive_enumeration(self):
-        # brute force over all ordered pairs, without the closed forms
-        for d in range(2, 9):
-            table = gf.classify_terms(d)
-            for i in range(d):
-                for j in range(d):
-                    if i == j:
-                        expected = analysis.DIAGONAL
-                    elif (i % 2) != (j % 2):
-                        expected = analysis.CROSS_PARITY
-                    else:
-                        expected = analysis.SAME_PARITY
-                    assert table.by_pair[(i, j)] == expected
-            assert table.same_parity_count == 2 * gf.aux_count(d, 4)
-
-    def test_qutrit_same_parity_pairs_are_the_two_expected(self):
-        table = gf.classify_terms(3)
-        same = sorted(p for p, c in table.by_pair.items() if c == analysis.SAME_PARITY)
-        assert same == [(0, 2), (2, 0)]
-
-
 class TestOracle:
     def test_qutrit_chain(self):
         rep = gf.run(3, 4, feedforward=True, backend="oracle")

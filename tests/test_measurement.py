@@ -226,13 +226,6 @@ class TestPolarizationPair:
         with pytest.raises(NotSingleOccupancy):
             gf.project_polarization_pair(s, 0, 1)
 
-    def test_outcomes_serialize(self):
-        s = gf.make_state([(gf.ket((0, "H"), (1, "H"), (2, "H")), 1.0)])
-        dist = gf.project_polarization_pair(s, 0, 1)
-        data = measurement.distribution_to_jsonable(dist)
-        assert [d["outcome"] for d in data] == ["HH", "HV", "VH", "VV"]
-        assert data[0]["prob"] == pytest.approx(1.0)
-
     def test_pas_step_needs_mode_and_correction_port(self):
         # no default: a forgotten correction port must not mean port 0
         with pytest.raises(TypeError):

@@ -323,6 +323,25 @@ class TestOneReport:
         assert report.backend == backend
         assert report.matches
 
+    @pytest.mark.parametrize("d, n, feedforward", [(3, 4, False), (5, 7, True), (16, 8, True)])
+    def test_a_rule_report_normalises_once_with_the_same_fidelity(
+        self, monkeypatch, d, n, feedforward
+    ):
+        normalize, seen = states.normalize, []
+
+        def counted_normalize(state):
+            seen.append(state)
+            return normalize(state)
+
+        monkeypatch.setattr(states, "normalize", counted_normalize)
+        plan = gf.compile_plan(gf.ProtocolOptions(d=d, n=n, feedforward=feedforward))
+        report = gf.execute(plan, "rule")
+        assert len(seen) == 1
+        monkeypatch.undo()
+        # the fidelity normalising the executor's final state itself, bit for bit
+        assert report.fidelity == analysis.fidelity(seen[0], plan.reference)
+        assert report.final_state == states.normalize(seen[0])
+
 
 class TestPlanReference:
     def test_compiling_builds_the_output_reference(self):
