@@ -14,19 +14,20 @@ print(f"{'d':>2} {'n':>2} {'sources':>7} {'helpers':>7} "
       f"{'filter rate':>11} {'predicted':>12} {'simulated':>12} {'fidelity':>10}")
 for d in (2, 3, 4, 5):
     for n in (4, 6, 8):
-        summary = gf.resource_summary(d, n)
+        predicted = float(analysis.predicted_prob_for_options(d, n, True))
         report = gf.run(d, n, feedforward=True, backend="rule")
         print(
-            f"{d:>2} {n:>2} {summary.epr_count:>7} {summary.aux_count:>7} "
-            f"{summary.eta1:>11.4f} {summary.predicted_prob_ff:>12.3e} "
+            f"{d:>2} {n:>2} {-(n // -2):>7} {gf.aux_count(d, n):>7} "
+            f"{float(analysis.eta1_exact(d)):>11.4f} {predicted:>12.3e} "
             f"{report.prob:>12.3e} {report.fidelity:>10.6f}"
         )
 
 print("\nper-stage survival rates for d=5 (paper-style accounting):")
-rates = [analysis.eta2(5, k) for k in range(1, gf.aux_count(5, 4) + 1)]
-print("  parity filter:", analysis.eta1(5))
+rates = [float(analysis.eta2_exact(5, k)) for k in range(1, gf.aux_count(5, 4) + 1)]
+eta1 = float(analysis.eta1_exact(5))
+print("  parity filter:", eta1)
 print("  helper stages:", [round(r, 4) for r in rates])
-product = analysis.eta1(5)
+product = eta1
 for r in rates:
     product *= r
 closed_form = float(analysis.predicted_prob_for_options(5, 4, True))

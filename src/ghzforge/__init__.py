@@ -12,11 +12,8 @@ from . import errors
 from .analysis import (
     aux_count,
     aux_pairs,
-    eta1,
-    eta2,
     fidelity,
     ghz_reference,
-    resource_summary,
 )
 from .elements import (
     BDMerge,
@@ -88,7 +85,6 @@ __all__ = [
     "ProtocolOptions", "ProtocolPlan", "RunReport", "compile_plan", "execute",
     "run", "reduce_to_odd", "build_epr_source", "build_aux_source",
     "polarization_tag", "SINGLE_OUTCOME", "FULL_FOURIER",
-    "ghz_reference", "fidelity", "aux_count", "aux_pairs", "eta1", "eta2",
-    "resource_summary",
+    "ghz_reference", "fidelity", "aux_count", "aux_pairs",
     "errors",
 ]

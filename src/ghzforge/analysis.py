@@ -11,7 +11,6 @@ exact rather than tolerance-based.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -112,10 +111,6 @@ def eta1_exact(d: int) -> Fraction:
     return Fraction(d * d - cross, d * d)
 
 
-def eta1(d: int) -> float:
-    return float(eta1_exact(d))
-
-
 def eta2_exact(d: int, k: int) -> Fraction:
     """Survival rate of the k-th auxiliary stage in the paper's per-stage
     accounting, where each stage removes its two targeted cross terms and
@@ -131,10 +126,6 @@ def eta2_exact(d: int, k: int) -> Fraction:
         raise InvalidParameters(f"stage index k={k} outside 1..{n_stages}")
     survivors = d * d * eta1_exact(d)  # integer-valued fraction
     return (survivors - 2 * k) / (2 * (survivors - 2 * (k - 1)))
-
-
-def eta2(d: int, k: int) -> float:
-    return float(eta2_exact(d, k))
 
 
 def _cancel_shared(num: range, den: range) -> tuple[int, int]:
@@ -211,46 +202,6 @@ def predicted_prob_for_options(
     if n % 2 == 1 and single:
         p *= Fraction(1, d)
     return p
-
-
-@dataclass(frozen=True)
-class ResourceSummary:
-    d: int
-    n: int
-    epr_count: int
-    aux_count: int
-    eta1: float
-    eta2_values: tuple[float, ...]
-    predicted_prob_ff: float
-    predicted_prob_filtered: float
-
-
-RESOURCE_CSV_HEADER = (
-    "d,n,epr_count,aux_count,eta1,predicted_prob_ff,predicted_prob_filtered"
-)
-
-
-def resource_summary(d: int, n: int) -> ResourceSummary:
-    _check_params(d, n)
-    per_junction = aux_count(d, 4)
-    return ResourceSummary(
-        d=d,
-        n=n,
-        epr_count=-(n // -2),
-        aux_count=aux_count(d, n),
-        eta1=eta1(d),
-        eta2_values=tuple(eta2(d, k) for k in range(1, per_junction + 1)),
-        predicted_prob_ff=float(predicted_prob_for_options(d, n, True)),
-        predicted_prob_filtered=float(predicted_prob_for_options(d, n, False)),
-    )
-
-
-def resource_csv_row(summary: ResourceSummary) -> str:
-    return (
-        f"{summary.d},{summary.n},{summary.epr_count},{summary.aux_count},"
-        f"{summary.eta1!r},{summary.predicted_prob_ff!r},"
-        f"{summary.predicted_prob_filtered!r}"
-    )
 
 
 # --- brute-force oracle -----------------------------------------------------

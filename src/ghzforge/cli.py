@@ -25,10 +25,11 @@ from .errors import (
     OracleTooLarge,
 )
 
-SWEEP_CSV_HEADER = "d,n,backend,predicted_prob,simulated_prob,fidelity,match,status"
+SWEEP_COLUMNS = (
+    "d", "n", "backend", "predicted_prob", "simulated_prob", "fidelity", "match", "status",
+)
 
 _USAGE_ERRORS = (InvalidParameters, InvalidCoefficients, InvalidAuxPair)
-_PLAN_EXACT_COLUMNS = ",predicted_prob_ff_exact,predicted_prob_filtered_exact"
 
 
 def _rational(x: float | None) -> str:
@@ -73,6 +74,22 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _csv(columns: tuple[str, ...], rows: list[dict]) -> str:
+    """A header of ``columns`` and one line per row, each ended by ``\\r\\n``:
+    None is written empty, a bool as ``true``/``false``, anything else as its
+    ``str`` (for a float the same as its ``repr``)."""
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return str(value)
+
+    lines = [",".join(columns)]
+    lines.extend(",".join(cell(row[key]) for key in columns) for row in rows)
+    return "\r\n".join(lines) + "\r\n"
+
+
 def _parse_range(raw: str) -> tuple[int, int]:
     lo, sep, hi = raw.partition("..")
     try:
@@ -103,43 +120,45 @@ def _odd_mode(raw: str | None) -> str | None:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    summary = analysis.resource_summary(args.d, args.n)
+    d, n = args.d, args.n
+    # computed first: they check d and n before anything else is built
     exact_ff, exact_filtered = (
-        analysis.predicted_prob_for_options(args.d, args.n, ff) for ff in (True, False)
+        analysis.predicted_prob_for_options(d, n, ff) for ff in (True, False)
     )
+    eta1 = analysis.eta1_exact(d)
+    stages = range(1, analysis.aux_count(d, 4) + 1)
+    # only JSON lists the helper rates; pretty makes each exact rate for its
+    # own line, so no list of all d**2/4 is held, and CSV has no column for them
+    rates = [float(analysis.eta2_exact(d, k)) for k in stages] if args.format == "json" else None
+    record = {
+        "d": d,
+        "n": n,
+        "epr_count": -(n // -2),
+        "aux_count": analysis.aux_count(d, n),
+        "eta1": float(eta1),
+        "eta2": rates,
+        "predicted_prob_ff": float(exact_ff),
+        "predicted_prob_filtered": float(exact_filtered),
+        "predicted_prob_ff_exact": _exact_text(exact_ff),
+        "predicted_prob_filtered_exact": _exact_text(exact_filtered),
+    }
     if args.format == "json":
-        payload = {
-            "d": summary.d,
-            "n": summary.n,
-            "epr_count": summary.epr_count,
-            "aux_count": summary.aux_count,
-            "eta1": summary.eta1,
-            "eta2": list(summary.eta2_values),
-            "predicted_prob_ff": summary.predicted_prob_ff,
-            "predicted_prob_filtered": summary.predicted_prob_filtered,
-            "predicted_prob_ff_exact": _exact_text(exact_ff),
-            "predicted_prob_filtered_exact": _exact_text(exact_filtered),
-        }
         if args.full:
-            opts = protocol.ProtocolOptions(d=args.d, n=args.n, feedforward=args.feedforward)
-            payload["plan"] = protocol.compile_plan(opts).to_jsonable()
-        _emit(_json_text(payload), args.out)
+            opts = protocol.ProtocolOptions(d=d, n=n, feedforward=args.feedforward)
+            record["plan"] = protocol.compile_plan(opts).to_jsonable()
+        _emit(_json_text(record), args.out)
     elif args.format == "csv":
-        _emit(
-            analysis.RESOURCE_CSV_HEADER + _PLAN_EXACT_COLUMNS + "\r\n"
-            + analysis.resource_csv_row(summary)
-            + f",{_exact_text(exact_ff)},{_exact_text(exact_filtered)}\r\n",
-            args.out,
-        )
+        _emit(_csv(tuple(key for key in record if key != "eta2"), [record]), args.out)
     else:
         lines = [
-            f"preparation plan for d={summary.d}, n={summary.n}",
-            f"  pair sources:          {summary.epr_count}",
-            f"  auxiliary pairs:       {summary.aux_count}",
-            f"  parity-filter rate:    {_prob_line(summary.eta1)}",
+            f"preparation plan for d={d}, n={n}",
+            f"  pair sources:          {record['epr_count']}",
+            f"  auxiliary pairs:       {record['aux_count']}",
+            f"  parity-filter rate:    {_prob_line(record['eta1'], eta1)}",
         ]
-        for k, value in enumerate(summary.eta2_values, start=1):
-            lines.append(f"  helper stage {k} rate:   {_prob_line(value)}")
+        for k in stages:
+            rate = analysis.eta2_exact(d, k)
+            lines.append(f"  helper stage {k} rate:   {_prob_line(float(rate), rate)}")
         for label, exact in (("corrected", exact_ff), ("filtered", exact_filtered)):
             lines.append(f"  {f'predicted ({label}):':23}{_prob_line(float(exact), exact)}")
         _emit("\n".join(lines) + "\n", args.out)
@@ -174,10 +193,8 @@ def _report_pretty(report: protocol.RunReport) -> str:
 def _emit_report(report: protocol.RunReport, args: argparse.Namespace) -> None:
     if args.format == "json":
         _emit(_json_text(report.to_jsonable()), args.out)
-    elif args.format == "pretty":
-        _emit(_report_pretty(report), args.out)
     else:
-        raise InvalidParameters("run reports support --format json or pretty")
+        _emit(_report_pretty(report), args.out)
 
 
 def _gate(report: protocol.RunReport) -> int:
@@ -230,43 +247,10 @@ def _sweep_cell(d: int, n: int, backend: str, feedforward: bool) -> dict:
     try:
         report = protocol.run(d, n, feedforward=feedforward, backend=backend)
     except OracleTooLarge:
-        return {
-            "d": d, "n": n, "backend": backend, "predicted_prob": None,
-            "simulated_prob": None, "fidelity": None, "match": None,
-            "status": "skipped",
-        }
-    return {
-        "d": d, "n": n, "backend": backend,
-        "predicted_prob": report.predicted_prob,
-        "simulated_prob": report.prob,
-        "fidelity": report.fidelity,
-        "match": report.matches,
-        "status": "ok",
-    }
-
-
-def _sweep_csv(rows: list[dict]) -> str:
-    def cell(value) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
-
-    lines = [SWEEP_CSV_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                cell(row[key])
-                for key in (
-                    "d", "n", "backend", "predicted_prob",
-                    "simulated_prob", "fidelity", "match", "status",
-                )
-            )
-        )
-    return "\r\n".join(lines) + "\r\n"
+        values = (None, None, None, None, "skipped")
+    else:
+        values = (report.predicted_prob, report.prob, report.fidelity, report.matches, "ok")
+    return dict(zip(SWEEP_COLUMNS, (d, n, backend) + values))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -292,7 +276,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 )
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit(_sweep_csv(rows), args.out)
+        _emit(_csv(SWEEP_COLUMNS, rows), args.out)
     return 1 if any(r["match"] is False for r in rows) else 0
 
 
@@ -329,7 +313,7 @@ def cmd_reduce_odd(args: argparse.Namespace) -> int:
     mode = _odd_mode(args.odd_mode) or protocol.FULL_FOURIER
     report = protocol.reduce_to_odd(
         even.final_state, args.d, mode,
-        port_groups=[[p * args.d + i for i in range(args.d)] for p in range(args.n)],
+        port_groups=analysis.default_port_groups(args.d, args.n),
     )
     _emit_report(report, args)
     return _gate(report)

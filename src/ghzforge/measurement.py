@@ -270,7 +270,6 @@ class PasPairSelect(elements.Step):
 
 @dataclass(frozen=True)
 class PasPairResult:
-    distribution: OutcomeDistribution
     merged: PhotonicState | None  # normalized continuing state, None if all empty
     prob_filtered: float          # P(HH) + P(VV)
     prob_feedforward: float       # all four outcomes, corrected
@@ -293,4 +292,4 @@ def pas_pair_analysis(
     merged = merge_corrected(dist, pi_rule)
     p_filtered = dist.prob("HH") + dist.prob("VV")
     p_ff = dist.total()
-    return PasPairResult(dist, merged, p_filtered, p_ff)
+    return PasPairResult(merged, p_filtered, p_ff)

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -154,14 +155,14 @@ class TestResourceFormulas:
 
     def test_eta1_walkthrough_value(self):
         assert analysis.eta1_exact(3) == Fraction(5, 9)
-        assert gf.eta1(2) == pytest.approx(0.5)
+        assert float(analysis.eta1_exact(2)) == 0.5
 
     def test_eta2_walkthrough_value(self):
         assert analysis.eta2_exact(3, 1) == Fraction(3, 10)
 
     def test_eta2_out_of_range(self):
         with pytest.raises(InvalidParameters):
-            gf.eta2(3, 2)
+            analysis.eta2_exact(3, 2)
 
     @pytest.mark.parametrize(
         "d,n,ff,expected",
@@ -262,7 +263,7 @@ class TestResourceFormulas:
             golden.identity_checks(max_d)
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8, 17, 32, 64])
-    def test_resource_summary_eta2_values_are_stage_fractions(self, d):
+    def test_resource_summary_eta2_values_are_stage_fractions(self, d, capsys):
         # stage k keeps s - 2k of the s - 2(k-1) terms left, and halves them,
         # where s counts the parity-filter survivors
         survivors = sum(1 for i in range(d) for j in range(d) if i % 2 == j % 2)
@@ -271,7 +272,8 @@ class TestResourceFormulas:
             float(Fraction(survivors - 2 * k, 2 * (survivors - 2 * (k - 1))))
             for k in range(1, stages + 1)
         )
-        assert analysis.resource_summary(d, 4).eta2_values == expected
+        assert cli.main(["plan", "--d", str(d), "--n", "4", "--format", "json"]) == 0
+        assert tuple(json.loads(capsys.readouterr().out)["eta2"]) == expected
         with pytest.raises(InvalidParameters):
             analysis.eta2_exact(d, stages + 1)
 
@@ -402,12 +404,3 @@ class TestOneLabelScheme:
         for p, q in pairs:
             assert abs(p - q) <= 1e-12 * abs(q), (p, q)
 
-
-class TestResourceSummary:
-    def test_csv_row_shape(self):
-        summary = gf.resource_summary(3, 4)
-        row = analysis.resource_csv_row(summary)
-        fields = row.split(",")
-        assert fields[:4] == ["3", "4", "2", "1"]
-        assert float(fields[4]) == pytest.approx(5 / 9)
-        assert analysis.RESOURCE_CSV_HEADER.count(",") == row.count(",")

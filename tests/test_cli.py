@@ -107,15 +107,26 @@ class TestPlan:
         else:
             assert data["predicted_prob_ff"] == data["predicted_prob_filtered"] == 0.0
 
-    def test_csv_matches_library_serialization(self, capsys):
+    def test_csv_bytes(self, capsys):
         code, out, _ = run_cli(capsys, "plan", "--d", "3", "--n", "4", "--format", "csv")
         assert code == 0
-        expected = (
-            analysis.RESOURCE_CSV_HEADER
-            + ",predicted_prob_ff_exact,predicted_prob_filtered_exact\r\n"
-            + analysis.resource_csv_row(analysis.resource_summary(3, 4)) + ",1/6,1/12\r\n"
+        assert out == (
+            "d,n,epr_count,aux_count,eta1,predicted_prob_ff,predicted_prob_filtered,"
+            "predicted_prob_ff_exact,predicted_prob_filtered_exact\r\n"
+            "3,4,2,1,0.5555555555555556,0.16666666666666666,0.08333333333333333,1/6,1/12\r\n"
         )
-        assert out == expected
+
+    def test_rate_lines_print_the_exact_fractions(self, capsys):
+        # the d = 5 rates README quotes
+        code, out, _ = run_cli(capsys, "plan", "--d", "5", "--n", "4")
+        assert code == 0
+        assert out.splitlines()[3:8] == [
+            "  parity-filter rate:    13/25 (0.52)",
+            "  helper stage 1 rate:   11/26 (0.423076923077)",
+            "  helper stage 2 rate:   9/22 (0.409090909091)",
+            "  helper stage 3 rate:   7/18 (0.388888888889)",
+            "  helper stage 4 rate:   5/14 (0.357142857143)",
+        ]
 
     @pytest.mark.parametrize("d,n", [(6, 8), (200, 4)])
     def test_csv_carries_the_exact_predictions(self, capsys, d, n):
@@ -381,7 +392,7 @@ class TestSweep:
         code, out, _ = run_cli(capsys, "sweep", "--d", "2..4", "--n", "4..6")
         assert code == 0
         lines = out.strip().split("\r\n")
-        assert lines[0] == cli.SWEEP_CSV_HEADER
+        assert lines[0] == "d,n,backend,predicted_prob,simulated_prob,fidelity,match,status"
         assert len(lines) == 10
         assert all(line.endswith("true,ok") for line in lines[1:])
 
