@@ -404,3 +404,16 @@ class TestOneLabelScheme:
         for p, q in pairs:
             assert abs(p - q) <= 1e-12 * abs(q), (p, q)
 
+
+
+class TestResourceSummary:
+    # the resource summary is the record `plan` prints; its CSV row is built
+    # from the exact formulas in this module
+    def test_csv_row_shape(self, capsys):
+        assert cli.main(["plan", "--d", "3", "--n", "4", "--format", "csv"]) == 0
+        header, row, tail = capsys.readouterr().out.split("\r\n")
+        fields = row.split(",")
+        assert fields[:4] == ["3", "4", "2", str(analysis.aux_count(3, 4))]
+        assert float(fields[4]) == float(analysis.eta1_exact(3)) == pytest.approx(5 / 9)
+        assert header.count(",") == row.count(",")
+        assert tail == ""

@@ -116,6 +116,35 @@ class TestPlan:
             "3,4,2,1,0.5555555555555556,0.16666666666666666,0.08333333333333333,1/6,1/12\r\n"
         )
 
+    def test_csv_matches_library_serialization(self, capsys):
+        # the CSV row is the JSON record without its eta2 list, column for
+        # column, and each value is the library's exact formula
+        for d, n in ((2, 4), (3, 4), (5, 7), (6, 8), (16, 4)):
+            code, out, _ = run_cli(capsys, "plan", "--d", str(d), "--n", str(n), "--format", "csv")
+            assert code == 0
+            header, row, tail = out.split("\r\n")
+            assert tail == ""
+            code, out, _ = run_cli(capsys, "plan", "--d", str(d), "--n", str(n), "--format", "json")
+            assert code == 0
+            record = json.loads(out)
+            del record["eta2"]
+            assert header.split(",") == list(record)
+            fields = dict(zip(header.split(","), row.split(",")))
+            exact_ff = analysis.predicted_prob_for_options(d, n, True)
+            exact_filtered = analysis.predicted_prob_for_options(d, n, False)
+            assert fields == {
+                "d": str(d),
+                "n": str(n),
+                "epr_count": str(-(n // -2)),
+                "aux_count": str(analysis.aux_count(d, n)),
+                "eta1": repr(float(analysis.eta1_exact(d))),
+                "predicted_prob_ff": repr(float(exact_ff)),
+                "predicted_prob_filtered": repr(float(exact_filtered)),
+                "predicted_prob_ff_exact": cli._exact_text(exact_ff),
+                "predicted_prob_filtered_exact": cli._exact_text(exact_filtered),
+            }, (d, n)
+            assert {key: str(value) for key, value in record.items()} == fields
+
     def test_rate_lines_print_the_exact_fractions(self, capsys):
         # the d = 5 rates README quotes
         code, out, _ = run_cli(capsys, "plan", "--d", "5", "--n", "4")
