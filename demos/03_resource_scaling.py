@@ -23,7 +23,7 @@ for d in (2, 3, 4, 5):
         )
 
 print("\nper-stage survival rates for d=5 (paper-style accounting):")
-rates = [float(analysis.eta2_exact(5, k)) for k in range(1, gf.aux_count(5, 4) + 1)]
+rates = [float(r) for r in analysis.eta2_exact(5)]
 eta1 = float(analysis.eta1_exact(5))
 print("  parity filter:", eta1)
 print("  helper stages:", [round(r, 4) for r in rates])

@@ -18,7 +18,6 @@ from .analysis import (
 from .elements import (
     BDMerge,
     BDSplit,
-    Circuit,
     HWP,
     Inject,
     PBS,
@@ -76,7 +75,7 @@ __all__ = [
     "EPS", "H", "V", "Mode", "FockTerm", "PhotonicState",
     "fock_term", "ket", "make_state", "normalize", "tensor",
     "inner_product", "vacuum",
-    "PBS", "HWP", "Phase", "BDMerge", "BDSplit", "Inject", "Circuit",
+    "PBS", "HWP", "Phase", "BDMerge", "BDSplit", "Inject",
     "apply_pbs", "apply_hwp", "apply_phase", "apply_bd_merge", "apply_bd_split",
     "run_circuit",
     "CoincidencePattern", "CoincidenceSelect", "PasPairSelect",

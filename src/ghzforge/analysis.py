@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import states
 from .errors import InvalidParameters, OracleTooLarge
@@ -104,28 +104,33 @@ def aux_count(d: int, n: int) -> int:
     return -((d * (d - 2)) // -4) * junction_count(n)
 
 
+def _survivors(d: int) -> int:
+    """Terms of the d**2-term junction input that the parity filter keeps:
+    all but the 2 * ceil(d/2) * floor(d/2) cross-parity ones."""
+    return d * d - 2 * ((d + 1) // 2) * (d // 2)
+
+
 def eta1_exact(d: int) -> Fraction:
     """Survival rate of the parity PBS filter on the d**2-term junction input."""
     _check_params(d, 2)
-    cross = 2 * ((d + 1) // 2) * (d // 2)
-    return Fraction(d * d - cross, d * d)
+    return Fraction(_survivors(d), d * d)
 
 
-def eta2_exact(d: int, k: int) -> Fraction:
-    """Survival rate of the k-th auxiliary stage in the paper's per-stage
-    accounting, where each stage removes its two targeted cross terms and
-    halves the rest; ``plan`` prints these as its "helper stage k rate" lines.
+def eta2_exact(d: int) -> Iterator[Fraction]:
+    """Survival rates of d's auxiliary stages k = 1 .. ``aux_count(d, 4)``,
+    in order, in the paper's per-stage accounting, where each stage removes
+    its two targeted cross terms and halves the rest: of the s parity-filter
+    survivors, stage k keeps half of s - 2k out of s - 2(k - 1).  ``plan``
+    prints these as its "helper stage k rate" lines.  d is checked at the
+    call, and the rates come as an iterator, so no list of them is held.
 
     From d = 5 the rule and element executors measure other per-stage
     rates, and only the products agree: at d = 5, n = 4 these rates are
     11/26, 9/22, 7/18 and 5/14, while ``run`` measures 9/26, 7/18, 1/2 and
     5/14 at its ``interfere`` stages."""
-    _check_params(d, 2)
     n_stages = aux_count(d, 4)
-    if not 1 <= k <= n_stages:
-        raise InvalidParameters(f"stage index k={k} outside 1..{n_stages}")
-    survivors = d * d * eta1_exact(d)  # integer-valued fraction
-    return (survivors - 2 * k) / (2 * (survivors - 2 * (k - 1)))
+    s = _survivors(d)
+    return (Fraction(s - 2 * k, 2 * (s - 2 * k + 2)) for k in range(1, n_stages + 1))
 
 
 def _cancel_shared(num: range, den: range) -> tuple[int, int]:
@@ -164,7 +169,8 @@ def _cancel_shared(num: range, den: range) -> tuple[int, int]:
 
 
 def eta_product_exact(d: int) -> Fraction:
-    """Exact eta1 * prod_k eta2(k), equal to multiplying eta2_exact stage by stage.
+    """Exact eta1 * prod_k eta2(k), equal to multiplying the rates of
+    ``eta2_exact`` stage by stage.
 
     Every stage factor is evaluated: the numerator factors s - 2k and the
     denominator factors s - 2(k-1) are marked as two bitmaps.  Each side steps
@@ -173,7 +179,7 @@ def eta_product_exact(d: int) -> Fraction:
     factor 2**N of the denominator is a shift.  Nothing is cached: every call
     marks both sides."""
     n_stages = aux_count(d, 4)
-    survivors = d * d - 2 * ((d + 1) // 2) * (d // 2)
+    survivors = _survivors(d)
     num, den = _cancel_shared(
         range(survivors - 2, survivors - 2 * n_stages - 1, -2),
         range(survivors, survivors - 2 * n_stages + 1, -2),
@@ -212,17 +218,22 @@ def oracle_run(plan, ledger) -> PhotonicState:
     term-list pipeline sharing no simulation machinery with the other
     executors, its stages recorded in ``ledger`` (a ``protocol._Ledger``).
 
-    It reads d, n, the source coefficients and the per-junction aux order
-    from the plan, which ``protocol.compile_plan`` checked; ``execute`` makes
-    the ledger and the report.  The product input is enumerated explicitly
-    as source-value tuples; each junction first drops cross-parity tuples,
-    then walks its stage list removing exactly the stage's two targeted
-    cross terms while damping every survivor's amplitude by 1/(2*sqrt(2))
-    (retention times one projection outcome).  Success probability is
-    recovered combinatorially from the surviving amplitudes and the outcome
-    multiplicity of each stage.  Past ``ORACLE_MAX_D`` or ``ORACLE_MAX_N``
-    it raises OracleTooLarge; asked to keep intermediate states (``ledger.keep``),
-    which it has none of, it raises InvalidParameters."""
+    It reads d, n and the source coefficients from the plan, which
+    ``protocol.compile_plan`` checked, and walks ``plan.stages``, recording
+    each measuring stage under its label; ``execute`` makes the ledger and
+    the report.  The product input is enumerated up front as source-value
+    tuples, so ``sources`` stages fall through, as do the other stages that
+    measure nothing.  A ``pbs_filter`` stage drops cross-parity tuples; an
+    ``aux_interfere`` stage removes exactly its two targeted cross terms
+    while damping every survivor's amplitude by 1/(2*sqrt(2)) (retention
+    times one projection outcome); ``aux_pas`` keeps half the outcomes
+    filtered and all with feedforward.  No stage removes a tuple whose
+    values are all equal, so the enumeration never empties.  Success
+    probability is recovered combinatorially from the surviving amplitudes
+    and the outcome multiplicity of each stage.  Past ``ORACLE_MAX_D`` or
+    ``ORACLE_MAX_N`` it raises OracleTooLarge; asked to keep intermediate
+    states (``ledger.keep``), which it has none of, it raises
+    InvalidParameters."""
     d, n = plan.d, plan.n
     if d > ORACLE_MAX_D or n > ORACLE_MAX_N:
         raise OracleTooLarge(
@@ -247,41 +258,33 @@ def oracle_run(plan, ledger) -> PhotonicState:
     extend((), 1.0 + 0j)
 
     damp = 1.0 / (2.0 * math.sqrt(2.0))
-    for junction in range(sources - 1):
-        total = sum(abs(a) ** 2 for a in tuples.values())
-        if total == 0.0:
-            break
-        kept = {
-            t: a for t, a in tuples.items() if t[junction] % 2 == t[junction + 1] % 2
-        }
-        ledger.record(f"j{junction}.step_i", sum(abs(a) ** 2 for a in kept.values()) / total)
-        tuples = kept
-        for stage, (i, j) in enumerate(plan.junction_aux_pairs[junction]):
+    for stage in plan.stages:
+        if stage.kind == "pbs_filter":
+            k = stage.junction  # it joins sources k and k + 1
             total = sum(abs(a) ** 2 for a in tuples.values())
-            if total == 0.0:
-                break
+            kept = {t: a for t, a in tuples.items() if t[k] % 2 == t[k + 1] % 2}
+            ledger.record(stage.label, sum(abs(a) ** 2 for a in kept.values()) / total)
+            tuples = kept
+        elif stage.kind == "aux_interfere":
+            k, (i, j) = stage.junction, stage.aux_pair
+            total = sum(abs(a) ** 2 for a in tuples.values())
             survivors = {
-                t: a * damp
-                for t, a in tuples.items()
-                if (t[junction], t[junction + 1]) not in ((i, j), (j, i))
+                t: a * damp for t, a in tuples.items() if (t[k], t[k + 1]) not in ((i, j), (j, i))
             }
             # coincidence part: survivors retain half their squared weight
             p_coin = 0.5 * sum(abs(a) ** 2 for a in survivors.values()) * 8.0 / total
-            ledger.record(f"j{junction}.aux{stage}.interfere", p_coin)
-            # filtered keeps HH/VV, half the outcomes; feedforward corrects all
-            ledger.pair_analysis(f"j{junction}.aux{stage}.pas", 0.5, 1.0)
+            ledger.record(stage.label, p_coin)
             tuples = survivors
+        elif stage.kind == "aux_pas":
+            # filtered keeps HH/VV, half the outcomes; feedforward corrects all
+            ledger.pair_analysis(stage.label, 0.5, 1.0)
+        elif stage.kind == "reduce":
+            # the first photon of the even chain is measured out; keeping one
+            # of d uniform outcomes costs 1/d, correcting them all nothing
+            ledger.reduction(stage.label, 1.0 / d, 1.0)
 
-    # odd-photon reduction: measure the first photon of the even chain out;
-    # keeping one of d uniform outcomes costs 1/d, correcting them all nothing
-    drop_first = n % 2 == 1
-    if drop_first:
-        ledger.reduction("reduce", 1.0 / d, 1.0)
-
-    photons = range(1 if drop_first else 0, 2 * sources)
+    photons = range(n % 2, 2 * sources)  # an odd n measured photon 0 out
     nsq = sum(abs(a) ** 2 for a in tuples.values())
-    if nsq == 0.0:
-        return PhotonicState({})
     # the oracle's own 1/sqrt(norm): the report takes the fidelity of the
     # amplitudes it is given, so raw ones would round differently
     scale = 1.0 / math.sqrt(nsq)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -126,10 +127,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
         analysis.predicted_prob_for_options(d, n, ff) for ff in (True, False)
     )
     eta1 = analysis.eta1_exact(d)
-    stages = range(1, analysis.aux_count(d, 4) + 1)
-    # only JSON lists the helper rates; pretty makes each exact rate for its
-    # own line, so no list of all d**2/4 is held, and CSV has no column for them
-    rates = [float(analysis.eta2_exact(d, k)) for k in stages] if args.format == "json" else None
+    # only JSON lists the helper rates; pretty prints each exact rate on its
+    # own line, and CSV has no column for them
+    rates = [float(r) for r in analysis.eta2_exact(d)] if args.format == "json" else None
     record = {
         "d": d,
         "n": n,
@@ -156,8 +156,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
             f"  auxiliary pairs:       {record['aux_count']}",
             f"  parity-filter rate:    {_prob_line(record['eta1'], eta1)}",
         ]
-        for k in stages:
-            rate = analysis.eta2_exact(d, k)
+        for k, rate in enumerate(analysis.eta2_exact(d), 1):
             lines.append(f"  helper stage {k} rate:   {_prob_line(float(rate), rate)}")
         for label, exact in (("corrected", exact_ff), ("filtered", exact_filtered)):
             lines.append(f"  {f'predicted ({label}):':23}{_prob_line(float(exact), exact)}")
@@ -211,12 +210,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         # RecursionError: arrays or objects nested deeper than the decoder's stack
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise InvalidParameters(f"circuit file is not valid JSON: {exc}") from None
-        circuit = elements.circuit_from_jsonable(data)
-        circuit.validate()
-        final, trace = elements.run_circuit(states.vacuum(), circuit)
-        prob = 1.0
-        for p in trace:
-            prob *= p
+        steps = elements.circuit_from_jsonable(data)
+        final, trace = elements.run_circuit(states.vacuum(), steps)
+        prob = math.prod(trace, start=1.0)
         payload = {
             "circuit": args.circuit,
             "trace": trace,

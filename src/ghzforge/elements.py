@@ -31,12 +31,13 @@ change the norm.
 Circuit steps form one table: every step class derives from ``Step``, carries
 its circuit-file tag (``{"elem": "pbs"}``, or an ``elem``/``kind`` pair for
 the post-selections defined in ``measurement``) and lets its dataclass fields,
-in order, drive serialisation, parsing and the port bookkeeping of
-``Circuit.validate``.  Only ``Inject`` (its state) and ``CoincidenceSelect``
-(its port groups) override those defaults.  ``Step.apply`` returns the new
-state and, for a post-selection, its probability (``None`` otherwise).
-Optical steps reach the ``apply_*`` functions through module globals at call
-time, so replacing ``elements.apply_pbs`` changes what every circuit does.
+in order, drive serialisation, parsing and the port checks of
+``circuit_from_jsonable``.  Only ``Inject`` (its state) and
+``CoincidenceSelect`` (its port groups) override those defaults.
+``Step.apply`` returns the new state and, for a post-selection, its
+probability (``None`` otherwise).  Optical steps reach the ``apply_*``
+functions through module globals at call time, so replacing
+``elements.apply_pbs`` changes what every circuit does.
 
 ``run_circuit`` applies each run of two or more consecutive PBS and
 beam-displacer steps to the state as one relabel.  The run's map is composed
@@ -57,7 +58,7 @@ import cmath
 import itertools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import ClassVar, Sequence
 
 from . import states
@@ -323,23 +324,6 @@ def apply_bd_split(
     return _relabel(state, mapping, PortCollision, "bd_split")
 
 
-@dataclass
-class Circuit:
-    """Ordered elements, injections and post-selection steps."""
-
-    steps: list = field(default_factory=list)
-
-    def validate(self) -> None:
-        """Check the beam-displacer freshness rule: merge outputs unused upstream."""
-        seen: set[int] = set()
-        for step in self.steps:
-            if isinstance(step, BDMerge) and step.port_out in seen:
-                raise PortCollision(
-                    f"BD merge output port {step.port_out} already used upstream"
-                )
-            seen |= step.ports()
-
-
 _MODE_MAPS = (PBS, BDMerge, BDSplit)
 NORM_PRESERVING = (PBS, HWP, Phase, BDMerge, BDSplit)  # unitary optics
 
@@ -398,13 +382,12 @@ def _apply_mode_map_run(state: PhotonicState, run: list) -> PhotonicState:
 
 
 def run_circuit(
-    state: PhotonicState, circuit: Circuit | Sequence
+    state: PhotonicState, steps: Sequence[Step]
 ) -> tuple[PhotonicState, list[float]]:
     """Fold steps in order; returns the final state and one probability per
     post-selection step, in encounter order.  Each run of two or more
     consecutive PBS / beam-displacer steps is applied as one relabel (see
     ``_apply_mode_map_run``)."""
-    steps = circuit.steps if isinstance(circuit, Circuit) else list(circuit)
     trace: list[float] = []
     for fusable, group in itertools.groupby(steps, lambda s: type(s) in _MODE_MAPS):
         run = list(group)
@@ -420,8 +403,7 @@ def run_circuit(
     return state, trace
 
 
-def circuit_to_jsonable(circuit: Circuit | Sequence) -> list[dict]:
-    steps = circuit.steps if isinstance(circuit, Circuit) else list(circuit)
+def circuit_to_jsonable(steps: Sequence[Step]) -> list[dict]:
     return [step.to_jsonable() for step in steps]
 
 
@@ -436,16 +418,29 @@ def _step_from_jsonable(entry: object) -> Step:
     )
 
 
-def circuit_from_jsonable(data: object) -> Circuit:
-    """Parse a circuit file's JSON list; malformed input raises InvalidParameters."""
+def circuit_from_jsonable(data: object) -> list[Step]:
+    """Parse a circuit file's JSON list into its steps.  Malformed input
+    raises InvalidParameters, and so does a step that names one port twice
+    in its port fields, or a beam-displacer merge onto a port that an
+    earlier step used (the freshness rule; a post-selection's ports count)."""
     if not isinstance(data, list):
         raise InvalidParameters("a circuit must be a JSON list of steps")
-    steps: list = []
+    steps: list[Step] = []
+    used: set[int] = set()
     for index, entry in enumerate(data):
         try:
-            steps.append(_step_from_jsonable(entry))
+            step = _step_from_jsonable(entry)
         except KeyError as exc:
             raise InvalidParameters(f"circuit step {index}: missing key {exc}") from None
         except (TypeError, ValueError, OverflowError, EmptyState) as exc:
             raise InvalidParameters(f"circuit step {index}: {exc}") from None
-    return Circuit(steps)
+        if len(step.ports()) < sum(f.type == "int" for f in fields(step)):
+            raise InvalidParameters(f"circuit step {index}: a port repeats in its port fields")
+        if isinstance(step, BDMerge) and step.port_out in used:
+            raise InvalidParameters(
+                f"circuit step {index}: BD merge output port {step.port_out} "
+                "already used upstream"
+            )
+        used |= step.ports()
+        steps.append(step)
+    return steps

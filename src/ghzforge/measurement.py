@@ -216,7 +216,7 @@ def merge_corrected(dist: OutcomeDistribution, rule: PhaseRule) -> PhotonicState
     return merged
 
 
-# --- post-selection steps usable inside a Circuit -------------------------
+# --- post-selection steps usable in a circuit -------------------------------
 
 PAS_MODES = ("filtered", "feedforward")
 

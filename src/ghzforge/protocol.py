@@ -25,7 +25,10 @@ The table holds steps, never their results: every execute still applies
 each step through ``Step.apply``.
 
 Three executors interpret a plan, each a function from (plan, ledger) to
-the run's final state:
+the run's final state.  Each walks ``plan.stages`` and acts on each stage's
+kind, junction and aux pair, recording what it measures under the stage's
+label; kinds it has no use for fall through.  So ``compile_plan`` alone
+decides which stages run, in what order and under what labels:
 
 * the element backend folds the literal optical circuit (the golden
   reference),
@@ -123,19 +126,21 @@ class ProtocolPlan:
     def n(self) -> int:
         return self.options.n
 
-    @property
-    def photon_count(self) -> int:
-        return 2 * self.epr_pair_count
-
     def photon_ports(self, photon: int) -> list[int]:
         return list(range(photon * self.d, (photon + 1) * self.d))
 
     def output_photons(self) -> list[int]:
-        first = 1 if self.n % 2 == 1 else 0
-        return list(range(first, self.photon_count))
+        """Every source photon but photon 0, which an odd n measures out."""
+        return list(range(self.n % 2, 2 * self.epr_pair_count))
 
     def output_port_groups(self) -> list[list[int]]:
         return [self.photon_ports(p) for p in self.output_photons()]
+
+    def stage_sources(self, stage: PlanStage) -> range:
+        """The pair sources a ``sources`` stage injects: 0 and 1 (0 alone for
+        a one-source chain) at the start, source k + 1 before junction k."""
+        k = stage.junction
+        return range(min(self.epr_pair_count, 2)) if k is None else range(k + 1, k + 2)
 
     def stage_steps(self, stage: PlanStage) -> list:
         """The optical steps of ``stage``, built from its geometry.
@@ -156,7 +161,7 @@ class ProtocolPlan:
                     d, self.options.input_coeffs,
                     self.photon_ports(2 * s), self.photon_ports(2 * s + 1),
                 ))
-                for s in (range(min(self.epr_pair_count, 2)) if k is None else (k + 1,))
+                for s in self.stage_sources(stage)
             ]
         pa, pb = self.photon_ports(2 * k + 1), self.photon_ports(2 * k + 2)
         if stage.aux_pair is None:
@@ -563,33 +568,38 @@ def _materialize_paths(
 
 
 def _run_rules(plan: ProtocolPlan, ledger: _Ledger) -> PhotonicState:
-    """Predicate-level executor: per-photon path tuples with stage keep rules.
+    """Predicate-level executor: walks ``plan.stages`` on per-photon path
+    tuples, recording each measuring stage under its label; ``tag`` stages
+    and the helper stages that measure nothing fall through.
 
-    Sources stream in as in the plan: each tuple starts as source 0's (i, i),
-    and source k + 1 appends its (i, i) just before junction k.  At an
-    auxiliary stage targeting (i, j) a ket survives the interference
-    coincidence exactly when its junction photons either both sit on path j
-    (riding the vertical helper branch) or both avoid it (the horizontal
-    branch); every survivor is damped by 1/(2*sqrt(2)) once the pair
-    projection picks an outcome, and the four outcomes merge by feedforward.
+    A ``sources`` stage appends each of its sources' (i, i) to every tuple.
+    At an ``aux_interfere`` stage targeting (i, j) a ket survives the
+    interference coincidence exactly when its junction photons either both
+    sit on path j (riding the vertical helper branch) or both avoid it (the
+    horizontal branch); every survivor is damped by 1/(2*sqrt(2)) once the
+    ``aux_pas`` projection picks an outcome, and the four outcomes merge by
+    feedforward.
 
     Survivors keep their amplitudes, so a stage only removes kets.  After
     the parity filter each kept ket whose junction photons sit on different
     paths is indexed under both paths (the crossing index); stage (i, j)
     pops path j's entry and removes those kets still present, and a ket with
-    both photons on one path is never indexed, so it survives every stage.
-    The squared norm drops by what was removed, and the normalisation is one
-    carried factor 1/sqrt(norm), applied when an intermediate is materialised,
-    when the next source is tensored in and at the end.  A junction costs
-    O(d**2) whatever its d**2 / 4 helper stages remove.
+    both photons on one path is never indexed, so it survives every stage
+    and the state never empties.  The squared norm drops by what was
+    removed, and the normalisation is one carried factor 1/sqrt(norm),
+    applied when an intermediate is materialised (at each ``pbs_filter`` and
+    ``aux_pas`` stage, and as ``final``), when the next source is tensored
+    in and at the end.  A junction costs O(d**2) whatever its d**2 / 4
+    helper stages remove.
     """
     d = plan.d
-    opts = plan.options
-    source = [
-        (i, c) for i, c in enumerate(states.validated_coeffs(d, opts.input_coeffs)) if c != 0.0
-    ]
-    amps: dict[tuple[int, ...], complex] = {(i, i): c + 0j for i, c in source}
+    coeffs = states.validated_coeffs(d, plan.options.input_coeffs)
+    source = [(i, c) for i, c in enumerate(coeffs) if c != 0.0]
+    amps: dict[tuple[int, ...], complex] = {}
     scale = 1.0  # amps times scale is the normalised chain state
+    nsq = 1.0  # squared norm of amps
+    present = range(0)  # the photons injected so far
+    crossing: dict[int, list[tuple[int, ...]]] = {}
 
     def keep(label: str, tagged: set[int], rule: Callable[[int], str]) -> None:
         if ledger.keep:
@@ -598,53 +608,49 @@ def _run_rules(plan: ProtocolPlan, ledger: _Ledger) -> PhotonicState:
                 lambda photon, path: rule(path) if photon in tagged else H,
             ))
 
-    for k in range(plan.epr_pair_count - 1):
-        scaled_source = [(i, c * scale) for i, c in source]
-        amps = {t + (i, i): a * c for t, a in amps.items() for i, c in scaled_source}
-        present = range(2 * k + 4)  # the photons of sources 0 .. k + 1
-        ia, ib = 2 * k + 1, 2 * k + 2
-        total = sum(abs(a) ** 2 for a in amps.values())
-        amps = {t: a for t, a in amps.items() if t[ia] % 2 == t[ib] % 2}
-        nsq = sum(abs(a) ** 2 for a in amps.values())
-        p1 = nsq / total if total else 0.0
-        ledger.record(f"j{k}.step_i", p1)
-        if not amps:
-            return PhotonicState({})
-        scale = 1.0 / math.sqrt(nsq)
-        keep(f"j{k}.step_i", {ia, ib}, parity_rule)
-
-        crossing: dict[int, list[tuple[int, ...]]] = {}
-        for t in amps:
-            if t[ia] != t[ib]:
-                crossing.setdefault(t[ia], []).append(t)
-                crossing.setdefault(t[ib], []).append(t)
-
-        for q, (i, j) in enumerate(plan.junction_aux_pairs[k]):
+    for stage in plan.stages:
+        if stage.kind == "sources":
+            for s in plan.stage_sources(stage):
+                if s == 0:
+                    amps = {(i, i): c + 0j for i, c in source}
+                else:
+                    scaled_source = [(i, c * scale) for i, c in source]
+                    amps = {t + (i, i): a * c for t, a in amps.items() for i, c in scaled_source}
+                    scale = 1.0
+                present = range(2 * s + 2)
+        elif stage.kind == "pbs_filter":
+            ia, ib = 2 * stage.junction + 1, 2 * stage.junction + 2
+            total = sum(abs(a) ** 2 for a in amps.values())
+            amps = {t: a for t, a in amps.items() if t[ia] % 2 == t[ib] % 2}
+            nsq = sum(abs(a) ** 2 for a in amps.values())
+            ledger.record(stage.label, nsq / total)
+            scale = 1.0 / math.sqrt(nsq)
+            keep(stage.label, {ia, ib}, parity_rule)
+            crossing = {}
+            for t in amps:
+                if t[ia] != t[ib]:
+                    crossing.setdefault(t[ia], []).append(t)
+                    crossing.setdefault(t[ib], []).append(t)
+        elif stage.kind == "aux_interfere":
             removed = 0.0
-            for t in crossing.pop(j, ()):
+            for t in crossing.pop(stage.aux_pair[1], ()):
                 a = amps.pop(t, None)
                 if a is not None:
                     removed += abs(a) ** 2
-            surv_nsq = nsq - removed if amps else 0.0
-            p_coin = 0.5 * surv_nsq / nsq  # helper branch carries 1/sqrt(2) each way
-            ledger.record(f"j{k}.aux{q}.interfere", p_coin)
-            ledger.pair_analysis(f"j{k}.aux{q}.pas", 0.5, 1.0)
-            if not amps:
-                return PhotonicState({})
-            nsq = surv_nsq
+            # the helper branch carries 1/sqrt(2) each way
+            ledger.record(stage.label, 0.5 * (nsq - removed) / nsq)
+            nsq -= removed
+        elif stage.kind == "aux_pas":
+            ledger.pair_analysis(stage.label, 0.5, 1.0)
             scale = 1.0 / math.sqrt(nsq)
-            keep(
-                f"j{k}.aux{q}.pas", {ia, ib},
-                lambda path, _j=j: V if path == _j else H,
-            )
+            j, k = stage.aux_pair[1], stage.junction
+            keep(stage.label, {2 * k + 1, 2 * k + 2}, lambda path: V if path == j else H)
+        elif stage.kind == "reduce":
+            # photon 0 always shares its source partner's path, so dropping it
+            # never merges kets; outcome probabilities are uniform 1/d
+            ledger.reduction(stage.label, 1.0 / d, 1.0)
 
-    photons = plan.output_photons()
-    if plan.n % 2 == 1:
-        # photon 0 always shares its source partner's path, so dropping it
-        # never merges kets; outcome probabilities are uniform 1/d
-        ledger.reduction("reduce", 1.0 / d, 1.0)
-
-    state = _materialize_paths(d, amps, scale, photons, lambda photon, path: H)
+    state = _materialize_paths(d, amps, scale, plan.output_photons(), lambda photon, path: H)
     ledger.keep_state("final", state)
     return state
 

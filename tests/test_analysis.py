@@ -158,11 +158,14 @@ class TestResourceFormulas:
         assert float(analysis.eta1_exact(2)) == 0.5
 
     def test_eta2_walkthrough_value(self):
-        assert analysis.eta2_exact(3, 1) == Fraction(3, 10)
+        assert next(analysis.eta2_exact(3)) == Fraction(3, 10)
 
     def test_eta2_out_of_range(self):
+        # d = 3 has one helper stage, so no rate for a stage 2; a bad d
+        # raises at the call, before any rate is asked for
+        assert list(analysis.eta2_exact(3)) == [Fraction(3, 10)]
         with pytest.raises(InvalidParameters):
-            analysis.eta2_exact(3, 2)
+            analysis.eta2_exact(1)
 
     @pytest.mark.parametrize(
         "d,n,ff,expected",
@@ -204,8 +207,8 @@ class TestResourceFormulas:
         # 2..128 would take seconds, so the wide end is sampled
         for d in [*range(2, 41), 64, 97, 127, 128]:
             product = analysis.eta1_exact(d)
-            for k in range(1, gf.aux_count(d, 4) + 1):
-                product *= analysis.eta2_exact(d, k)
+            for rate in analysis.eta2_exact(d):
+                product *= rate
             assert analysis.eta_product_exact(d) == product
 
     def test_telescoped_product_beyond_verify_range(self):
@@ -274,8 +277,7 @@ class TestResourceFormulas:
         )
         assert cli.main(["plan", "--d", str(d), "--n", "4", "--format", "json"]) == 0
         assert tuple(json.loads(capsys.readouterr().out)["eta2"]) == expected
-        with pytest.raises(InvalidParameters):
-            analysis.eta2_exact(d, stages + 1)
+        assert tuple(float(rate) for rate in analysis.eta2_exact(d)) == expected
 
 
 class TestOracle:

@@ -268,11 +268,15 @@ class TestRun:
             '[{"elem": "inject", "state": [{"modes": [[0, "H", true]], "re": 1, "im": 0}]}]',
             '[{"elem": "inject", "state": [{"modes": [[0, 1, 1]], "re": 1, "im": 0}]}]',
             "[" * 100_000 + "]" * 100_000,
+            _ONE_PHOTON + ', {"elem": "pbs", "port_a": 0, "port_b": 0}]',
+            '[{"elem": "hwp", "port": 5, "theta": 0.1}, '
+            '{"elem": "bd_merge", "port_even": 0, "port_odd": 1, "port_out": 5}]',
         ],
         ids=["object", "missing-key", "unknown-elem", "no-kind", "bad-port", "not-json",
              "float-port", "bool-port", "negative-port", "float-group-port", "bool-state-port",
              "nan-theta", "string-theta", "float-count", "bogus-mode", "string-re",
-             "bool-count", "int-polarization", "deep-nesting"],
+             "bool-count", "int-polarization", "deep-nesting", "repeated-port",
+             "merge-onto-used-port"],
     )
     def test_malformed_circuit_file_exits_2(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"

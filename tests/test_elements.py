@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 
 import ghzforge as gf
 from ghzforge import analysis, elements, golden, states
-from ghzforge.errors import BDCollision, PortCollision
+from ghzforge.errors import BDCollision, InvalidParameters, PortCollision
 
 from conftest import random_state, states_strategy
 
@@ -449,9 +449,7 @@ class TestRunCircuit:
     def test_circuit_json_round_trip(self):
         plan = gf.compile_plan(gf.ProtocolOptions(d=3, n=4))
         data = elements.circuit_to_jsonable(plan.circuit_steps())
-        circuit = elements.circuit_from_jsonable(data)
-        circuit.validate()
-        out, trace = gf.run_circuit(states.vacuum(), circuit)
+        out, trace = gf.run_circuit(states.vacuum(), elements.circuit_from_jsonable(data))
         assert trace[-1] == pytest.approx(0.5)
         assert states.states_close(out, golden.chain_output_unnormalized(), tol=1e-9)
 
@@ -461,22 +459,34 @@ class TestRunCircuit:
         assert [json.dumps(entry) for entry in data] == [
             text for _, text in ONE_STEP_PER_KIND
         ]
-        assert elements.circuit_from_jsonable(data).steps == steps
+        assert elements.circuit_from_jsonable(data) == steps
 
         # post-selection ports count as used for the merge freshness rule
         for upstream, port in (
             (gf.PasPairSelect(3, 4, "filtered", correction_port=7), 7),
             (gf.CoincidenceSelect(gf.CoincidencePattern(((8,), (9,)))), 9),
         ):
-            with pytest.raises(PortCollision):
-                elements.Circuit([upstream, gf.BDMerge(0, 1, port)]).validate()
+            data = elements.circuit_to_jsonable([upstream, gf.BDMerge(0, 1, port)])
+            with pytest.raises(InvalidParameters, match="circuit step 1: BD merge output"):
+                elements.circuit_from_jsonable(data)
 
     def test_merge_output_reuse_flagged(self):
-        circuit = elements.Circuit(
-            [elements.HWP(5, 0.1), elements.BDMerge(0, 1, 5)]
-        )
-        with pytest.raises(PortCollision):
-            circuit.validate()
+        data = elements.circuit_to_jsonable([elements.HWP(5, 0.1), elements.BDMerge(0, 1, 5)])
+        with pytest.raises(InvalidParameters, match="circuit step 1: BD merge output port 5"):
+            elements.circuit_from_jsonable(data)
+
+    @pytest.mark.parametrize(
+        "step",
+        [gf.PBS(0, 0), gf.BDMerge(2, 3, 2), gf.BDSplit(4, 6, 6),
+         gf.PasPairSelect(3, 3, "feedforward", correction_port=1)],
+        ids=["pbs", "bd_merge", "bd_split", "pas_pair"],
+    )
+    def test_repeated_port_flagged(self, step):
+        # a step's port fields name distinct ports; the file is refused before
+        # any step runs, while apply_* keep their own checks for library callers
+        data = elements.circuit_to_jsonable([elements.HWP(9, 0.1), step])
+        with pytest.raises(InvalidParameters, match="circuit step 1: a port repeats"):
+            elements.circuit_from_jsonable(data)
 
 
 class TestElementProperties:

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import random
@@ -452,6 +453,45 @@ class TestStageSemantics:
         assert gf.fidelity(report.final_state, base.final_state) == pytest.approx(
             1.0, abs=1e-9
         )
+
+
+_MEASURED_KINDS = ("pbs_filter", "aux_interfere", "aux_pas", "reduce")
+
+
+class TestLabelsFromPlan:
+    """Every executor walks ``plan.stages``: a run reports the labels of the
+    plan's measuring stages, in plan order, whatever the aux order and
+    whatever the labels are."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_labels_are_the_measured_stages_in_plan_order(self, d, n):
+        rng = random.Random(10 * d + n)
+        order = []
+        for _ in range(-(n // -2) - 1):
+            pairs = analysis.aux_pairs(d)
+            rng.shuffle(pairs)
+            order.append(pairs)
+        plan = gf.compile_plan(gf.ProtocolOptions(d=d, n=n), aux_order=order)
+        want = [s.label for s in plan.stages if s.kind in _MEASURED_KINDS]
+        for backend in ("rule", "element", "oracle"):
+            assert gf.execute(plan, backend).stage_labels == want, backend
+
+    def test_relabelled_stages_are_reported(self):
+        plan = gf.compile_plan(gf.ProtocolOptions(d=4, n=5, feedforward=True))
+        plan = dataclasses.replace(plan, stages=[
+            dataclasses.replace(s, label=f"stage {q} {s.kind}") for q, s in enumerate(plan.stages)
+        ])
+        want = [s.label for s in plan.stages if s.kind in _MEASURED_KINDS]
+        assert want[0] == "stage 2 pbs_filter" and want[-1].endswith(" reduce")
+        for backend in ("rule", "element", "oracle"):
+            report = gf.execute(plan, backend)
+            assert report.stage_labels == want, backend
+            assert report.matches, backend
+        kept = gf.execute(plan, "rule", keep_intermediates=True).intermediates
+        assert list(kept) == [
+            s.label for s in plan.stages if s.kind in ("pbs_filter", "aux_pas")
+        ] + ["final"]
 
 
 class TestEdgeCases:
