@@ -16,8 +16,8 @@ print(f"input: simulated {4}-photon {D}-level GHZ state "
       f"(fidelity {even.fidelity:.9f})")
 
 groups = [[p * D + i for i in range(D)] for p in range(4)]
-dist = gf.fourier_measure_path(even.final_state, groups[0], D)
-rule = measurement.fourier_feedforward_rule(groups[1:], D)
+dist = gf.fourier_measure_path(even.final_state, groups[0])
+rule = measurement.fourier_feedforward_rule(groups[1])
 reference = gf.ghz_reference(D, 3, groups[1:])
 
 print("\nper-outcome branches:")

@@ -154,15 +154,6 @@ def qubit_polarization_output() -> PhotonicState:
 # --- checklist --------------------------------------------------------------
 
 
-def _close(a: float, b: float) -> bool:
-    """Probability ``a`` within ``states.PROB_REL_TOL`` of ``b``, relatively."""
-    return abs(a - b) <= abs(b) * states.PROB_REL_TOL
-
-
-def _unit_fidelity(f: float) -> bool:
-    return abs(f - 1.0) <= states.FIDELITY_TOL
-
-
 def _state_check(
     name: str, got: tuple[PhotonicState, float], want: PhotonicState
 ) -> CheckResult:
@@ -193,7 +184,7 @@ def qutrit_walkthrough_checks() -> list[CheckResult]:
         ),
         CheckResult(
             "qutrit chain: parity-filter rate 5/9",
-            _close(report.trace[0], 5.0 / 9.0),
+            states.prob_matches(report.trace[0], Fraction(5, 9)),
             f"measured {report.trace[0]:.12f}",
         ),
         _state_check(
@@ -206,7 +197,7 @@ def qutrit_walkthrough_checks() -> list[CheckResult]:
         ),
         CheckResult(
             "qutrit chain: interference rate 3/10",
-            _close(report.trace[1], 0.3),
+            states.prob_matches(report.trace[1], Fraction(3, 10)),
             f"measured {report.trace[1]:.12f}",
         ),
         _state_check(
@@ -215,7 +206,7 @@ def qutrit_walkthrough_checks() -> list[CheckResult]:
         ),
         CheckResult(
             "qutrit chain: pair-analysis rate 1/2",
-            _close(report.trace[2], 0.5),
+            states.prob_matches(report.trace[2], Fraction(1, 2)),
             f"measured {report.trace[2]:.12f}",
         ),
         _state_check(
@@ -224,24 +215,24 @@ def qutrit_walkthrough_checks() -> list[CheckResult]:
         ),
         CheckResult(
             "qutrit chain: kept-outcome probability 1/12",
-            _close(report.prob_filtered, 1.0 / 12.0),
+            states.prob_matches(report.prob_filtered, Fraction(1, 12)),
             f"measured {report.prob_filtered:.12f}",
         ),
         CheckResult(
             "qutrit chain: corrected probability 1/6",
-            _close(report.prob_feedforward, 1.0 / 6.0),
+            states.prob_matches(report.prob_feedforward, Fraction(1, 6)),
             f"measured {report.prob_feedforward:.12f}",
         ),
         CheckResult(
             "qutrit chain: target fidelity 1",
-            _unit_fidelity(report.fidelity),
+            states.fidelity_matches(report.fidelity),
             f"measured {report.fidelity:.12f}",
         ),
     ]
 
     # pair projection outcomes on the analysis-ready state
     dist = measurement.project_polarization_pair(inter["j0.aux0.analysis"][0], _AX, _AY)
-    uniform = all(_close(o.prob, 0.25) for o in dist.outcomes)
+    uniform = all(states.prob_matches(o.prob, Fraction(1, 4)) for o in dist.outcomes)
     results.append(
         CheckResult(
             "qutrit chain: four pair outcomes at 1/4",
@@ -259,7 +250,7 @@ def qutrit_walkthrough_checks() -> list[CheckResult]:
     results.append(
         CheckResult(
             "qutrit chain: every corrected outcome reaches the target",
-            all(_unit_fidelity(f) for f in fids),
+            all(states.fidelity_matches(f) for f in fids),
             " ".join(f"{f:.9f}" for f in fids),
         )
     )
@@ -275,16 +266,17 @@ def qubit_chain_checks() -> list[CheckResult]:
             "qubit chain: polarization-picture survivors",
             out == qubit_polarization_output()
             and len(trace) == 1
-            and _close(trace[0], 0.5),
+            and states.prob_matches(trace[0], Fraction(1, 2)),
             f"trace={trace}",
         )
     ]
-    for n, expected in ((4, 0.5), (6, 0.25), (8, 0.125)):
+    for n, expected in ((4, Fraction(1, 2)), (6, Fraction(1, 4)), (8, Fraction(1, 8))):
         report = protocol.run(2, n, backend="rule")
         results.append(
             CheckResult(
-                f"qubit chain: {n}-photon probability {expected}",
-                _close(report.prob, expected) and _unit_fidelity(report.fidelity),
+                f"qubit chain: {n}-photon probability {float(expected)}",
+                states.prob_matches(report.prob, expected)
+                and states.fidelity_matches(report.fidelity),
                 f"prob={report.prob:.9f} fidelity={report.fidelity:.9f}",
             )
         )
@@ -339,17 +331,17 @@ def agreement_checks() -> list[CheckResult]:
         element = protocol.run(d, n, feedforward=True, backend="element")
         oracle = protocol.run(d, n, feedforward=True, backend="oracle")
         probs_ok = (
-            _close(rule.prob, element.prob)
-            and _close(rule.prob, oracle.prob)
-            and _close(rule.prob_filtered, element.prob_filtered)
-            and _close(rule.prob_filtered, oracle.prob_filtered)
+            states.prob_matches(rule.prob, element.prob)
+            and states.prob_matches(rule.prob, oracle.prob)
+            and states.prob_matches(rule.prob_filtered, element.prob_filtered)
+            and states.prob_matches(rule.prob_filtered, oracle.prob_filtered)
         )
         fid_ab = analysis.fidelity(rule.final_state, element.final_state)
         fid_ac = analysis.fidelity(rule.final_state, oracle.final_state)
         results.append(
             CheckResult(
                 f"agreement: rule/element/enumeration backends ({d},{n})",
-                probs_ok and _unit_fidelity(fid_ab) and _unit_fidelity(fid_ac),
+                probs_ok and states.fidelity_matches(fid_ab) and states.fidelity_matches(fid_ac),
                 f"prob={rule.prob:.9f} fid(rule,element)={fid_ab:.9f} "
                 f"fid(rule,oracle)={fid_ac:.9f}",
             )
@@ -364,10 +356,10 @@ def reduction_checks() -> list[CheckResult]:
         single = protocol.reduce_to_odd(even.final_state, d, protocol.SINGLE_OUTCOME)
         full = protocol.reduce_to_odd(even.final_state, d, protocol.FULL_FOURIER)
         ok = (
-            _close(single.prob, 1.0 / d)
-            and _unit_fidelity(single.fidelity)
-            and _close(full.prob, 1.0)
-            and _unit_fidelity(full.fidelity)
+            states.prob_matches(single.prob, Fraction(1, d))
+            and states.fidelity_matches(single.fidelity)
+            and states.prob_matches(full.prob, Fraction(1))
+            and states.fidelity_matches(full.fidelity)
         )
         results.append(
             CheckResult(

@@ -127,21 +127,16 @@ def project_polarization_pair(
     ))
 
 
-def fourier_measure_path(
-    state: PhotonicState, port_group: Sequence[int], d: int | None = None
-) -> OutcomeDistribution:
+def fourier_measure_path(state: PhotonicState, port_group: Sequence[int]) -> OutcomeDistribution:
     """Project the single photon spread over ``port_group`` onto the Fourier
-    basis of its path qudit.
+    basis of its path qudit, whose dimension d is the group's length.
 
     Outcome k uses the bra (1/sqrt(d)) * sum_j exp(+2*pi*i*j*k/d) <j|, matching
     phase factors exp(2*pi*i*k/d) between adjacent surviving branches; the
     conjugate phases undo them (see ``feedforward``).
     """
     ports = list(port_group)
-    if d is None:
-        d = len(ports)
-    if d != len(ports):
-        raise ValueError("dimension does not match the measured port group")
+    d = len(ports)
     # a port listed twice keeps its first path
     path_of = {port: j for j, port in reversed(list(enumerate(ports)))}
     total = state.norm_sq()
@@ -181,12 +176,12 @@ def feedforward(state: PhotonicState, outcome: str, rule: PhaseRule) -> Photonic
     return state
 
 
-def fourier_feedforward_rule(
-    port_groups: Sequence[Sequence[int]], d: int
-) -> PhaseRule:
+def fourier_feedforward_rule(anchor_ports: Sequence[int]) -> PhaseRule:
     """Correction undoing Fourier-outcome phases: outcome k puts phase
-    -2*pi*k*j/d on every path-j port of one chosen remaining photon."""
-    anchor = list(port_groups[0])
+    -2*pi*k*j/d on every path-j port of one remaining photon, the anchor,
+    whose d ports are ``anchor_ports``."""
+    anchor = list(anchor_ports)
+    d = len(anchor)
     rule: dict[str, list[tuple[int, float]]] = {}
     for k in range(d):
         rule[str(k)] = [

@@ -44,7 +44,8 @@ decides which stages run, in what order and under what labels:
 
 ``execute`` is the one way to run a plan: it builds the run's ``_Ledger``
 from the plan's options, hands it to the executor, which records every stage
-in it, and makes the one report from the final state (``_plan_report``).
+in it, and makes the one report from the final state (``RunReport.build``,
+beside the reference and prediction the plan built once).
 The ledger owns the labels, the three products, the choice of accounting and
 the kept intermediates.  All three track the two probability accountings
 side by side: "filtered" keeps only HH/VV pair outcomes and the
@@ -99,24 +100,49 @@ class PlanStage:
 
 @dataclass
 class ProtocolPlan:
-    """A compiled (d, n) protocol: its options, counts and stage geometry.
+    """A compiled (d, n) protocol: its options and its ordered stage list.
 
-    The GHZ reference on the output photons is built with the plan
-    (``reference``), since every backend's report needs it; the optics are
-    built from the geometry on first element use and kept (``optics``).  So
-    a compiled plan is not to be mutated: a changed stage list or option
-    would not reach the reference or optics already built."""
+    Its counts are read off those two on access (``epr_pair_count`` from n,
+    ``aux_pair_count`` and ``junction_aux_pairs`` from the ``aux_pas``
+    stages), so an export describes the stages that run.  What every
+    report needs is built once with the plan: the GHZ reference on the
+    output photons (``reference``) and the exact prediction (``predicted``,
+    None for non-uniform coefficients).  The optics are built on first
+    element use and kept (``optics``).  So a compiled plan is not to be
+    mutated: a changed stage list or option would not reach these."""
 
     options: ProtocolOptions
-    epr_pair_count: int
-    aux_pair_count: int
-    junction_aux_pairs: list[list[tuple[int, int]]]
     stages: list[PlanStage]
     reference: PhotonicState = field(init=False, repr=False, compare=False)
+    predicted: Fraction | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        opts = self.options
         groups = self.output_port_groups()
         self.reference = analysis.ghz_reference(self.d, len(groups), groups)
+        self.predicted = (
+            analysis.predicted_prob_for_options(self.d, self.n, opts.feedforward, opts.odd_n_mode)
+            if opts.input_coeffs is None
+            else None
+        )
+
+    @property
+    def epr_pair_count(self) -> int:
+        return -(self.n // -2)
+
+    @property
+    def aux_pair_count(self) -> int:
+        return sum(stage.kind == "aux_pas" for stage in self.stages)
+
+    @property
+    def junction_aux_pairs(self) -> list[list[tuple[int, int]]]:
+        """Each junction's helper pairs in stage order; a junction with none
+        gets an empty list."""
+        pairs: list[list[tuple[int, int]]] = [[] for _ in range(self.epr_pair_count - 1)]
+        for stage in self.stages:
+            if stage.kind == "aux_pas":
+                pairs[stage.junction].append(stage.aux_pair)
+        return pairs
 
     @property
     def d(self) -> int:
@@ -341,13 +367,7 @@ def compile_plan(
     if n % 2 == 1:
         stages.append(PlanStage("reduce", "reduce"))
 
-    return ProtocolPlan(
-        options=options,
-        epr_pair_count=m,
-        aux_pair_count=len(default_pairs) * junctions,
-        junction_aux_pairs=junction_pairs,
-        stages=stages,
-    )
+    return ProtocolPlan(options, stages)
 
 
 @dataclass
@@ -375,25 +395,21 @@ class RunReport:
 
     @property
     def prob_matches(self) -> bool | None:
-        """``prob`` within ``states.PROB_REL_TOL`` of the exact prediction,
-        relatively, so a probability that is scaled, or that underflowed to 0,
-        never matches."""
-        if self.predicted is None:
-            return None
-        return math.isfinite(self.prob) and (
-            abs(Fraction(self.prob) - self.predicted) <= self.predicted * states.PROB_REL_TOL
-        )
+        """``prob`` against the exact prediction by ``states.prob_matches``
+        (within ``states.PROB_REL_TOL``, relatively), so a probability that
+        is scaled, or that underflowed to 0, never matches."""
+        return None if self.predicted is None else states.prob_matches(self.prob, self.predicted)
 
     @property
     def fidelity_matches(self) -> bool | None:
-        return None if self.predicted is None else self.fidelity >= 1.0 - states.FIDELITY_TOL
+        return None if self.predicted is None else states.fidelity_matches(self.fidelity)
 
     @property
     def matches(self) -> bool:
         """The run's one verdict: the probability does not miss its
         prediction (there may be none) and the fidelity reaches
-        1 - ``states.FIDELITY_TOL``."""
-        return self.prob_matches is not False and self.fidelity >= 1.0 - states.FIDELITY_TOL
+        1 - ``states.FIDELITY_TOL`` (``states.fidelity_matches``)."""
+        return self.prob_matches is not False and states.fidelity_matches(self.fidelity)
 
     def to_jsonable(self) -> dict:
         return {
@@ -480,30 +496,15 @@ class _Ledger:
             self.intermediates[label] = (state, self.probs[0])
 
 
-def _plan_report(
-    plan: ProtocolPlan, backend: str, state: PhotonicState, ledger: _Ledger
-) -> RunReport:
-    opts = plan.options
-    predicted = (
-        analysis.predicted_prob_for_options(
-            plan.d, plan.n, opts.feedforward, opts.odd_n_mode
-        )
-        if opts.input_coeffs is None
-        else None
-    )
-    return RunReport.build(backend, plan.d, plan.n, state, plan.reference, ledger, predicted)
-
-
 def _reduce_even_state(
-    state: PhotonicState, d: int, mode: str,
-    measure_ports: Sequence[int], anchor_ports: Sequence[int],
+    state: PhotonicState, mode: str, measure_ports: Sequence[int], anchor_ports: Sequence[int]
 ) -> tuple[PhotonicState, float, float]:
     """Fourier-measure one photon out; returns (state ``mode`` keeps, p_single, p_full)."""
-    dist = measurement.fourier_measure_path(state, measure_ports, d)
+    dist = measurement.fourier_measure_path(state, measure_ports)
     if mode == SINGLE_OUTCOME:
         post = dist.state("0")
     else:
-        rule = measurement.fourier_feedforward_rule([list(anchor_ports)], d)
+        rule = measurement.fourier_feedforward_rule(anchor_ports)
         post = measurement.merge_corrected(dist, rule) or PhotonicState({})
     return post, dist.prob("0"), dist.total()
 
@@ -524,8 +525,7 @@ def _run_elements(plan: ProtocolPlan, ledger: _Ledger) -> PhotonicState:
     for stage, (steps, unitary) in zip(plan.stages, plan.optics):
         if stage.kind == "reduce":
             state, p_single, p_full = _reduce_even_state(
-                state, plan.d, ledger.odd_mode,
-                plan.photon_ports(0), plan.photon_ports(1),
+                state, ledger.odd_mode, plan.photon_ports(0), plan.photon_ports(1)
             )
             ledger.reduction(stage.label, p_single, p_full)
         elif stage.kind == "aux_pas":
@@ -667,7 +667,8 @@ def execute(
         raise InvalidParameters(f"unknown backend {backend!r}")
     opts = plan.options
     ledger = _Ledger(opts.feedforward, opts.resolved_odd_mode(), keep_intermediates)
-    return _plan_report(plan, backend, executor(plan, ledger), ledger)
+    state = executor(plan, ledger)
+    return RunReport.build(backend, plan.d, plan.n, state, plan.reference, ledger, plan.predicted)
 
 
 def run(
@@ -708,7 +709,7 @@ def reduce_to_odd(
         raise InvalidParameters(f"need at least two photon port groups, got {len(groups)}")
     if any(len(g) != d for g in groups):
         raise InvalidParameters(f"every photon port group needs d = {d} ports")
-    post, p_single, p_full = _reduce_even_state(state, d, mode, groups[0], groups[1])
+    post, p_single, p_full = _reduce_even_state(state, mode, groups[0], groups[1])
     ledger = _Ledger(feedforward=mode == FULL_FOURIER, odd_mode=mode)
     ledger.reduction("reduce", p_single, p_full)
     reference = None if post.is_empty else analysis.ghz_reference(d, len(groups) - 1, groups[1:])

@@ -68,6 +68,18 @@ MERGE_TOL = 1e-7  # per-amplitude gap allowed between branches that must be one 
 COEFF_TOL = 1e-6  # |sum of squared source coefficients - 1| allowed
 
 
+def prob_matches(prob: float, expected: Fraction | float) -> bool:
+    """``prob`` within ``PROB_REL_TOL`` of ``expected``, relatively and in
+    exact arithmetic, so NaN, an infinity or a probability that underflowed
+    to 0 never matches a nonzero expectation."""
+    exact = Fraction(expected)
+    return math.isfinite(prob) and abs(Fraction(prob) - exact) <= abs(exact) * PROB_REL_TOL
+
+
+def fidelity_matches(fidelity: float) -> bool:
+    return fidelity >= 1.0 - FIDELITY_TOL
+
+
 def validated_coeffs(d: int, coeffs: Sequence[float] | None) -> list[float]:
     """The d source coefficients as floats; None gives the uniform 1/sqrt(d).
 

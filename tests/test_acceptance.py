@@ -146,8 +146,8 @@ def test_criterion_6_odd_photon_reduction():
         assert full.fidelity >= 1.0 - TOL
         # every Fourier outcome branch must correct to the odd target
         groups = [[p * d + i for i in range(d)] for p in range(4)]
-        dist = gf.fourier_measure_path(even.final_state, groups[0], d)
-        rule = measurement.fourier_feedforward_rule(groups[1:], d)
+        dist = gf.fourier_measure_path(even.final_state, groups[0])
+        rule = measurement.fourier_feedforward_rule(groups[1])
         reference = gf.ghz_reference(d, 3, groups[1:])
         for outcome in dist.outcomes:
             assert abs(outcome.prob - 1.0 / d) <= TOL
@@ -211,9 +211,7 @@ def test_criterion_7_randomized_property_suites():
             d = rng.choice((2, 3))
             path = rng.randrange(d)
             probe = gf.make_state([(gf.ket((8 + path, "H"),), 1.0)])
-            dist = gf.fourier_measure_path(
-                gf.tensor(s, probe), list(range(8, 8 + d)), d
-            )
+            dist = gf.fourier_measure_path(gf.tensor(s, probe), list(range(8, 8 + d)))
         assert abs(dist.total() - 1.0) <= 1e-9
         for o in dist.outcomes:
             if o.prob > 1e-12:

@@ -242,7 +242,7 @@ class TestFourier:
                 (gf.ket((1, "H"), (3, "H")), 1 / SQ2),
             ]
         )
-        dist = gf.fourier_measure_path(s, [0, 1], 2)
+        dist = gf.fourier_measure_path(s, [0, 1])
         assert dist.prob("0") == pytest.approx(0.5)
         assert dist.prob("1") == pytest.approx(0.5)
         plus = dist.state("0")
@@ -256,7 +256,7 @@ class TestFourier:
 
     def test_ghz_outcome_probabilities_uniform(self):
         ghz = gf.ghz_reference(3, 4)
-        dist = gf.fourier_measure_path(ghz, [0, 1, 2], 3)
+        dist = gf.fourier_measure_path(ghz, [0, 1, 2])
         for o in dist.outcomes:
             assert o.prob == pytest.approx(1 / 3, abs=1e-12)
         assert gf.fidelity(
@@ -266,7 +266,7 @@ class TestFourier:
     def test_outcome_phases_and_conjugate_correction(self):
         # brute-force check: outcome k branch phases undo with -2*pi*k*j/d
         ghz = gf.ghz_reference(3, 4)
-        dist = gf.fourier_measure_path(ghz, [0, 1, 2], 3)
+        dist = gf.fourier_measure_path(ghz, [0, 1, 2])
         reference = gf.ghz_reference(3, 3, [[3, 4, 5], [6, 7, 8], [9, 10, 11]])
         for k in range(3):
             post = dist.state(str(k))
@@ -282,8 +282,8 @@ class TestFourier:
 
     def test_rule_helper_matches_manual_correction(self):
         ghz = gf.ghz_reference(2, 4)
-        dist = gf.fourier_measure_path(ghz, [0, 1], 2)
-        rule = measurement.fourier_feedforward_rule([[2, 3], [4, 5], [6, 7]], 2)
+        dist = gf.fourier_measure_path(ghz, [0, 1])
+        rule = measurement.fourier_feedforward_rule([2, 3])
         post = gf.feedforward(dist.state("1"), "1", rule)
         reference = gf.ghz_reference(2, 3, [[2, 3], [4, 5], [6, 7]])
         assert gf.fidelity(post, reference) == pytest.approx(1.0, abs=1e-12)
@@ -291,7 +291,7 @@ class TestFourier:
     def test_multiple_photons_in_group_rejected(self):
         s = gf.make_state([(gf.ket((0, "H"), (1, "H")), 1.0)])
         with pytest.raises(NotSingleOccupancy):
-            gf.fourier_measure_path(s, [0, 1], 2)
+            gf.fourier_measure_path(s, [0, 1])
 
     def test_nonuniform_polarization_rejected(self):
         s = gf.make_state(
@@ -301,7 +301,7 @@ class TestFourier:
             ]
         )
         with pytest.raises(NotSingleOccupancy):
-            gf.fourier_measure_path(s, [0, 1], 2)
+            gf.fourier_measure_path(s, [0, 1])
 
 
 class TestFeedforward:

@@ -150,6 +150,33 @@ class TestCompile:
         assert inject.ports() == set(plan.photon_ports(4) + plan.photon_ports(5))
         assert len(plan.stage_steps(plan.stages[0])) == 2
 
+    def test_a_plan_is_its_options_and_stages(self):
+        assert [f.name for f in dataclasses.fields(protocol.ProtocolPlan) if f.init] == [
+            "options", "stages",
+        ]
+        plan = gf.compile_plan(gf.ProtocolOptions(d=3, n=7, feedforward=True))
+        assert plan.predicted == analysis.predicted_prob_for_options(3, 7, True)
+        coeffs = gf.compile_plan(gf.ProtocolOptions(d=2, n=4, input_coeffs=(0.6, 0.8)))
+        assert coeffs.predicted is None
+
+    def test_swapped_helper_blocks_are_what_the_plan_reports(self):
+        plan = gf.compile_plan(gf.ProtocolOptions(d=4, n=4, feedforward=True))
+        kinds = [s.kind for s in plan.stages]
+        first = kinds.index("aux_inject")
+        size = len(protocol._HELPER_STAGES)
+        head, blocks = plan.stages[:first], plan.stages[first:]
+        assert len(blocks) == 2 * size
+        swapped = dataclasses.replace(plan, stages=head + blocks[size:] + blocks[:size])
+        assert swapped.junction_aux_pairs == [[(1, 3), (0, 2)]]
+        assert swapped.to_jsonable()["junction_aux_pairs"] == [[[1, 3], [0, 2]]]
+        assert swapped.aux_pair_count == 2
+        assert swapped.to_jsonable()["aux_pair_count"] == 2
+        for backend in ("rule", "element", "oracle"):
+            report = gf.execute(swapped, backend)
+            assert report.matches and report.prob_matches, backend
+            pas = [label for label in report.stage_labels if label.endswith(".pas")]
+            assert pas == ["j0.aux1.pas", "j0.aux0.pas"], backend
+
     def test_plan_serialization(self):
         plan = gf.compile_plan(gf.ProtocolOptions(d=3, n=4))
         data = plan.to_jsonable()
@@ -280,16 +307,16 @@ class TestElementNorms:
             normalised.append(state)
             return normalize(state)
 
-        plan_report = protocol._plan_report
+        build = protocol.RunReport.build
 
         def unrecorded_report(*args):
             # the report normalises the final state for itself, not for a stage
             monkeypatch.setattr(states, "normalize", normalize)
-            return plan_report(*args)
+            return build(*args)
 
         monkeypatch.setattr(elements, "run_circuit", recorded_run)
         monkeypatch.setattr(states, "normalize", recorded_normalize)
-        monkeypatch.setattr(protocol, "_plan_report", unrecorded_report)
+        monkeypatch.setattr(protocol.RunReport, "build", staticmethod(unrecorded_report))
         report = gf.execute(plan, backend="element", keep_intermediates=True)
         assert len(report.intermediates) == len(plan.stages)
         for label, (state, _) in report.intermediates.items():
@@ -310,19 +337,36 @@ class TestOneReport:
     @pytest.mark.parametrize("feedforward", [True, False])
     @pytest.mark.parametrize("d, n", [(3, 4), (3, 5)])
     def test_execute_makes_exactly_one_report(self, monkeypatch, backend, feedforward, d, n):
-        plan_report, reports = protocol._plan_report, []
+        build, reports = protocol.RunReport.build, []
 
         def counted_report(*args):
-            reports.append(plan_report(*args))
+            reports.append(build(*args))
             return reports[-1]
 
-        monkeypatch.setattr(protocol, "_plan_report", counted_report)
+        monkeypatch.setattr(protocol.RunReport, "build", staticmethod(counted_report))
         plan = gf.compile_plan(gf.ProtocolOptions(d=d, n=n, feedforward=feedforward))
         report = gf.execute(plan, backend)
         assert len(reports) == 1
         assert reports[0] is report
         assert report.backend == backend
         assert report.matches
+
+    @pytest.mark.parametrize("d, n, feedforward", [(3, 4, False), (3, 5, True), (4, 5, False)])
+    def test_execute_computes_no_prediction(self, monkeypatch, d, n, feedforward):
+        predict, calls = analysis.predicted_prob_for_options, []
+
+        def counted_predict(*args):
+            calls.append(args)
+            return predict(*args)
+
+        monkeypatch.setattr(analysis, "predicted_prob_for_options", counted_predict)
+        plan = gf.compile_plan(gf.ProtocolOptions(d=d, n=n, feedforward=feedforward))
+        assert len(calls) == 1
+        for backend in ("rule", "element", "oracle"):
+            report = gf.execute(plan, backend)
+            assert report.predicted == plan.predicted, backend
+            assert report.matches, backend
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("d, n, feedforward", [(3, 4, False), (5, 7, True), (16, 8, True)])
     def test_a_rule_report_normalises_once_with_the_same_fidelity(
@@ -543,10 +587,8 @@ class TestReduceToOdd:
         even = gf.run(3, 4, feedforward=True, backend="rule")
         from ghzforge import measurement
 
-        dist = gf.fourier_measure_path(even.final_state, [0, 1, 2], 3)
-        rule = measurement.fourier_feedforward_rule(
-            [[3, 4, 5], [6, 7, 8], [9, 10, 11]], 3
-        )
+        dist = gf.fourier_measure_path(even.final_state, [0, 1, 2])
+        rule = measurement.fourier_feedforward_rule([3, 4, 5])
         reference = gf.ghz_reference(3, 3, [[3, 4, 5], [6, 7, 8], [9, 10, 11]])
         for o in dist.outcomes:
             assert o.prob == pytest.approx(1 / 3, abs=1e-9)
@@ -628,8 +670,13 @@ def _reference_run_rules(plan, keep_intermediates):
             )
             intermediates[label] = (state, ledger.probs[0])
 
+    def report(state):
+        return protocol.RunReport.build(
+            "rule", d, plan.n, state, plan.reference, ledger, plan.predicted
+        )
+
     def empty():
-        return protocol._plan_report(plan, "rule", states.PhotonicState({}), ledger)
+        return report(states.PhotonicState({}))
 
     for k in range(plan.epr_pair_count - 1):
         amps = {t + (i, i): a * c for t, a in amps.items() for i, c in source}
@@ -670,7 +717,7 @@ def _reference_run_rules(plan, keep_intermediates):
     )
     if keep_intermediates:
         intermediates["final"] = (state, ledger.probs[0])
-    return protocol._plan_report(plan, "rule", state, ledger)
+    return report(state)
 
 
 def _close(got, want, rel=1e-12):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -242,6 +243,34 @@ class TestTolerance:
         assert abs(
             gf.inner_product(pruned, s) - gf.inner_product(s, s)
         ) <= len(junk) * gf.EPS
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+    def test_non_finite_or_zero_never_matches_a_nonzero_prediction(self, bad):
+        assert states.prob_matches(bad, Fraction(1, 12)) is False
+        assert states.prob_matches(bad, Fraction(1, 2**900)) is False
+
+    @pytest.mark.parametrize(
+        "expected", [Fraction(1, 12), Fraction(5, 9), Fraction(1, 2**300), 1.0]
+    )
+    def test_relative_bound_splits_neighbouring_floats(self, expected):
+        exact = Fraction(expected)
+        for edge, outward in (
+            (exact * (1 + states.PROB_REL_TOL), math.inf),
+            (exact * (1 - states.PROB_REL_TOL), 0.0),
+        ):
+            # the float nearest the edge on its inner side, and the next one out
+            inside = float(edge)
+            while abs(Fraction(inside) - exact) > exact * states.PROB_REL_TOL:
+                inside = math.nextafter(inside, float(exact))
+            outside = math.nextafter(inside, outward)
+            assert states.prob_matches(inside, expected) is True
+            assert states.prob_matches(outside, expected) is False
+
+    def test_fidelity_rule_is_one_sided_at_the_tolerance(self):
+        edge = 1.0 - states.FIDELITY_TOL
+        assert states.fidelity_matches(edge) and states.fidelity_matches(1.0 + 1e-12)
+        assert not states.fidelity_matches(math.nextafter(edge, 0.0))
+        assert not states.fidelity_matches(math.nan)
 
 
 @st.composite
