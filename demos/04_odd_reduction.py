@@ -21,12 +21,12 @@ rule = measurement.fourier_feedforward_rule(groups[1])
 reference = gf.ghz_reference(D, 3, groups[1:])
 
 print("\nper-outcome branches:")
-for outcome in dist.outcomes:
-    corrected = gf.feedforward(outcome.state, outcome.label, rule)
+for label, outcome in dist.items():
+    corrected = gf.feedforward(outcome.state, label, rule)
     fid_raw = gf.fidelity(outcome.state, reference)
     fid_fixed = gf.fidelity(corrected, reference)
     print(
-        f"  outcome {outcome.label}: p={outcome.prob:.6f}  "
+        f"  outcome {label}: p={outcome.prob:.6f}  "
         f"fidelity before correction {fid_raw:.6f}, after {fid_fixed:.9f}"
     )
 

@@ -32,7 +32,6 @@ from .elements import (
 from .measurement import (
     CoincidencePattern,
     CoincidenceSelect,
-    OutcomeDistribution,
     PasPairSelect,
     feedforward,
     fourier_measure_path,
@@ -79,7 +78,7 @@ __all__ = [
     "apply_pbs", "apply_hwp", "apply_phase", "apply_bd_merge", "apply_bd_split",
     "run_circuit",
     "CoincidencePattern", "CoincidenceSelect", "PasPairSelect",
-    "OutcomeDistribution", "postselect_coincidence", "project_polarization_pair",
+    "postselect_coincidence", "project_polarization_pair",
     "fourier_measure_path", "feedforward",
     "ProtocolOptions", "ProtocolPlan", "RunReport", "compile_plan", "execute",
     "run", "reduce_to_odd", "build_epr_source", "build_aux_source",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator, Sequence
 
 from . import states
@@ -48,6 +48,16 @@ def default_port_groups(d: int, n_photons: int) -> list[list[int]]:
     return [[p * d + i for i in range(d)] for p in range(n_photons)]
 
 
+def _check_ports(groups: Sequence[Sequence[int]]) -> None:
+    """Every port of ``groups`` is valid (``states.mode`` names the first bad
+    one, path by path), and no two paths share one (InvalidParameters)."""
+    ports = [port for paths in zip(*groups) for port in paths]
+    for port in ports:
+        states.mode(port, states.H)
+    if len(set(ports)) != len(ports):
+        raise InvalidParameters("port groups must not share a port")
+
+
 def ghz_reference(
     d: int, n: int, port_groups: Sequence[Sequence[int]] | None = None
 ) -> PhotonicState:
@@ -61,11 +71,7 @@ def ghz_reference(
     groups = port_groups if port_groups is not None else default_port_groups(d, n)
     if len(groups) != n or any(len(g) != d for g in groups):
         raise InvalidParameters("port groups must give each of the n photons d paths")
-    ports = [g[i] for i in range(d) for g in groups]
-    for port in ports:  # states.mode names the first bad port
-        states.mode(port, states.H)
-    if len(set(ports)) != n * d:
-        raise InvalidParameters("port groups must not share a port")
+    _check_ports(groups)
     amp = 1.0 / math.sqrt(d)
     return states.make_state(
         (tuple(((g[i], states.H), 1) for g in groups), amp) for i in range(d)
@@ -246,16 +252,10 @@ def oracle_run(plan, ledger) -> PhotonicState:
 
     # every source-value assignment, with its product amplitude
     tuples: dict[tuple[int, ...], complex] = {}
-
-    def extend(prefix: tuple[int, ...], amp: complex) -> None:
-        if len(prefix) == sources:
-            if abs(amp) > 0.0:
-                tuples[prefix] = amp
-            return
-        for i in range(d):
-            extend(prefix + (i,), amp * coeffs[i])
-
-    extend((), 1.0 + 0j)
+    for t in product(range(d), repeat=sources):
+        amp = math.prod((coeffs[i] for i in t), start=1.0 + 0j)
+        if abs(amp) > 0.0:
+            tuples[t] = amp
 
     damp = 1.0 / (2.0 * math.sqrt(2.0))
     for stage in plan.stages:

@@ -18,19 +18,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import analysis, elements, golden, protocol, states
-from .errors import (
-    GhzforgeError,
-    InvalidAuxPair,
-    InvalidCoefficients,
-    InvalidParameters,
-    OracleTooLarge,
-)
+from .errors import GhzforgeError, InvalidCoefficients, InvalidParameters, OracleTooLarge
 
 SWEEP_COLUMNS = (
     "d", "n", "backend", "predicted_prob", "simulated_prob", "fidelity", "match", "status",
 )
-
-_USAGE_ERRORS = (InvalidParameters, InvalidCoefficients, InvalidAuxPair)
 
 
 def _rational(x: float | None) -> str:
@@ -386,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
         # looked up now rather than bound into the parser, which outlives
         # this call: a ``cmd_*`` replaced since then is the one that runs
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except _USAGE_ERRORS as exc:
+    except InvalidParameters as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:

@@ -29,16 +29,17 @@ class BranchMismatch(GhzforgeError):
     """Measurement branches that must merge into one state disagree."""
 
 
-class InvalidCoefficients(GhzforgeError):
+class InvalidParameters(GhzforgeError):
+    """Dimension or photon number outside the supported range; the base of
+    every usage error, which the CLI reports with exit code 2."""
+
+
+class InvalidCoefficients(InvalidParameters):
     """Source coefficients are not a unit-norm real vector of length d."""
 
 
-class InvalidAuxPair(GhzforgeError):
+class InvalidAuxPair(InvalidParameters):
     """Auxiliary pair indices must satisfy i < j with equal parity."""
-
-
-class InvalidParameters(GhzforgeError):
-    """Dimension or photon number outside the supported range."""
 
 
 class OracleTooLarge(GhzforgeError):

@@ -231,20 +231,20 @@ def qutrit_walkthrough_checks() -> list[CheckResult]:
     ]
 
     # pair projection outcomes on the analysis-ready state
-    dist = measurement.project_polarization_pair(inter["j0.aux0.analysis"][0], _AX, _AY)
-    uniform = all(states.prob_matches(o.prob, Fraction(1, 4)) for o in dist.outcomes)
+    outcomes = measurement.project_polarization_pair(inter["j0.aux0.analysis"][0], _AX, _AY)
+    uniform = all(states.prob_matches(o.prob, Fraction(1, 4)) for o in outcomes.values())
     results.append(
         CheckResult(
             "qutrit chain: four pair outcomes at 1/4",
             uniform,
-            " ".join(f"{o.label}={o.prob:.6f}" for o in dist.outcomes),
+            " ".join(f"{label}={o.prob:.6f}" for label, o in outcomes.items()),
         )
     )
     reference = analysis.ghz_reference(3, 4)
     fids = []
     correction = {"HH": (), "VV": (), "HV": ((5, math.pi),), "VH": ((5, math.pi),)}
-    for o in dist.outcomes:
-        post = measurement.feedforward(o.state, o.label, correction)
+    for label, o in outcomes.items():
+        post = measurement.feedforward(o.state, label, correction)
         post = _untag_all(post, 3, [1, 2])
         fids.append(analysis.fidelity(post, reference))
     results.append(

@@ -4,9 +4,9 @@ States hold amplitudes only; every probability here is returned beside a
 state.  Post-selection keeps amplitudes untouched: it returns the kept
 sub-state together with the kept fraction of the squared norm, so a
 zero-probability pattern yields an empty state rather than an error.
-Projective measurements return complete outcome distributions whose
-probabilities (``Outcome.prob``) sum to one and whose post-states are
-normalized.
+Projective measurements return complete outcome distributions, a dict from
+label to ``Outcome`` in measurement order, whose probabilities
+(``Outcome.prob``) sum to one and whose post-states are normalized.
 """
 
 from __future__ import annotations
@@ -69,44 +69,24 @@ def postselect_coincidence(
 
 @dataclass(frozen=True)
 class Outcome:
-    label: str
     prob: float
     state: PhotonicState  # normalized post-measurement state; empty if prob 0
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    outcomes: tuple[Outcome, ...]
-
-    def prob(self, label: str) -> float:
-        for o in self.outcomes:
-            if o.label == label:
-                return o.prob
-        raise KeyError(label)
-
-    def state(self, label: str) -> PhotonicState:
-        for o in self.outcomes:
-            if o.label == label:
-                return o.state
-        raise KeyError(label)
-
-    def total(self) -> float:
-        return sum(o.prob for o in self.outcomes)
-
-
-def _outcome(label: str, sub: PhotonicState, total: float) -> Outcome:
+def _outcome(sub: PhotonicState, total: float) -> Outcome:
     """Probability and normalized post-state of one projective outcome."""
     nsq = sub.norm_sq()
     prob = nsq / total if total > 0 else 0.0
     if nsq <= EPS ** 2:
-        return Outcome(label, prob, PhotonicState({}))
-    return Outcome(label, prob, states.scaled(sub, 1.0 / math.sqrt(nsq)))
+        return Outcome(prob, PhotonicState({}))
+    return Outcome(prob, states.scaled(sub, 1.0 / math.sqrt(nsq)))
 
 
 def project_polarization_pair(
     state: PhotonicState, port_x: int, port_y: int
-) -> OutcomeDistribution:
-    """Joint H/V projection of the two single photons at port_x and port_y."""
+) -> dict[str, Outcome]:
+    """Joint H/V projection of the two single photons at port_x and port_y,
+    as outcomes keyed "HH", "HV", "VH" and "VV"."""
     total = state.norm_sq()
     buckets: list[dict[Ket, complex]] = [{}, {}, {}, {}]  # HH, HV, VH, VV
     lx, ly = 2 * port_x, 2 * port_y
@@ -121,15 +101,16 @@ def project_polarization_pair(
             ix, iy = iy, ix
         key = k[:ix] + k[ix + 1:iy] + k[iy + 1:] if ix < iy else k[:ix] + k[ix + 1:]
         rest[key] = rest.get(key, 0j) + amp
-    return OutcomeDistribution(tuple(
-        _outcome(label, _from_kets(kets), total)
+    return {
+        label: _outcome(_from_kets(kets), total)
         for label, kets in zip(("HH", "HV", "VH", "VV"), buckets)
-    ))
+    }
 
 
-def fourier_measure_path(state: PhotonicState, port_group: Sequence[int]) -> OutcomeDistribution:
+def fourier_measure_path(state: PhotonicState, port_group: Sequence[int]) -> dict[str, Outcome]:
     """Project the single photon spread over ``port_group`` onto the Fourier
-    basis of its path qudit, whose dimension d is the group's length.
+    basis of its path qudit, whose dimension d is the group's length, as
+    outcomes keyed "0" ... "d-1".
 
     Outcome k uses the bra (1/sqrt(d)) * sum_j exp(+2*pi*i*j*k/d) <j|, matching
     phase factors exp(2*pi*i*k/d) between adjacent surviving branches; the
@@ -153,15 +134,15 @@ def fourier_measure_path(state: PhotonicState, port_group: Sequence[int]) -> Out
         located.append((k[:i] + k[i + 1:], amp, path_of[k[i] >> 1]))
     if len(pol_seen) > 1:
         raise NotSingleOccupancy("measured photon polarization is not uniform")
-    outcomes = []
+    outcomes = {}
     root = 1.0 / math.sqrt(d)
     for k in range(d):
         acc: dict[Ket, complex] = {}
         for reduced, amp, j in located:
             phase = cmath.exp(2j * math.pi * j * k / d)
             acc[reduced] = acc.get(reduced, 0j) + amp * phase * root
-        outcomes.append(_outcome(str(k), _from_kets(acc), total))
-    return OutcomeDistribution(tuple(outcomes))
+        outcomes[str(k)] = _outcome(_from_kets(acc), total)
+    return outcomes
 
 
 PhaseRule = Mapping[str, Sequence[tuple[int, float]]]
@@ -190,23 +171,23 @@ def fourier_feedforward_rule(anchor_ports: Sequence[int]) -> PhaseRule:
     return rule
 
 
-def merge_corrected(dist: OutcomeDistribution, rule: PhaseRule) -> PhotonicState | None:
-    """The one continuing state of ``dist`` once ``rule`` corrects each outcome.
+def merge_corrected(outcomes: Mapping[str, Outcome], rule: PhaseRule) -> PhotonicState | None:
+    """The one continuing state of ``outcomes`` once ``rule`` corrects each one.
 
     Outcomes at probability ``EPS`` or below are skipped; every other corrected
     branch must equal the first within ``MERGE_TOL`` per amplitude, else
     BranchMismatch names the outcome (a circuit bug, or an input that is not
     a GHZ state).  None when every outcome is empty."""
     merged: PhotonicState | None = None
-    for o in dist.outcomes:
+    for label, o in outcomes.items():
         if o.prob <= EPS:
             continue
-        post = feedforward(o.state, o.label, rule)
+        post = feedforward(o.state, label, rule)
         if merged is None:
             merged = post
         elif not states.states_close(merged, post, tol=states.MERGE_TOL):
             raise BranchMismatch(
-                f"outcome {o.label} does not merge with the reference branch"
+                f"outcome {label} does not merge with the reference branch"
             )
     return merged
 
@@ -253,38 +234,31 @@ class PasPairSelect(elements.Step):
     correction_port: int
 
     def apply(self, state: PhotonicState) -> tuple[PhotonicState, float]:
-        result = pas_pair_analysis(
+        merged, p_filtered, p_ff = pas_pair_analysis(
             state, self.port_x, self.port_y, self.correction_port
         )
-        p = result.prob_feedforward if self.mode == "feedforward" else result.prob_filtered
-        merged = result.merged
+        p = p_ff if self.mode == "feedforward" else p_filtered
         if merged is None or p <= 0.0:
             return PhotonicState({}), 0.0
         return states.scaled(merged, math.sqrt(p * state.norm_sq())), p
 
 
-@dataclass(frozen=True)
-class PasPairResult:
-    merged: PhotonicState | None  # normalized continuing state, None if all empty
-    prob_filtered: float          # P(HH) + P(VV)
-    prob_feedforward: float       # all four outcomes, corrected
-
-
 def pas_pair_analysis(
     state: PhotonicState, port_x: int, port_y: int, correction_port: int
-) -> PasPairResult:
-    """Pair-analysis bookkeeping shared by both accounting conventions.
+) -> tuple[PhotonicState | None, float, float]:
+    """Pair-analysis bookkeeping shared by both accounting conventions:
+    (the normalized continuing state, None if every outcome is empty;
+    P(HH) + P(VV); the total of all four outcomes, corrected).
 
     HH/VV branches must agree as-is and HV/VH must agree with them after the
     pi correction (see ``merge_corrected``).
     """
-    dist = project_polarization_pair(state, port_x, port_y)
+    outcomes = project_polarization_pair(state, port_x, port_y)
     pi_rule: PhaseRule = {
         "HH": (), "VV": (),
         "HV": ((correction_port, math.pi),),
         "VH": ((correction_port, math.pi),),
     }
-    merged = merge_corrected(dist, pi_rule)
-    p_filtered = dist.prob("HH") + dist.prob("VV")
-    p_ff = dist.total()
-    return PasPairResult(merged, p_filtered, p_ff)
+    p_filtered = outcomes["HH"].prob + outcomes["VV"].prob
+    p_ff = sum(o.prob for o in outcomes.values())
+    return merge_corrected(outcomes, pi_rule), p_filtered, p_ff

@@ -500,13 +500,13 @@ def _reduce_even_state(
     state: PhotonicState, mode: str, measure_ports: Sequence[int], anchor_ports: Sequence[int]
 ) -> tuple[PhotonicState, float, float]:
     """Fourier-measure one photon out; returns (state ``mode`` keeps, p_single, p_full)."""
-    dist = measurement.fourier_measure_path(state, measure_ports)
+    outcomes = measurement.fourier_measure_path(state, measure_ports)
     if mode == SINGLE_OUTCOME:
-        post = dist.state("0")
+        post = outcomes["0"].state
     else:
         rule = measurement.fourier_feedforward_rule(anchor_ports)
-        post = measurement.merge_corrected(dist, rule) or PhotonicState({})
-    return post, dist.prob("0"), dist.total()
+        post = measurement.merge_corrected(outcomes, rule) or PhotonicState({})
+    return post, outcomes["0"].prob, sum(o.prob for o in outcomes.values())
 
 
 def _run_elements(plan: ProtocolPlan, ledger: _Ledger) -> PhotonicState:
@@ -530,14 +530,14 @@ def _run_elements(plan: ProtocolPlan, ledger: _Ledger) -> PhotonicState:
             ledger.reduction(stage.label, p_single, p_full)
         elif stage.kind == "aux_pas":
             (step,) = steps
-            result = measurement.pas_pair_analysis(
+            merged, p_filtered, p_ff = measurement.pas_pair_analysis(
                 state, step.port_x, step.port_y, step.correction_port
             )
-            ledger.pair_analysis(stage.label, result.prob_filtered, result.prob_feedforward)
-            if result.merged is None or ledger.trace[-1] <= 0.0:
+            ledger.pair_analysis(stage.label, p_filtered, p_ff)
+            if merged is None or ledger.trace[-1] <= 0.0:
                 state = PhotonicState({})
                 break
-            state = result.merged
+            state = merged
         else:
             state, ps = elements.run_circuit(state, steps)
             for p in ps:
@@ -696,8 +696,9 @@ def reduce_to_odd(
 ) -> RunReport:
     """Measure the first photon of an even-photon state in the Fourier path
     basis, reporting the odd-photon result honestly (non-GHZ inputs allowed).
-    An unknown mode or fewer than two photon port groups raise
-    InvalidParameters."""
+    An unknown mode, fewer than two photon port groups, a group without d
+    ports, or groups that repeat or share a port raise InvalidParameters
+    before anything is measured."""
     mode = analysis.resolve_odd_mode(mode, feedforward=True)
     if port_groups is None:
         ports = sorted(state.ports())
@@ -709,6 +710,7 @@ def reduce_to_odd(
         raise InvalidParameters(f"need at least two photon port groups, got {len(groups)}")
     if any(len(g) != d for g in groups):
         raise InvalidParameters(f"every photon port group needs d = {d} ports")
+    analysis._check_ports(groups)
     post, p_single, p_full = _reduce_even_state(state, mode, groups[0], groups[1])
     ledger = _Ledger(feedforward=mode == FULL_FOURIER, odd_mode=mode)
     ledger.reduction("reduce", p_single, p_full)

@@ -44,11 +44,11 @@ def test_criterion_1_four_photon_qutrit_golden_run():
     # pair-analysis outcome distribution and post-states
     pre_pas, _ = report.intermediates["j0.aux0.analysis"]
     dist = gf.project_polarization_pair(pre_pas, 20, 21)
-    for outcome in dist.outcomes:
+    for outcome in dist.values():
         assert abs(outcome.prob - 0.25) <= TOL
     reference = gf.ghz_reference(3, 4)
     for label in ("HH", "VV"):
-        post = dist.state(label)
+        post = dist[label].state
         for photon in (1, 2):
             post = gf.polarization_tag(
                 post, [photon * 3 + i for i in range(3)], lambda p: "H"
@@ -149,9 +149,9 @@ def test_criterion_6_odd_photon_reduction():
         dist = gf.fourier_measure_path(even.final_state, groups[0])
         rule = measurement.fourier_feedforward_rule(groups[1])
         reference = gf.ghz_reference(d, 3, groups[1:])
-        for outcome in dist.outcomes:
+        for label, outcome in dist.items():
             assert abs(outcome.prob - 1.0 / d) <= TOL
-            corrected = gf.feedforward(outcome.state, outcome.label, rule)
+            corrected = gf.feedforward(outcome.state, label, rule)
             assert gf.fidelity(corrected, reference) >= 1.0 - TOL
         details.append(f"d={d}: single={single.prob:.6f} full={full.prob:.6f}")
     _announce("6 odd-photon reduction", "; ".join(details))
@@ -212,8 +212,8 @@ def test_criterion_7_randomized_property_suites():
             path = rng.randrange(d)
             probe = gf.make_state([(gf.ket((8 + path, "H"),), 1.0)])
             dist = gf.fourier_measure_path(gf.tensor(s, probe), list(range(8, 8 + d)))
-        assert abs(dist.total() - 1.0) <= 1e-9
-        for o in dist.outcomes:
+        assert abs(sum(o.prob for o in dist.values()) - 1.0) <= 1e-9
+        for o in dist.values():
             if o.prob > 1e-12:
                 assert abs(o.state.norm_sq() - 1.0) <= 1e-9
         cases += 1

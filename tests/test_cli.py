@@ -349,16 +349,23 @@ class TestRun:
         "argv",
         [
             ["run", "--d", "3", "--n", "4", "--coeffs", "a,b,c"],
+            ["run", "--d", "2", "--n", "4", "--coeffs", "x"],
+            ["run", "--d", "2", "--n", "4", "--coeffs", "1,2"],
             ["sweep", "--d", "x..3", "--n", "4"],
             ["sweep", "--d", "2..", "--n", "4"],
         ],
-        ids=["coeffs", "range", "open-range"],
+        ids=["coeffs", "coeffs-word", "coeffs-norm", "range", "open-range"],
     )
     def test_malformed_numeric_flag_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    def test_usage_errors_are_one_type(self):
+        # cli.main reports InvalidParameters, and so every usage error, as exit 2
+        assert issubclass(gf.errors.InvalidCoefficients, gf.errors.InvalidParameters)
+        assert issubclass(gf.errors.InvalidAuxPair, gf.errors.InvalidParameters)
 
     def test_halved_probability_fails_the_gate(self):
         # at (6,8) the filtered probability is 2**-39 / 27, far below any

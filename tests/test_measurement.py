@@ -131,10 +131,10 @@ def reference_project_pair(state, port_x, port_y):
         reduced = tuple(m for m in term if m[0][0] not in (port_x, port_y))
         rest = buckets[px + py]
         rest[reduced] = rest.get(reduced, 0j) + amp
-    return measurement.OutcomeDistribution(tuple(
-        measurement._outcome(label, states.PhotonicState(terms), total)
+    return {
+        label: measurement._outcome(states.PhotonicState(terms), total)
         for label, terms in buckets.items()
-    ))
+    }
 
 
 def pair_result(*args):
@@ -144,8 +144,8 @@ def pair_result(*args):
     except NotSingleOccupancy as exc:
         return str(exc)
     return [
-        (o.label, o.prob, list(o.state.terms.items()))
-        for o in dist.outcomes
+        (label, o.prob, list(o.state.terms.items()))
+        for label, o in dist.items()
     ]
 
 
@@ -189,9 +189,9 @@ class TestPolarizationPair:
     def test_product_state_is_deterministic(self):
         s = gf.make_state([(gf.ket((0, "H"), (1, "H"), (2, "V")), 1.0)])
         dist = gf.project_polarization_pair(s, 0, 1)
-        assert dist.prob("HH") == pytest.approx(1.0)
-        assert dist.prob("HV") == 0.0
-        post = dist.state("HH")
+        assert dist["HH"].prob == pytest.approx(1.0)
+        assert dist["HV"].prob == 0.0
+        post = dist["HH"].state
         assert list(post.terms) == [gf.ket((2, "V"))]
 
     def test_uniform_mixed_pair(self):
@@ -202,22 +202,22 @@ class TestPolarizationPair:
             ]
         )
         dist = gf.project_polarization_pair(s, 0, 1)
-        assert dist.prob("HV") == pytest.approx(0.5)
-        assert dist.prob("VH") == pytest.approx(0.5)
-        assert dist.prob("HH") == 0.0
+        assert dist["HV"].prob == pytest.approx(0.5)
+        assert dist["VH"].prob == pytest.approx(0.5)
+        assert dist["HH"].prob == 0.0
 
     def test_frozen_analysis_state_gives_quarter_each(self):
         s = golden.analysis_ready_state()
         dist = gf.project_polarization_pair(s, 20, 21)
-        for o in dist.outcomes:
+        for o in dist.values():
             assert o.prob == pytest.approx(0.25, abs=1e-12)
         # matching-polarization outcomes carry the uniform-sign branch
-        hh = dist.state("HH")
+        hh = dist["HH"].state
         signs = sorted(
             round(a.real / abs(a), 6) for a in hh.terms.values()
         )
         assert signs == [1.0, 1.0, 1.0]
-        hv = dist.state("HV")
+        hv = dist["HV"].state
         signs = sorted(round(a.real / abs(a), 6) for a in hv.terms.values())
         assert signs == [-1.0, 1.0, 1.0]
 
@@ -243,13 +243,13 @@ class TestFourier:
             ]
         )
         dist = gf.fourier_measure_path(s, [0, 1])
-        assert dist.prob("0") == pytest.approx(0.5)
-        assert dist.prob("1") == pytest.approx(0.5)
-        plus = dist.state("0")
+        assert dist["0"].prob == pytest.approx(0.5)
+        assert dist["1"].prob == pytest.approx(0.5)
+        plus = dist["0"].state
         assert plus.amplitude(gf.ket((2, "H"))) == pytest.approx(
             plus.amplitude(gf.ket((3, "H")))
         )
-        minus = dist.state("1")
+        minus = dist["1"].state
         assert minus.amplitude(gf.ket((2, "H"))) == pytest.approx(
             -minus.amplitude(gf.ket((3, "H")))
         )
@@ -257,10 +257,10 @@ class TestFourier:
     def test_ghz_outcome_probabilities_uniform(self):
         ghz = gf.ghz_reference(3, 4)
         dist = gf.fourier_measure_path(ghz, [0, 1, 2])
-        for o in dist.outcomes:
+        for o in dist.values():
             assert o.prob == pytest.approx(1 / 3, abs=1e-12)
         assert gf.fidelity(
-            dist.state("0"), gf.ghz_reference(3, 3, [[3, 4, 5], [6, 7, 8], [9, 10, 11]])
+            dist["0"].state, gf.ghz_reference(3, 3, [[3, 4, 5], [6, 7, 8], [9, 10, 11]])
         ) == pytest.approx(1.0, abs=1e-12)
 
     def test_outcome_phases_and_conjugate_correction(self):
@@ -269,7 +269,7 @@ class TestFourier:
         dist = gf.fourier_measure_path(ghz, [0, 1, 2])
         reference = gf.ghz_reference(3, 3, [[3, 4, 5], [6, 7, 8], [9, 10, 11]])
         for k in range(3):
-            post = dist.state(str(k))
+            post = dist[str(k)].state
             # expected branch phase exp(+2*pi*i*j*k/3) on path j
             for j in range(3):
                 term = gf.ket((3 + j, "H"), (6 + j, "H"), (9 + j, "H"))
@@ -284,7 +284,7 @@ class TestFourier:
         ghz = gf.ghz_reference(2, 4)
         dist = gf.fourier_measure_path(ghz, [0, 1])
         rule = measurement.fourier_feedforward_rule([2, 3])
-        post = gf.feedforward(dist.state("1"), "1", rule)
+        post = gf.feedforward(dist["1"].state, "1", rule)
         reference = gf.ghz_reference(2, 3, [[2, 3], [4, 5], [6, 7]])
         assert gf.fidelity(post, reference) == pytest.approx(1.0, abs=1e-12)
 
@@ -331,13 +331,21 @@ class TestMergeCorrected:
             measurement.merge_corrected(dist, self._PI_RULE)
 
     def test_all_empty_outcomes_merge_to_none(self):
-        dist = measurement.OutcomeDistribution(
-            (measurement.Outcome("HH", 0.0, gf.PhotonicState({})),)
-        )
+        dist = {"HH": measurement.Outcome(0.0, gf.PhotonicState({}))}
         assert measurement.merge_corrected(dist, self._PI_RULE) is None
 
 
 class TestDistributions:
+    def test_outcomes_are_a_dict_in_measurement_order(self):
+        pair = gf.make_state([(gf.ket((0, "H"), (1, "V")), 1.0)])
+        assert list(gf.project_polarization_pair(pair, 0, 1)) == ["HH", "HV", "VH", "VV"]
+        assert list(gf.fourier_measure_path(gf.ghz_reference(4, 2), [0, 1, 2, 3])) == [
+            "0", "1", "2", "3"
+        ]
+        merged, p_filtered, p_ff = measurement.pas_pair_analysis(pair, 0, 1, 0)
+        assert (p_filtered, p_ff) == (0.0, 1.0)
+        assert list(merged.terms) == [()]
+
     @given(states_strategy(max_port=3, max_photons=2))
     def test_pair_projection_total_probability_one(self, s):
         # embed the state so ports 8 and 9 each carry exactly one photon
@@ -351,7 +359,7 @@ class TestDistributions:
             ),
         )
         dist = gf.project_polarization_pair(probe, 8, 9)
-        assert dist.total() == pytest.approx(1.0, abs=1e-9)
-        for o in dist.outcomes:
+        assert sum(o.prob for o in dist.values()) == pytest.approx(1.0, abs=1e-9)
+        for o in dist.values():
             if o.prob > 1e-12:
                 assert o.state.norm_sq() == pytest.approx(1.0, abs=1e-9)

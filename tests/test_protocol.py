@@ -590,9 +590,9 @@ class TestReduceToOdd:
         dist = gf.fourier_measure_path(even.final_state, [0, 1, 2])
         rule = measurement.fourier_feedforward_rule([3, 4, 5])
         reference = gf.ghz_reference(3, 3, [[3, 4, 5], [6, 7, 8], [9, 10, 11]])
-        for o in dist.outcomes:
+        for label, o in dist.items():
             assert o.prob == pytest.approx(1 / 3, abs=1e-9)
-            corrected = gf.feedforward(o.state, o.label, rule)
+            corrected = gf.feedforward(o.state, label, rule)
             assert gf.fidelity(corrected, reference) == pytest.approx(1.0, abs=1e-9)
 
     def test_non_ghz_input_reported_honestly(self):
@@ -634,6 +634,19 @@ class TestReduceToOdd:
         even = gf.run(2, 4, backend="rule")
         with pytest.raises(InvalidParameters, match="needs d = 2 ports"):
             gf.reduce_to_odd(even.final_state, 2, port_groups=port_groups)
+
+    def test_port_groups_that_share_a_port_are_rejected(self, monkeypatch):
+        even = gf.run(3, 4, feedforward=True).final_state
+        for groups in (None, analysis.default_port_groups(3, 4)):
+            report = gf.reduce_to_odd(even, 3, protocol.SINGLE_OUTCOME, port_groups=groups)
+            assert report.fidelity == pytest.approx(1.0, abs=1e-12)
+        monkeypatch.setattr(measurement, "fourier_measure_path", None)  # never reached
+        for groups in (
+            [[0, 1, 2], [0, 1, 2], [6, 7, 8], [9, 10, 11]],
+            [[0, 1, 1], [3, 4, 5], [6, 7, 8], [9, 10, 11]],
+        ):
+            with pytest.raises(InvalidParameters, match="port groups must not share a port"):
+                gf.reduce_to_odd(even, 3, protocol.SINGLE_OUTCOME, port_groups=groups)
 
     def test_fourier_branches_that_differ_raise_naming_the_outcome(self):
         # (|0,2> + |0,3> + |1,2>)/sqrt(3): outcome 0 leaves (2|2> + |3>)/sqrt(5)
@@ -1047,3 +1060,41 @@ class TestOnceBuiltOptics:
         assert gf.execute(plan, "oracle").matches
         assert calls == []
         assert "optics" not in vars(plan)
+
+
+class TestWorkCounts:
+    """Kets each element kernel receives over one element ``execute`` with
+    the default aux order: a deterministic measure of work, which host noise
+    cannot hide.  More work fails; less work is a gain to record with its
+    new counts."""
+
+    KERNELS = (
+        (elements, "_relabel"),
+        (elements, "_apply_mode_linear_map"),
+        (measurement, "postselect_coincidence"),
+        (measurement, "pas_pair_analysis"),
+    )
+
+    @pytest.mark.parametrize(
+        "d, n, feedforward, counts",
+        [
+            (4, 4, True, (262, 174, 44, 40)),
+            (8, 4, True, (1848, 2104, 480, 736)),
+            (5, 7, False, (1581, 1092, 291, 336)),
+        ],
+    )
+    def test_kets_per_kernel_are_pinned(self, monkeypatch, d, n, feedforward, counts):
+        plan = gf.compile_plan(gf.ProtocolOptions(d=d, n=n, feedforward=feedforward))
+        seen = dict.fromkeys((name for _, name in self.KERNELS), 0)
+
+        def counting(name, fn):
+            def wrapper(state, *args, **kwargs):
+                seen[name] += len(state.kets)
+                return fn(state, *args, **kwargs)
+            return wrapper
+
+        for module, name in self.KERNELS:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        assert gf.execute(plan, "element").matches
+        assert tuple(seen.values()) == counts
+        assert sum(counts) == {(4, 4): 520, (8, 4): 5168, (5, 7): 3300}[d, n]
