@@ -140,50 +140,30 @@ def eta2_exact(d: int) -> Iterator[Fraction]:
 
 
 def _cancel_shared(num: range, den: range) -> tuple[int, int]:
-    """Products of the factors only in ``num`` and of those only in ``den``.
+    """Products of the values only in ``num`` and of those only in ``den``,
+    two progressions of step 2 or -2.  The values they share run by 2 from
+    ``lo`` to ``hi`` (none when their parities differ or they do not
+    overlap), so each side multiplies only its values below and above that."""
+    num, den = (side if side.step > 0 else side[::-1] for side in (num, den))
+    if not num or not den or (num[0] - den[0]) % 2:
+        return math.prod(num), math.prod(den)
+    lo, hi = max(num[0], den[0]), min(num[-1], den[-1])
 
-    Each side marks its factors in a bytearray, one byte per value, indexed
-    by the value minus the smallest factor of either side, with one slice
-    assignment; read as little-endian ints, the shared factors are the AND
-    of the two and each side keeps its XOR with it.  Only the leftover
-    factors are multiplied."""
-    ends = [end for side in (num, den) if side for end in (side[0], side[-1])]
-    if not ends:
-        return 1, 1
-    lo = min(ends)
-    size = max(ends) - lo + 1
+    def outside(side: range) -> int:
+        below = math.prod(range(side.start, min(lo, side.stop), 2))
+        return below * math.prod(range(max(hi + 2, side.start), side.stop, 2))
 
-    def marks(side: range) -> int:
-        buf = bytearray(size)
-        if side:
-            up = side if side.step > 0 else side[::-1]
-            buf[up.start - lo : up.stop - lo : up.step] = b"\x01" * len(up)
-        return int.from_bytes(buf, "little")
-
-    def product(bits: int) -> int:
-        buf = bits.to_bytes(size, "little")
-        out = 1
-        i = buf.find(1)
-        while i >= 0:
-            out *= lo + i
-            i = buf.find(1, i + 1)
-        return out
-
-    num_bits, den_bits = marks(num), marks(den)
-    shared = num_bits & den_bits
-    return product(num_bits ^ shared), product(den_bits ^ shared)
+    return outside(num), outside(den)
 
 
 def eta_product_exact(d: int) -> Fraction:
     """Exact eta1 * prod_k eta2(k), equal to multiplying the rates of
     ``eta2_exact`` stage by stage.
 
-    Every stage factor is evaluated: the numerator factors s - 2k and the
-    denominator factors s - 2(k-1) are marked as two bitmaps.  Each side steps
-    by -2, so its factors are distinct and the factors the sides share cancel
-    exactly (``_cancel_shared``); only the leftovers are multiplied, and the
-    factor 2**N of the denominator is a shift.  Nothing is cached: every call
-    marks both sides."""
+    The numerator factors s - 2k and the denominator factors s - 2(k-1)
+    both step by -2, so the factors they share cancel exactly
+    (``_cancel_shared``); only the leftovers are multiplied, and the factor
+    2**N of the denominator is a shift."""
     n_stages = aux_count(d, 4)
     survivors = _survivors(d)
     num, den = _cancel_shared(
@@ -205,15 +185,9 @@ def predicted_prob_for_options(
     (see ``resolve_odd_mode``).
     """
     _check_params(d, n)
-    single = resolve_odd_mode(odd_n_mode, feedforward) == SINGLE_OUTCOME
+    single = resolve_odd_mode(odd_n_mode, feedforward) == SINGLE_OUTCOME and n % 2 == 1
     sources = -(n // -2)  # ceil(n/2)
-    n_aux = aux_count(d, n)
-    p = Fraction(1, d ** (sources - 1)) * Fraction(1, 2**n_aux)
-    if not feedforward:
-        p *= Fraction(1, 2**n_aux)
-    if n % 2 == 1 and single:
-        p *= Fraction(1, d)
-    return p
+    return Fraction(1, d ** (sources - 1 + single) << aux_count(d, n) * (1 if feedforward else 2))
 
 
 # --- brute-force oracle -----------------------------------------------------
@@ -230,16 +204,15 @@ def oracle_run(plan, ledger) -> PhotonicState:
     the report.  The product input is enumerated up front as source-value
     tuples, so ``sources`` stages fall through, as do the other stages that
     measure nothing.  A ``pbs_filter`` stage drops cross-parity tuples; an
-    ``aux_interfere`` stage removes exactly its two targeted cross terms
-    while damping every survivor's amplitude by 1/(2*sqrt(2)) (retention
-    times one projection outcome); ``aux_pas`` keeps half the outcomes
-    filtered and all with feedforward.  No stage removes a tuple whose
-    values are all equal, so the enumeration never empties.  Success
-    probability is recovered combinatorially from the surviving amplitudes
-    and the outcome multiplicity of each stage.  Past ``ORACLE_MAX_D`` or
-    ``ORACLE_MAX_N`` it raises OracleTooLarge; asked to keep intermediate
-    states (``ledger.keep``), which it has none of, it raises
-    InvalidParameters."""
+    ``aux_interfere`` stage removes exactly its two targeted cross terms and
+    records half the squared weight left (the coincidence retains half of
+    each survivor's weight); ``aux_pas`` keeps half the outcomes filtered
+    and all with feedforward.  Survivors keep their source amplitudes, and
+    no stage removes a tuple whose values are all equal, so the enumeration
+    never empties; the state is normalised once, at the end.  Past
+    ``ORACLE_MAX_D`` or ``ORACLE_MAX_N`` it raises OracleTooLarge; asked to
+    keep intermediate states (``ledger.keep``), which it has none of, it
+    raises InvalidParameters."""
     d, n = plan.d, plan.n
     if d > ORACLE_MAX_D or n > ORACLE_MAX_N:
         raise OracleTooLarge(
@@ -257,7 +230,6 @@ def oracle_run(plan, ledger) -> PhotonicState:
         if abs(amp) > 0.0:
             tuples[t] = amp
 
-    damp = 1.0 / (2.0 * math.sqrt(2.0))
     for stage in plan.stages:
         if stage.kind == "pbs_filter":
             k = stage.junction  # it joins sources k and k + 1
@@ -268,13 +240,9 @@ def oracle_run(plan, ledger) -> PhotonicState:
         elif stage.kind == "aux_interfere":
             k, (i, j) = stage.junction, stage.aux_pair
             total = sum(abs(a) ** 2 for a in tuples.values())
-            survivors = {
-                t: a * damp for t, a in tuples.items() if (t[k], t[k + 1]) not in ((i, j), (j, i))
-            }
-            # coincidence part: survivors retain half their squared weight
-            p_coin = 0.5 * sum(abs(a) ** 2 for a in survivors.values()) * 8.0 / total
-            ledger.record(stage.label, p_coin)
-            tuples = survivors
+            kept = {t: a for t, a in tuples.items() if (t[k], t[k + 1]) not in ((i, j), (j, i))}
+            ledger.record(stage.label, 0.5 * sum(abs(a) ** 2 for a in kept.values()) / total)
+            tuples = kept
         elif stage.kind == "aux_pas":
             # filtered keeps HH/VV, half the outcomes; feedforward corrects all
             ledger.pair_analysis(stage.label, 0.5, 1.0)

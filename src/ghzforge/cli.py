@@ -271,7 +271,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     checks = golden.run_checks()
     failed = [c for c in checks if not c.passed]
-    if args.format == "json" or args.json:
+    if args.format == "json":
         payload = [
             {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
         ]
@@ -349,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sweep, ("csv", "json", "pretty"))
 
     p_verify = sub.add_parser("verify", help="run the pinned regression checklist")
-    p_verify.add_argument("--json", action="store_true", help="alias for --format json")
     add_common(p_verify, ("pretty", "json"))
 
     p_reduce = sub.add_parser(

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import analysis, elements, measurement, protocol, states
-from .errors import InvalidParameters
 from .states import H, V, PhotonicState, ket
 
 
@@ -283,17 +282,14 @@ def qubit_chain_checks() -> list[CheckResult]:
     return results
 
 
-def identity_checks(max_d: int = 128) -> list[CheckResult]:
+def identity_checks() -> list[CheckResult]:
     """The pair-count, filter-leftover and telescope identities, exactly,
-    for every d in 2..max_d; a range without a d raises InvalidParameters.
-    The pair count is ``analysis.aux_count``, the paper's ceiling form,
-    checked against its binomial form."""
-    if max_d < 2:
-        raise InvalidParameters(f"identity checks need max_d >= 2, got {max_d}")
+    for every d in 2..128.  The pair count is ``analysis.aux_count``, the
+    paper's ceiling form, checked against its binomial form."""
     forms_ok = True
     leftover_ok = True
     telescope_ok = True
-    for d in range(2, max_d + 1):
+    for d in range(2, 129):
         n4 = analysis.aux_count(d, 4)
         forms_ok &= n4 == math.comb((d + 1) // 2, 2) + math.comb(d // 2, 2)
         e1 = analysis.eta1_exact(d)

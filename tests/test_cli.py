@@ -500,7 +500,7 @@ class TestVerify:
         assert len(lines) >= 20
 
     def test_json_format(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--json")
+        code, out, _ = run_cli(capsys, "verify", "--format", "json")
         assert code == 0
         data = json.loads(out)
         assert all(entry["passed"] for entry in data)

@@ -95,7 +95,7 @@ _COMMANDS = {
     "sweep": ((["2", "3", "2..3"], ["3", "4", "4..5", "2..6"]), ["--feedforward"], {
         "--backend": _BACKENDS, "--format": ["csv", "json", "pretty"],
     }),
-    "verify": (None, ["--json"], {"--format": ["pretty", "json"]}),
+    "verify": (None, [], {"--format": ["pretty", "json"]}),
     "reduce-odd": ((_SIZES[0], ["2", "4", "6"]), [], {
         "--backend": ["rule", "element"], "--odd-mode": ["single", "fourier"],
         "--coeffs": _COEFFS, "--format": ["json", "pretty"],
