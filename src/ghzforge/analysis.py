@@ -193,14 +193,14 @@ def predicted_prob_for_options(
 # --- brute-force oracle -----------------------------------------------------
 
 
-def oracle_run(plan, ledger) -> PhotonicState:
+def oracle_run(plan, report) -> PhotonicState:
     """The final state of ``plan`` (a ``protocol.ProtocolPlan``) from a dense
     term-list pipeline sharing no simulation machinery with the other
-    executors, its stages recorded in ``ledger`` (a ``protocol._Ledger``).
+    executors, its stages recorded in ``report`` (a ``protocol.RunReport``).
 
     It reads d, n and the source coefficients from the plan, which
     ``protocol.compile_plan`` checked, and walks ``plan.stages``, recording
-    each measuring stage under its label; ``execute`` makes the ledger and
+    each measuring stage under its label; ``execute`` makes and finishes
     the report.  The product input is enumerated up front as source-value
     tuples, so ``sources`` stages fall through, as do the other stages that
     measure nothing.  A ``pbs_filter`` stage drops cross-parity tuples; an
@@ -211,14 +211,14 @@ def oracle_run(plan, ledger) -> PhotonicState:
     no stage removes a tuple whose values are all equal, so the enumeration
     never empties; the state is normalised once, at the end.  Past
     ``ORACLE_MAX_D`` or ``ORACLE_MAX_N`` it raises OracleTooLarge; asked to
-    keep intermediate states (``ledger.keep``), which it has none of, it
+    keep intermediate states (``report.keep``), which it has none of, it
     raises InvalidParameters."""
     d, n = plan.d, plan.n
     if d > ORACLE_MAX_D or n > ORACLE_MAX_N:
         raise OracleTooLarge(
             f"oracle bounded to d <= {ORACLE_MAX_D}, n <= {ORACLE_MAX_N}"
         )
-    if ledger.keep:
+    if report.keep:
         raise InvalidParameters("the oracle keeps no intermediate states")
     coeffs = states.validated_coeffs(d, plan.options.input_coeffs)
     sources = -(n // -2)
@@ -235,21 +235,21 @@ def oracle_run(plan, ledger) -> PhotonicState:
             k = stage.junction  # it joins sources k and k + 1
             total = sum(abs(a) ** 2 for a in tuples.values())
             kept = {t: a for t, a in tuples.items() if t[k] % 2 == t[k + 1] % 2}
-            ledger.record(stage.label, sum(abs(a) ** 2 for a in kept.values()) / total)
+            report.record(stage.label, sum(abs(a) ** 2 for a in kept.values()) / total)
             tuples = kept
         elif stage.kind == "aux_interfere":
             k, (i, j) = stage.junction, stage.aux_pair
             total = sum(abs(a) ** 2 for a in tuples.values())
             kept = {t: a for t, a in tuples.items() if (t[k], t[k + 1]) not in ((i, j), (j, i))}
-            ledger.record(stage.label, 0.5 * sum(abs(a) ** 2 for a in kept.values()) / total)
+            report.record(stage.label, 0.5 * sum(abs(a) ** 2 for a in kept.values()) / total)
             tuples = kept
         elif stage.kind == "aux_pas":
             # filtered keeps HH/VV, half the outcomes; feedforward corrects all
-            ledger.pair_analysis(stage.label, 0.5, 1.0)
+            report.pair_analysis(stage.label, 0.5, 1.0)
         elif stage.kind == "reduce":
             # the first photon of the even chain is measured out; keeping one
             # of d uniform outcomes costs 1/d, correcting them all nothing
-            ledger.reduction(stage.label, 1.0 / d, 1.0)
+            report.reduction(stage.label, 1.0 / d, 1.0)
 
     photons = range(n % 2, 2 * sources)  # an odd n measured photon 0 out
     nsq = sum(abs(a) ** 2 for a in tuples.values())

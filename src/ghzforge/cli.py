@@ -25,11 +25,9 @@ SWEEP_COLUMNS = (
 )
 
 
-def _rational(x: float | None) -> str:
+def _rational(x: float) -> str:
     """The nearest fraction with a denominator up to 10**9 when it lies within
     1e-12 of ``x`` relatively, else the float alone (so 3e-33 never prints 0)."""
-    if x is None:
-        return "n/a"
     frac = Fraction(x).limit_denominator(10**9)
     if abs(float(frac) - x) <= 1e-12 * abs(x):
         return str(frac)

@@ -24,7 +24,7 @@ compiling or running a plan on the rule or oracle backend builds no optics.
 The table holds steps, never their results: every execute still applies
 each step through ``Step.apply``.
 
-Three executors interpret a plan, each a function from (plan, ledger) to
+Three executors interpret a plan, each a function from (plan, report) to
 the run's final state.  Each walks ``plan.stages`` and acts on each stage's
 kind, junction and aux pair, recording what it measures under the stage's
 label; kinds it has no use for fall through.  So ``compile_plan`` alone
@@ -42,22 +42,23 @@ decides which stages run, in what order and under what labels:
 * the oracle (``analysis.oracle_run``) enumerates every source-value tuple
   on its own, within a size bound.
 
-``execute`` is the one way to run a plan: it builds the run's ``_Ledger``
-from the plan's options, hands it to the executor, which records every stage
-in it, and makes the one report from the final state (``RunReport.build``,
-beside the reference and prediction the plan built once).
-The ledger owns the labels, the three products, the choice of accounting and
-the kept intermediates.  All three track the two probability accountings
+``execute`` is the one way to run a plan: it makes the run's one
+``RunReport`` from the plan's options and prediction, hands it to the
+executor, which records every stage in it, and finishes it with the final
+state and the plan's reference (``RunReport.finish``).  The report owns the
+labels, the three products, the choice of accounting and the kept
+intermediates.  All three executors track the two probability accountings
 side by side: "filtered" keeps only HH/VV pair outcomes and the
 uniform-superposition Fourier outcome, while "feedforward" corrects every
-outcome by conditional phases.  ``reduce_to_odd`` records its one stage
-through a ledger of its own.
+outcome by conditional phases.  ``reduce_to_odd`` records its one stage into
+a report of its own.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -372,22 +373,65 @@ def compile_plan(
 
 @dataclass
 class RunReport:
+    """A run's one report, made at the run's start and recorded into by its
+    executor (or by ``reduce_to_odd``): labels and probabilities in the order
+    measured, the running chosen, filtered and feedforward products and, with
+    ``keep``, each stage's state beside the chosen probability of reaching it.
+    A pair analysis chooses by ``feedforward``, the odd-n reduction by
+    ``odd_mode``; every other stage measures one value for all three
+    accountings.  ``finish`` sets the final state and the fidelity."""
+
     d: int
     n: int
     backend: str
     feedforward: bool
-    final_state: PhotonicState
-    prob: float
-    prob_filtered: float
-    prob_feedforward: float
     predicted: Fraction | None  # exact closed form; None for non-uniform coefficients
-    trace: list[float]
-    stage_labels: list[str]
-    fidelity: float
+    odd_mode: str = field(compare=False)
+    keep: bool = field(default=False, compare=False)
+    final_state: PhotonicState = field(default_factory=lambda: PhotonicState({}))
+    prob: float = 1.0
+    prob_filtered: float = 1.0
+    prob_feedforward: float = 1.0
+    trace: list[float] = field(default_factory=list)
+    stage_labels: list[str] = field(default_factory=list)
+    fidelity: float = 0.0
     # stage label -> (normalised state, chosen-accounting probability of
     # reaching that stage); scaling the state by the square root of the
     # probability gives the raw amplitudes of an unnormalised pipeline
     intermediates: dict[str, tuple[PhotonicState, float]] = field(default_factory=dict)
+
+    def record(
+        self, label: str, p: float, p_filtered: float | None = None, p_ff: float | None = None
+    ) -> None:
+        """A stage that measured ``p``; the other two accountings default to it."""
+        self.trace.append(p)
+        self.stage_labels.append(label)
+        self.prob *= p
+        self.prob_filtered *= p if p_filtered is None else p_filtered
+        self.prob_feedforward *= p if p_ff is None else p_ff
+
+    def pair_analysis(self, label: str, p_filtered: float, p_ff: float) -> None:
+        self.record(label, p_ff if self.feedforward else p_filtered, p_filtered, p_ff)
+
+    def reduction(self, label: str, p_single: float, p_full: float) -> None:
+        chosen = p_full if self.odd_mode == FULL_FOURIER else p_single
+        self.record(label, chosen, p_single, p_full)
+
+    def keep_state(self, label: str, state: PhotonicState) -> None:
+        if self.keep:
+            self.intermediates[label] = (state, self.prob)
+
+    def finish(self, state: PhotonicState, reference: PhotonicState | None) -> RunReport:
+        """Set the final state from an executor's ``state``, normalised once,
+        and its fidelity against the GHZ ``reference``.  An empty state
+        reports every probability and the fidelity as 0, so it never matches
+        a prediction (and ``reference`` may be None).  Returns the report."""
+        if state.is_empty:
+            self.prob = self.prob_filtered = self.prob_feedforward = 0.0
+        else:
+            self.final_state = states.normalize(state)
+            self.fidelity = analysis.fidelity(self.final_state, reference, normalized=True)
+        return self
 
     @property
     def predicted_prob(self) -> float | None:
@@ -429,72 +473,6 @@ class RunReport:
             "final_state": states.state_to_jsonable(self.final_state),
         }
 
-    @classmethod
-    def build(
-        cls, backend: str, d: int, n: int, state: PhotonicState,
-        reference: PhotonicState | None, ledger: _Ledger, predicted: Fraction | None,
-    ) -> RunReport:
-        """The one way to assemble a report: an executor's final state, and its
-        ledger for the trace, labels, products, feedforward flag and kept
-        intermediates.  An empty state reports every probability and the
-        fidelity as 0, so it never matches a prediction (and ``reference`` may
-        be None); otherwise the state is normalized and compared with the GHZ
-        ``reference``.  The match flags are None when there is no prediction."""
-        if state.is_empty:
-            final, probs, fid = PhotonicState({}), (0.0, 0.0, 0.0), 0.0
-        else:
-            final = states.normalize(state)
-            fid = analysis.fidelity(final, reference, normalized=True)
-            probs = ledger.probs
-        prob, prob_filtered, prob_ff = probs
-        return cls(
-            d=d, n=n, backend=backend, feedforward=ledger.feedforward,
-            final_state=final,
-            prob=prob, prob_filtered=prob_filtered, prob_feedforward=prob_ff,
-            predicted=predicted, trace=ledger.trace, stage_labels=ledger.labels,
-            fidelity=fid, intermediates=ledger.intermediates,
-        )
-
-
-@dataclass
-class _Ledger:
-    """A run's stage bookkeeping, which every executor and ``reduce_to_odd``
-    record through: labels and probabilities in the order measured, the
-    running (chosen, filtered, feedforward) products and, with ``keep``, each
-    stage's state beside the chosen probability of reaching it.  A pair
-    analysis chooses by ``feedforward``, the odd-n reduction by ``odd_mode``;
-    every other stage measures one value for all three accountings."""
-
-    feedforward: bool
-    odd_mode: str
-    keep: bool = False
-    trace: list[float] = field(default_factory=list)
-    labels: list[str] = field(default_factory=list)
-    probs: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    intermediates: dict[str, tuple[PhotonicState, float]] = field(default_factory=dict)
-
-    def record(
-        self, label: str, p: float, p_filtered: float | None = None, p_ff: float | None = None
-    ) -> None:
-        """A stage that measured ``p``; the other two accountings default to it."""
-        self.trace.append(p)
-        self.labels.append(label)
-        p_filtered = p if p_filtered is None else p_filtered
-        p_ff = p if p_ff is None else p_ff
-        chosen, filtered, ff = self.probs
-        self.probs = (chosen * p, filtered * p_filtered, ff * p_ff)
-
-    def pair_analysis(self, label: str, p_filtered: float, p_ff: float) -> None:
-        self.record(label, p_ff if self.feedforward else p_filtered, p_filtered, p_ff)
-
-    def reduction(self, label: str, p_single: float, p_full: float) -> None:
-        chosen = p_full if self.odd_mode == FULL_FOURIER else p_single
-        self.record(label, chosen, p_single, p_full)
-
-    def keep_state(self, label: str, state: PhotonicState) -> None:
-        if self.keep:
-            self.intermediates[label] = (state, self.probs[0])
-
 
 def _reduce_even_state(
     state: PhotonicState, mode: str, measure_ports: Sequence[int], anchor_ports: Sequence[int]
@@ -509,7 +487,7 @@ def _reduce_even_state(
     return post, outcomes["0"].prob, sum(o.prob for o in outcomes.values())
 
 
-def _run_elements(plan: ProtocolPlan, ledger: _Ledger) -> PhotonicState:
+def _run_elements(plan: ProtocolPlan, report: RunReport) -> PhotonicState:
     """Literal-optics executor: fold every stage's steps (``plan.optics``)
     over the state.
 
@@ -525,28 +503,28 @@ def _run_elements(plan: ProtocolPlan, ledger: _Ledger) -> PhotonicState:
     for stage, (steps, unitary) in zip(plan.stages, plan.optics):
         if stage.kind == "reduce":
             state, p_single, p_full = _reduce_even_state(
-                state, ledger.odd_mode, plan.photon_ports(0), plan.photon_ports(1)
+                state, report.odd_mode, plan.photon_ports(0), plan.photon_ports(1)
             )
-            ledger.reduction(stage.label, p_single, p_full)
+            report.reduction(stage.label, p_single, p_full)
         elif stage.kind == "aux_pas":
             (step,) = steps
             merged, p_filtered, p_ff = measurement.pas_pair_analysis(
                 state, step.port_x, step.port_y, step.correction_port
             )
-            ledger.pair_analysis(stage.label, p_filtered, p_ff)
-            if merged is None or ledger.trace[-1] <= 0.0:
+            report.pair_analysis(stage.label, p_filtered, p_ff)
+            if merged is None or report.trace[-1] <= 0.0:
                 state = PhotonicState({})
                 break
             state = merged
         else:
             state, ps = elements.run_circuit(state, steps)
             for p in ps:
-                ledger.record(stage.label, p)
+                report.record(stage.label, p)
             if state.is_empty:
                 break
             if not unitary:
                 state = states.normalize(state)
-        ledger.keep_state(stage.label, state)
+        report.keep_state(stage.label, state)
     return state
 
 
@@ -567,13 +545,16 @@ def _materialize_paths(
     })
 
 
-def _run_rules(plan: ProtocolPlan, ledger: _Ledger) -> PhotonicState:
+def _run_rules(plan: ProtocolPlan, report: RunReport) -> PhotonicState:
     """Predicate-level executor: walks ``plan.stages`` on per-photon path
     tuples, recording each measuring stage under its label; ``tag`` stages
     and the helper stages that measure nothing fall through.
 
     A ``sources`` stage appends each of its sources' (i, i) to every tuple.
-    At an ``aux_interfere`` stage targeting (i, j) a ket survives the
+    A ``pbs_filter`` stage keeps the tuples whose junction photons' paths
+    share a parity, and swaps the two paths when both are odd and differ, as
+    the optics' PBS row sends each odd path's V photon to the other port
+    group.  At an ``aux_interfere`` stage targeting (i, j) a ket survives the
     interference coincidence exactly when its junction photons either both
     sit on path j (riding the vertical helper branch) or both avoid it (the
     horizontal branch); every survivor is damped by 1/(2*sqrt(2)) once the
@@ -602,8 +583,8 @@ def _run_rules(plan: ProtocolPlan, ledger: _Ledger) -> PhotonicState:
     crossing: dict[int, list[tuple[int, ...]]] = {}
 
     def keep(label: str, tagged: set[int], rule: Callable[[int], str]) -> None:
-        if ledger.keep:
-            ledger.keep_state(label, _materialize_paths(
+        if report.keep:
+            report.keep_state(label, _materialize_paths(
                 d, amps, scale, present,
                 lambda photon, path: rule(path) if photon in tagged else H,
             ))
@@ -621,9 +602,12 @@ def _run_rules(plan: ProtocolPlan, ledger: _Ledger) -> PhotonicState:
         elif stage.kind == "pbs_filter":
             ia, ib = 2 * stage.junction + 1, 2 * stage.junction + 2
             total = sum(abs(a) ** 2 for a in amps.values())
-            amps = {t: a for t, a in amps.items() if t[ia] % 2 == t[ib] % 2}
+            swap = operator.itemgetter(*present[:ia], ib, ia, *present[ib + 1:])
+            amps = {
+                swap(t) if t[ia] % 2 else t: a for t, a in amps.items() if t[ia] % 2 == t[ib] % 2
+            }
             nsq = sum(abs(a) ** 2 for a in amps.values())
-            ledger.record(stage.label, nsq / total)
+            report.record(stage.label, nsq / total)
             scale = 1.0 / math.sqrt(nsq)
             keep(stage.label, {ia, ib}, parity_rule)
             crossing = {}
@@ -638,37 +622,37 @@ def _run_rules(plan: ProtocolPlan, ledger: _Ledger) -> PhotonicState:
                 if a is not None:
                     removed += abs(a) ** 2
             # the helper branch carries 1/sqrt(2) each way
-            ledger.record(stage.label, 0.5 * (nsq - removed) / nsq)
+            report.record(stage.label, 0.5 * (nsq - removed) / nsq)
             nsq -= removed
         elif stage.kind == "aux_pas":
-            ledger.pair_analysis(stage.label, 0.5, 1.0)
+            report.pair_analysis(stage.label, 0.5, 1.0)
             scale = 1.0 / math.sqrt(nsq)
             j, k = stage.aux_pair[1], stage.junction
             keep(stage.label, {2 * k + 1, 2 * k + 2}, lambda path: V if path == j else H)
         elif stage.kind == "reduce":
             # photon 0 always shares its source partner's path, so dropping it
             # never merges kets; outcome probabilities are uniform 1/d
-            ledger.reduction(stage.label, 1.0 / d, 1.0)
+            report.reduction(stage.label, 1.0 / d, 1.0)
 
     state = _materialize_paths(d, amps, scale, plan.output_photons(), lambda photon, path: H)
-    ledger.keep_state("final", state)
+    report.keep_state("final", state)
     return state
 
 
 def execute(
     plan: ProtocolPlan, backend: str = "rule", keep_intermediates: bool = False
 ) -> RunReport:
-    """Run ``plan`` on ``backend`` ("rule", "element" or "oracle"): build the
-    run's one ledger from the plan's options, let the executor record its
-    stages in it and return the final state, and make the one report."""
+    """Run ``plan`` on ``backend`` ("rule", "element" or "oracle"): make the
+    run's one report from the plan's options, let the executor record its
+    stages in it and return the final state, and finish the report with it."""
     executor = {"rule": _run_rules, "element": _run_elements,
                 "oracle": analysis.oracle_run}.get(backend)
     if executor is None:
         raise InvalidParameters(f"unknown backend {backend!r}")
     opts = plan.options
-    ledger = _Ledger(opts.feedforward, opts.resolved_odd_mode(), keep_intermediates)
-    state = executor(plan, ledger)
-    return RunReport.build(backend, plan.d, plan.n, state, plan.reference, ledger, plan.predicted)
+    report = RunReport(plan.d, plan.n, backend, opts.feedforward, plan.predicted,
+                       opts.resolved_odd_mode(), keep_intermediates)
+    return report.finish(executor(plan, report), plan.reference)
 
 
 def run(
@@ -711,11 +695,9 @@ def reduce_to_odd(
     if any(len(g) != d for g in groups):
         raise InvalidParameters(f"every photon port group needs d = {d} ports")
     analysis._check_ports(groups)
+    report = RunReport(d, len(groups) - 1, "reduce", mode == FULL_FOURIER,
+                       Fraction(1, d) if mode == SINGLE_OUTCOME else Fraction(1), mode)
     post, p_single, p_full = _reduce_even_state(state, mode, groups[0], groups[1])
-    ledger = _Ledger(feedforward=mode == FULL_FOURIER, odd_mode=mode)
-    ledger.reduction("reduce", p_single, p_full)
+    report.reduction("reduce", p_single, p_full)
     reference = None if post.is_empty else analysis.ghz_reference(d, len(groups) - 1, groups[1:])
-    return RunReport.build(
-        "reduce", d, len(groups) - 1, post, reference, ledger,
-        Fraction(1, d) if mode == SINGLE_OUTCOME else Fraction(1),
-    )
+    return report.finish(post, reference)

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import runpy
 import subprocess
 import sys
 from decimal import Decimal
@@ -107,6 +108,13 @@ class TestPlan:
         else:
             assert data["predicted_prob_ff"] == data["predicted_prob_filtered"] == 0.0
 
+    def test_full_json_carries_the_compiled_plan(self, capsys):
+        code, out, _ = run_cli(capsys, "plan", "--d", "3", "--n", "5", "--feedforward",
+                               "--full", "--format", "json")
+        assert code == 0
+        opts = gf.ProtocolOptions(d=3, n=5, feedforward=True)
+        assert json.loads(out)["plan"] == gf.compile_plan(opts).to_jsonable()
+
     def test_csv_bytes(self, capsys):
         code, out, _ = run_cli(capsys, "plan", "--d", "3", "--n", "4", "--format", "csv")
         assert code == 0
@@ -193,14 +201,19 @@ class TestRun:
     @pytest.mark.parametrize(
         "stored, argv",
         [
-            ("element_run_5_8_ff.json", ["--d", "5", "--n", "8", "--feedforward"]),
+            ("element_run_5_8_ff.json",
+             ["run", "--d", "5", "--n", "8", "--feedforward", "--backend", "element"]),
             ("element_run_4_7_fourier.json",
-             ["--d", "4", "--n", "7", "--feedforward", "--odd-mode", "fourier"]),
+             ["run", "--d", "4", "--n", "7", "--feedforward", "--odd-mode", "fourier",
+              "--backend", "element"]),
+            ("rule_run_16_8_ff.json", ["run", "--d", "16", "--n", "8", "--feedforward"]),
+            ("oracle_run_4_6.json", ["run", "--d", "4", "--n", "6", "--backend", "oracle"]),
+            ("reduce_odd_3_4.json", ["reduce-odd", "--d", "3", "--n", "4"]),
         ],
     )
     def test_element_run_matches_its_stored_output(self, capsys, stored, argv):
         # the final kets in the same order, every float within 1e-12 relative
-        code, out, _ = run_cli(capsys, "run", *argv, "--backend", "element", "--format", "json")
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
         got, want = json.loads(out), json.loads((DATA / stored).read_text())
         assert [e["modes"] for e in got["final_state"]] == [e["modes"] for e in want["final_state"]]
@@ -243,6 +256,14 @@ class TestRun:
         assert data["probability"] == pytest.approx(1 / 12)
         final = states.state_from_jsonable(data["final_state"])
         assert states.states_close(final, golden.chain_output_unnormalized(), tol=1e-9)
+        code, out, _ = run_cli(capsys, "run", "--circuit", str(path), "--format", "pretty")
+        assert code == 0
+        assert out.splitlines() == [
+            f"circuit run: {path}",
+            f"  trace: {data['trace']}",
+            f"  probability: 1/12 ({data['probability']:.12g})",
+            f"  final state: {len(final.kets)} terms",
+        ]
 
     @pytest.mark.parametrize(
         "text",
@@ -271,12 +292,15 @@ class TestRun:
             _ONE_PHOTON + ', {"elem": "pbs", "port_a": 0, "port_b": 0}]',
             '[{"elem": "hwp", "port": 5, "theta": 0.1}, '
             '{"elem": "bd_merge", "port_even": 0, "port_odd": 1, "port_out": 5}]',
+            '[1]',
+            '[{"elem": "postselect", "kind": "coincidence", "groups": []}]',
+            '[{"elem": "postselect", "kind": "coincidence", "groups": [[1], []]}]',
         ],
         ids=["object", "missing-key", "unknown-elem", "no-kind", "bad-port", "not-json",
              "float-port", "bool-port", "negative-port", "float-group-port", "bool-state-port",
              "nan-theta", "string-theta", "float-count", "bogus-mode", "string-re",
              "bool-count", "int-polarization", "deep-nesting", "repeated-port",
-             "merge-onto-used-port"],
+             "merge-onto-used-port", "step-not-object", "empty-pattern", "empty-group"],
     )
     def test_malformed_circuit_file_exits_2(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"
@@ -330,6 +354,11 @@ class TestRun:
         assert data["predicted_prob"] is None
         # fidelity below the gate: the run is honest but not a verified match
         assert code == 1
+        code, out, _ = run_cli(
+            capsys, "run", "--d", "2", "--n", "4", "--coeffs", "0.6,0.8", "--format", "pretty",
+        )
+        assert code == 1
+        assert "  predicted probability:            n/a" in out.splitlines()
 
     def test_coefficients_within_tolerance_run_on_every_backend(self, capsys):
         # the squares sum to 1 + 5e-10: inside the one coefficient tolerance,
@@ -372,14 +401,12 @@ class TestRun:
         # absolute tolerance; the relative comparison still sees the halving
         report = gf.run(6, 8, backend="rule")
         assert report.prob_matches is True and cli._gate(report) == 0
-        ledger = protocol._Ledger(
-            False, protocol.SINGLE_OUTCOME, trace=report.trace, labels=report.stage_labels,
-            probs=(report.prob / 2, report.prob_filtered / 2, report.prob_feedforward),
-        )
-        halved = protocol.RunReport.build(
-            "rule", 6, 8, report.final_state, analysis.ghz_reference(6, 8),
-            ledger, report.predicted,
-        )
+        halved = protocol.RunReport(
+            6, 8, "rule", False, report.predicted, protocol.SINGLE_OUTCOME,
+            trace=report.trace, stage_labels=report.stage_labels,
+            prob=report.prob / 2, prob_filtered=report.prob_filtered / 2,
+            prob_feedforward=report.prob_feedforward,
+        ).finish(report.final_state, analysis.ghz_reference(6, 8))
         assert halved.fidelity == pytest.approx(1.0, abs=1e-12)
         assert halved.prob_matches is False
         assert cli._gate(halved) == 1
@@ -391,14 +418,11 @@ class TestRun:
         report = gf.run(3, 4, backend="rule")
         stray = gf.ket((0, "H"), (3, "H"), (6, "H"), (10, "H"))
         perturbed = states.PhotonicState({**report.final_state.terms, stray: 1e-4 + 0j})
-        ledger = protocol._Ledger(
-            False, protocol.SINGLE_OUTCOME, trace=report.trace, labels=report.stage_labels,
-            probs=(report.prob, report.prob_filtered, report.prob_feedforward),
-        )
-        near = protocol.RunReport.build(
-            "rule", 3, 4, perturbed, analysis.ghz_reference(3, 4),
-            ledger, report.predicted,
-        )
+        near = protocol.RunReport(
+            3, 4, "rule", False, report.predicted, protocol.SINGLE_OUTCOME,
+            trace=report.trace, stage_labels=report.stage_labels, prob=report.prob,
+            prob_filtered=report.prob_filtered, prob_feedforward=report.prob_feedforward,
+        ).finish(perturbed, analysis.ghz_reference(3, 4))
         assert 1.0 - 2e-8 < near.fidelity < 1.0 - states.FIDELITY_TOL
         assert near.prob_matches is True
         assert near.fidelity_matches is False and near.matches is False
@@ -462,6 +486,12 @@ class TestSweep:
         )
         assert code == 0
         assert out.strip().split("\r\n")[1] == "5,4,oracle,,,,,skipped"
+        code, out, _ = run_cli(
+            capsys, "sweep", "--d", "4..5", "--n", "4", "--backend", "oracle", "--format", "pretty"
+        )
+        assert code == 0
+        assert out.splitlines()[1].endswith("  match")
+        assert out.splitlines()[2] == "5  4  skipped"
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
@@ -576,6 +606,13 @@ class TestModuleEntryPoint:
         proc = self._python_m("verify")
         assert proc.returncode == 0
         assert "27/27 checks passed" in proc.stdout.splitlines()
+
+    def test_runs_in_process_as_the_script(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["ghzforge", "plan", "--d", "3", "--n", "4"])
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("ghzforge", run_name="__main__")
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out == run_cli(capsys, "plan", "--d", "3", "--n", "4")[1]
 
     def test_usage_error_exits_2_on_one_line(self):
         proc = self._python_m("run", "--d", "1", "--n", "4")

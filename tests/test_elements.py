@@ -94,6 +94,11 @@ class TestHWP:
         out = gf.apply_hwp(single_photon(0, "V"), 0, 0.0)
         assert out.amplitude(gf.ket((0, "V"))) == pytest.approx(-1.0)
 
+    def test_zero_angle_keeps_a_bunched_horizontal_port(self):
+        # every V image has amplitude 0, so the two-photon expansion drops it
+        s = gf.make_state([(gf.fock_term([((0, "H"), 2), ((1, "V"), 1)]), 1.0)])
+        assert states.states_close(gf.apply_hwp(s, 0, 0.0), s, tol=1e-12)
+
     def test_quarter_pi_swaps(self):
         out = gf.apply_hwp(single_photon(0, "H"), 0, math.pi / 4)
         assert out.amplitude(gf.ket((0, "V"))) == pytest.approx(1.0)
@@ -171,6 +176,7 @@ class TestPhase:
         out = gf.apply_phase(s, 0, 0.3)
         expected = cmath.exp(0.6j)
         assert out.amplitude(gf.fock_term([((0, "H"), 2)])) == pytest.approx(expected)
+        assert gf.Phase(0, 0.3).apply(s) == (out, None)
 
 
 class TestBeamDisplacers:
@@ -665,6 +671,15 @@ class TestFusedModeMapRuns:
         s = gf.make_state([(k, 1.0 / math.sqrt(len(kets))) for k in kets])
         assert outcome(replay, s, steps) == (error, message)
         assert outcome(lambda: gf.run_circuit(s, steps)) == (error, message)
+
+    def test_a_probe_image_past_the_run_ports_gives_no_map(self, monkeypatch):
+        # no step moves a photon off its own ports; a replay that did so
+        # (here onto each photon's tag mode) is not a clean relabel
+        monkeypatch.setattr(elements, "_replay", lambda probe, run: states._from_kets(
+            {(tag, tag): a for (_, tag), a in probe.kets.items()}
+        ))
+        s = gf.make_state([(gf.ket((0, "V"), (2, "H")), 1.0)])
+        assert elements._probe_map(s, [gf.PBS(0, 1), gf.BDMerge(2, 3, 4)]) is None
 
     def test_one_relabel_per_run(self, monkeypatch):
         # the interfere stage's ten mode maps touch the real state once; the

@@ -35,6 +35,12 @@ class TestCoincidence:
         assert list(out.terms) == [gf.ket((0, "H"), (1, "H"))]
         assert out.norm_sq() == pytest.approx(0.36)  # amplitudes kept as they were
 
+    def test_empty_state_reports_probability_zero(self):
+        pattern = measurement.CoincidencePattern(((0,), (1,)))
+        out, p = gf.postselect_coincidence(states.PhotonicState({}), pattern)
+        assert p == 0.0
+        assert out.is_empty
+
     def test_zero_survivors_report_probability_zero(self):
         s = gf.make_state([(gf.ket((0, "H"), (0, "V")), 1.0)])
         pattern = measurement.CoincidencePattern(((0,), (1,)))
@@ -206,6 +212,12 @@ class TestPolarizationPair:
         assert dist["VH"].prob == pytest.approx(0.5)
         assert dist["HH"].prob == 0.0
 
+    def test_ports_in_either_order(self):
+        s = gf.make_state([(gf.ket((0, "H"), (1, "V"), (5, "H")), 1.0)])
+        forward, backward = (gf.project_polarization_pair(s, x, y) for x, y in ((0, 1), (1, 0)))
+        assert backward["VH"] == forward["HV"]
+        assert list(forward["HV"].state.terms) == [gf.ket((5, "H"))]
+
     def test_frozen_analysis_state_gives_quarter_each(self):
         s = golden.analysis_ready_state()
         dist = gf.project_polarization_pair(s, 20, 21)
@@ -225,6 +237,12 @@ class TestPolarizationPair:
         s = gf.make_state([(gf.fock_term([((0, "H"), 2), ((1, "H"), 1)]), 1.0)])
         with pytest.raises(NotSingleOccupancy):
             gf.project_polarization_pair(s, 0, 1)
+
+    def test_filtered_pas_step_without_hh_or_vv_empties_the_state(self):
+        s = gf.make_state([(gf.ket((0, "H"), (1, "V"), (5, "H")), 1.0)])
+        out, p = gf.PasPairSelect(0, 1, "filtered", 5).apply(s)
+        assert p == 0.0
+        assert out.is_empty
 
     def test_pas_step_needs_mode_and_correction_port(self):
         # no default: a forgotten correction port must not mean port 0

@@ -229,28 +229,29 @@ class TestElementGolden:
 
 
 class TestBackendAgreement:
-    @pytest.mark.parametrize("d,n", [(3, 4), (3, 6)])
+    @pytest.mark.parametrize(
+        "d,n", [(d, n) for d in range(2, 7) for n in range(4, 7) if (d, n) != (6, 6)]
+    )
     def test_rule_matches_element_checkpoints_and_trace(self, d, n):
-        opts = gf.ProtocolOptions(d=d, n=n, feedforward=False)
-        rule = gf.execute(gf.compile_plan(opts), backend="rule", keep_intermediates=True)
-        element = gf.execute(
-            gf.compile_plan(opts), backend="element", keep_intermediates=True
-        )
-        assert rule.trace == pytest.approx(element.trace, abs=1e-9)
-        assert rule.stage_labels == element.stage_labels
-        labels = ["j0.step_i", "j0.aux0.pas"]
-        if n >= 6:
-            labels += ["j1.step_i", "j1.aux0.pas"]
-        for label in labels:
-            assert states.states_close(
-                raw_amplitudes(rule.intermediates[label]),
-                raw_amplitudes(element.intermediates[label]),
-                tol=1e-9,
-            ), label
-        assert gf.fidelity(rule.final_state, element.final_state) == pytest.approx(
-            1.0, abs=1e-9
-        )
-        assert rule.prob == pytest.approx(element.prob, abs=1e-12)
+        # raw amplitudes at every label the rule backend keeps, its "final"
+        # against the element run's last stage, in both accountings
+        for feedforward in (False, True):
+            plan = gf.compile_plan(gf.ProtocolOptions(d=d, n=n, feedforward=feedforward))
+            rule = gf.execute(plan, backend="rule", keep_intermediates=True)
+            element = gf.execute(plan, backend="element", keep_intermediates=True)
+            assert rule.trace == pytest.approx(element.trace, abs=1e-9)
+            assert rule.stage_labels == element.stage_labels
+            last = list(element.intermediates.values())[-1]
+            for label, kept in rule.intermediates.items():
+                assert states.states_close(
+                    raw_amplitudes(kept),
+                    raw_amplitudes(element.intermediates.get(label, last)),
+                    tol=1e-9,
+                ), (feedforward, label)
+            assert gf.fidelity(rule.final_state, element.final_state) == pytest.approx(
+                1.0, abs=1e-9
+            )
+            assert rule.prob == pytest.approx(element.prob, abs=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -307,16 +308,16 @@ class TestElementNorms:
             normalised.append(state)
             return normalize(state)
 
-        build = protocol.RunReport.build
+        finish = protocol.RunReport.finish
 
-        def unrecorded_report(*args):
+        def unrecorded_finish(report, *args):
             # the report normalises the final state for itself, not for a stage
             monkeypatch.setattr(states, "normalize", normalize)
-            return build(*args)
+            return finish(report, *args)
 
         monkeypatch.setattr(elements, "run_circuit", recorded_run)
         monkeypatch.setattr(states, "normalize", recorded_normalize)
-        monkeypatch.setattr(protocol.RunReport, "build", staticmethod(unrecorded_report))
+        monkeypatch.setattr(protocol.RunReport, "finish", unrecorded_finish)
         report = gf.execute(plan, backend="element", keep_intermediates=True)
         assert len(report.intermediates) == len(plan.stages)
         for label, (state, _) in report.intermediates.items():
@@ -332,24 +333,39 @@ class TestElementNorms:
         assert renormalised[False] == {"tag", "aux_analysis"}
 
 
+def _count_reports(monkeypatch):
+    """Every ``RunReport`` constructed from now on, in order."""
+    init, reports = protocol.RunReport.__init__, []
+
+    def counted_init(report, *args, **kwargs):
+        init(report, *args, **kwargs)
+        reports.append(report)
+
+    monkeypatch.setattr(protocol.RunReport, "__init__", counted_init)
+    return reports
+
+
 class TestOneReport:
     @pytest.mark.parametrize("backend", ["rule", "element", "oracle"])
     @pytest.mark.parametrize("feedforward", [True, False])
     @pytest.mark.parametrize("d, n", [(3, 4), (3, 5)])
     def test_execute_makes_exactly_one_report(self, monkeypatch, backend, feedforward, d, n):
-        build, reports = protocol.RunReport.build, []
-
-        def counted_report(*args):
-            reports.append(build(*args))
-            return reports[-1]
-
-        monkeypatch.setattr(protocol.RunReport, "build", staticmethod(counted_report))
+        reports = _count_reports(monkeypatch)
         plan = gf.compile_plan(gf.ProtocolOptions(d=d, n=n, feedforward=feedforward))
         report = gf.execute(plan, backend)
         assert len(reports) == 1
         assert reports[0] is report
         assert report.backend == backend
         assert report.matches
+
+    @pytest.mark.parametrize("mode", [protocol.SINGLE_OUTCOME, protocol.FULL_FOURIER])
+    def test_reduce_to_odd_makes_exactly_one_report(self, monkeypatch, mode):
+        even = gf.run(3, 4, feedforward=True).final_state
+        reports = _count_reports(monkeypatch)
+        report = gf.reduce_to_odd(even, 3, mode)
+        assert len(reports) == 1
+        assert reports[0] is report
+        assert report.stage_labels == ["reduce"] and report.matches
 
     @pytest.mark.parametrize("d, n, feedforward", [(3, 4, False), (3, 5, True), (4, 5, False)])
     def test_execute_computes_no_prediction(self, monkeypatch, d, n, feedforward):
@@ -566,6 +582,24 @@ class TestEdgeCases:
         with pytest.raises(InvalidParameters):
             gf.execute(plan, backend="quantum")
 
+    @pytest.mark.parametrize(
+        "name, result, last_label",
+        [
+            ("postselect_coincidence", (states.PhotonicState({}), 0.0), "j0.step_i"),
+            ("pas_pair_analysis", (None, 0.0, 0.0), "j0.aux0.pas"),
+        ],
+        ids=["selection-empties", "pair-analysis-empties"],
+    )
+    def test_an_element_run_that_empties_stops_with_an_empty_report(
+        self, monkeypatch, name, result, last_label
+    ):
+        monkeypatch.setattr(measurement, name, lambda *args: result)
+        report = gf.execute(gf.compile_plan(gf.ProtocolOptions(d=3, n=4)), "element")
+        assert report.stage_labels[-1] == last_label and report.trace[-1] == 0.0
+        assert report.final_state.is_empty
+        assert (report.prob, report.prob_filtered, report.prob_feedforward) == (0.0, 0.0, 0.0)
+        assert report.fidelity == 0.0 and not report.matches
+
 
 class TestReduceToOdd:
     @pytest.mark.parametrize("d", [2, 3])
@@ -648,6 +682,22 @@ class TestReduceToOdd:
             with pytest.raises(InvalidParameters, match="port groups must not share a port"):
                 gf.reduce_to_odd(even, 3, protocol.SINGLE_OUTCOME, port_groups=groups)
 
+    def test_a_vanishing_single_outcome_reports_zero(self):
+        # photon 0 in (|0> - |1>)/sqrt(2) is orthogonal to the uniform outcome
+        half = 1 / math.sqrt(2)
+        state = gf.make_state([
+            (gf.ket((0, "H"), (2, "H")), half), (gf.ket((1, "H"), (2, "H")), -half),
+        ])
+        report = gf.reduce_to_odd(state, 2, protocol.SINGLE_OUTCOME, [[0, 1], [2, 3]])
+        assert report.trace == [0.0] and report.final_state.is_empty
+        assert (report.prob, report.prob_filtered, report.prob_feedforward) == (0.0, 0.0, 0.0)
+        assert report.fidelity == 0.0 and report.prob_matches is False
+
+    def test_ports_that_do_not_split_into_photons_need_port_groups(self):
+        state = gf.make_state([(gf.ket((0, "H"), (2, "H"), (4, "H")), 1.0)])
+        with pytest.raises(InvalidParameters, match="cannot infer photon port groups"):
+            gf.reduce_to_odd(state, 2)
+
     def test_fourier_branches_that_differ_raise_naming_the_outcome(self):
         # (|0,2> + |0,3> + |1,2>)/sqrt(3): outcome 0 leaves (2|2> + |3>)/sqrt(5)
         # and outcome 1 leaves -|3> after its correction, so they cannot merge
@@ -672,8 +722,10 @@ def _reference_run_rules(plan, keep_intermediates):
         if c != 0.0
     ]
     amps = {(i, i): c + 0j for i, c in source}
-    ledger = protocol._Ledger(opts.feedforward, opts.resolved_odd_mode(), keep_intermediates)
-    intermediates = ledger.intermediates
+    report = protocol.RunReport(
+        d, plan.n, "rule", opts.feedforward, plan.predicted, opts.resolved_odd_mode(),
+    )
+    intermediates = report.intermediates
 
     def record(label, tagged, rule):
         if keep_intermediates:
@@ -681,25 +733,24 @@ def _reference_run_rules(plan, keep_intermediates):
                 d, amps, 1.0, present,
                 lambda photon, path: rule(path) if photon in tagged else "H",
             )
-            intermediates[label] = (state, ledger.probs[0])
-
-    def report(state):
-        return protocol.RunReport.build(
-            "rule", d, plan.n, state, plan.reference, ledger, plan.predicted
-        )
+            intermediates[label] = (state, report.prob)
 
     def empty():
-        return report(states.PhotonicState({}))
+        return report.finish(states.PhotonicState({}), plan.reference)
 
     for k in range(plan.epr_pair_count - 1):
         amps = {t + (i, i): a * c for t, a in amps.items() for i, c in source}
         present = range(2 * k + 4)
         ia, ib = 2 * k + 1, 2 * k + 2
         total = sum(abs(a) ** 2 for a in amps.values())
-        kept = {t: a for t, a in amps.items() if t[ia] % 2 == t[ib] % 2}
+        # the PBS row sends each odd path's V photon to the other port group
+        kept = {
+            (*t[:ia], t[ib], t[ia], *t[ib + 1:]) if t[ia] % 2 else t: a
+            for t, a in amps.items() if t[ia] % 2 == t[ib] % 2
+        }
         kept_nsq = sum(abs(a) ** 2 for a in kept.values())
         p1 = kept_nsq / total if total else 0.0
-        ledger.record(f"j{k}.step_i", p1, p1, p1)
+        report.record(f"j{k}.step_i", p1, p1, p1)
         if not kept:
             return empty()
         scale = 1.0 / math.sqrt(kept_nsq)
@@ -713,8 +764,8 @@ def _reference_run_rules(plan, keep_intermediates):
             }
             surv_nsq = sum(abs(a) ** 2 for a in survivors.values())
             p_coin = 0.5 * surv_nsq
-            ledger.record(f"j{k}.aux{q}.interfere", p_coin, p_coin, p_coin)
-            ledger.record(f"j{k}.aux{q}.pas", 1.0 if opts.feedforward else 0.5, 0.5, 1.0)
+            report.record(f"j{k}.aux{q}.interfere", p_coin, p_coin, p_coin)
+            report.record(f"j{k}.aux{q}.pas", 1.0 if opts.feedforward else 0.5, 0.5, 1.0)
             if not survivors:
                 return empty()
             scale = 1.0 / math.sqrt(surv_nsq)
@@ -724,13 +775,13 @@ def _reference_run_rules(plan, keep_intermediates):
     if plan.n % 2 == 1:
         p_single = 1.0 / d
         single = plan.options.resolved_odd_mode() == protocol.SINGLE_OUTCOME
-        ledger.record("reduce", p_single if single else 1.0, p_single, 1.0)
+        report.record("reduce", p_single if single else 1.0, p_single, 1.0)
     state = protocol._materialize_paths(
         d, amps, 1.0, plan.output_photons(), lambda photon, path: "H"
     )
     if keep_intermediates:
-        intermediates["final"] = (state, ledger.probs[0])
-    return report(state)
+        intermediates["final"] = (state, report.prob)
+    return report.finish(state, plan.reference)
 
 
 def _close(got, want, rel=1e-12):

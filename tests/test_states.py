@@ -36,7 +36,7 @@ class TestMakeState:
         assert s.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
     def test_a_state_is_its_terms_alone(self):
-        # probabilities travel beside states (returned p, Outcome.prob, ledger)
+        # probabilities travel beside states (returned p, Outcome.prob, RunReport)
         assert [f.name for f in dataclasses.fields(states.PhotonicState)] == ["kets"]
 
     def test_exact_cancellation_is_empty(self):
@@ -334,6 +334,15 @@ class TestFlatKets:
             gf.ket((port, "H"))
         with pytest.raises(ValueError, match="port must be a non-negative integer"):
             states.PhotonicState({(((port, "V"), 1),): 1.0})
+
+    def test_bad_polarization_count_or_key_rejected(self):
+        with pytest.raises(ValueError, match="polarization must be 'H' or 'V', got 'D'"):
+            states.mode(0, "D")
+        with pytest.raises(ValueError, match="occupation count must be a positive integer"):
+            states.fock_term([((0, "H"), 0)])
+        # a key that is not a nested term encodes to None
+        assert states.encode((((0, "D"), 1),)) is None
+        assert states.encode(((0, 1),)) is None
 
     def test_hand_built_keys_are_canonicalised(self):
         unsorted = (((3, "V"), 1), ((0, "H"), 1))
