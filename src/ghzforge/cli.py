@@ -111,6 +111,8 @@ def _odd_mode(raw: str | None) -> str | None:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
+    if args.full and args.format != "json":
+        raise InvalidParameters(f"plan --full needs --format json, got --format {args.format}")
     d, n = args.d, args.n
     # computed first: they check d and n before anything else is built
     exact_ff, exact_filtered = (
@@ -326,7 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--d", type=int, required=True)
     p_plan.add_argument("--n", type=int, required=True)
     p_plan.add_argument("--feedforward", action="store_true")
-    p_plan.add_argument("--full", action="store_true", help="include the compiled stage list (json)")
+    p_plan.add_argument(
+        "--full", action="store_true", help="include the compiled stage list (needs --format json)"
+    )
     add_common(p_plan, ("pretty", "json", "csv"))
 
     p_run = sub.add_parser("run", help="execute the protocol and report the outcome")

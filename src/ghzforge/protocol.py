@@ -34,11 +34,13 @@ decides which stages run, in what order and under what labels:
   reference),
 * the rule backend applies each stage's kept-term predicate and amplitude
   factor directly to path tuples, which is exact for every (d, n) and much
-  smaller.  Helper stages only remove kets, so after each parity filter it
-  indexes the kets whose junction photons sit on different paths under both
-  paths (the crossing index), lets stage (i, j) remove only path j's entries,
-  and carries the normalisation as one scale factor, so a junction costs
-  O(d**2) across all of its d**2 / 4 helper stages, and
+  smaller.  A new source waits, pending, until its junction's parity filter
+  consumes it in one pass that builds only the same-parity survivors.
+  Helper stages only remove kets, so that pass also indexes the kets whose
+  junction photons sit on different paths under both paths (the crossing
+  index), stage (i, j) removes only path j's entries, and the normalisation
+  is carried as one scale factor, so a junction costs O(d**2) across all of
+  its d**2 / 4 helper stages, and
 * the oracle (``analysis.oracle_run``) enumerates every source-value tuple
   on its own, within a size bound.
 
@@ -58,7 +60,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -550,27 +551,34 @@ def _run_rules(plan: ProtocolPlan, report: RunReport) -> PhotonicState:
     tuples, recording each measuring stage under its label; ``tag`` stages
     and the helper stages that measure nothing fall through.
 
-    A ``sources`` stage appends each of its sources' (i, i) to every tuple.
-    A ``pbs_filter`` stage keeps the tuples whose junction photons' paths
-    share a parity, and swaps the two paths when both are odd and differ, as
+    Source 0 starts the chain as the tuples (i, i).  A later source is left
+    pending, already scaled by the carried factor, and the next
+    ``pbs_filter`` consumes it in one pass over (chain tuple t, source path
+    i): every pair's weight |a * c|**2 counts toward the stage's total, and
+    only the pairs whose junction photons' paths share a parity are built,
+    as t + (i, i), or as t[:-1] + (i, t[-1], i) when both paths are odd, as
     the optics' PBS row sends each odd path's V photon to the other port
-    group.  At an ``aux_interfere`` stage targeting (i, j) a ket survives the
+    group.  ``compile_plan`` always puts the filter right after the source,
+    with only a ``tag`` stage between them; a stage list where a filter finds
+    no pending source, a source is added while another is pending, or a
+    source is never consumed raises InvalidParameters naming the stage.  At
+    an ``aux_interfere`` stage targeting (i, j) a ket survives the
     interference coincidence exactly when its junction photons either both
     sit on path j (riding the vertical helper branch) or both avoid it (the
     horizontal branch); every survivor is damped by 1/(2*sqrt(2)) once the
     ``aux_pas`` projection picks an outcome, and the four outcomes merge by
     feedforward.
 
-    Survivors keep their amplitudes, so a stage only removes kets.  After
-    the parity filter each kept ket whose junction photons sit on different
-    paths is indexed under both paths (the crossing index); stage (i, j)
+    Survivors keep their amplitudes, so a stage only removes kets.  As the
+    filter builds each kept ket whose junction photons sit on different
+    paths, it indexes it under both paths (the crossing index); stage (i, j)
     pops path j's entry and removes those kets still present, and a ket with
     both photons on one path is never indexed, so it survives every stage
     and the state never empties.  The squared norm drops by what was
     removed, and the normalisation is one carried factor 1/sqrt(norm),
     applied when an intermediate is materialised (at each ``pbs_filter`` and
-    ``aux_pas`` stage, and as ``final``), when the next source is tensored
-    in and at the end.  A junction costs O(d**2) whatever its d**2 / 4
+    ``aux_pas`` stage, and as ``final``), when the next source is left
+    pending and at the end.  A junction costs O(d**2) whatever its d**2 / 4
     helper stages remove.
     """
     d = plan.d
@@ -580,41 +588,60 @@ def _run_rules(plan: ProtocolPlan, report: RunReport) -> PhotonicState:
     scale = 1.0  # amps times scale is the normalised chain state
     nsq = 1.0  # squared norm of amps
     present = range(0)  # the photons injected so far
+    pending: list[tuple[int, complex]] | None = None  # the next source, times scale
+    pending_label = ""  # the stage that added it
     crossing: dict[int, list[tuple[int, ...]]] = {}
 
     def keep(label: str, tagged: set[int], rule: Callable[[int], str]) -> None:
-        if report.keep:
-            report.keep_state(label, _materialize_paths(
-                d, amps, scale, present,
-                lambda photon, path: rule(path) if photon in tagged else H,
-            ))
+        report.keep_state(label, _materialize_paths(
+            d, amps, scale, present,
+            lambda photon, path: rule(path) if photon in tagged else H,
+        ))
 
     for stage in plan.stages:
         if stage.kind == "sources":
             for s in plan.stage_sources(stage):
                 if s == 0:
                     amps = {(i, i): c + 0j for i, c in source}
+                elif pending is not None:
+                    raise InvalidParameters(
+                        f"stage {stage.label!r} adds source {s} while the source of stage "
+                        f"{pending_label!r} is pending"
+                    )
                 else:
-                    scaled_source = [(i, c * scale) for i, c in source]
-                    amps = {t + (i, i): a * c for t, a in amps.items() for i, c in scaled_source}
+                    pending, pending_label = [(i, c * scale) for i, c in source], stage.label
                     scale = 1.0
                 present = range(2 * s + 2)
         elif stage.kind == "pbs_filter":
-            ia, ib = 2 * stage.junction + 1, 2 * stage.junction + 2
-            total = sum(abs(a) ** 2 for a in amps.values())
-            swap = operator.itemgetter(*present[:ia], ib, ia, *present[ib + 1:])
-            amps = {
-                swap(t) if t[ia] % 2 else t: a for t, a in amps.items() if t[ia] % 2 == t[ib] % 2
-            }
-            nsq = sum(abs(a) ** 2 for a in amps.values())
+            if pending is None:
+                raise InvalidParameters(f"stage {stage.label!r} has no pending source to filter")
+            # ``sum`` over the weights in (t, i) order rounds exactly as a
+            # sum over the full product would, on every Python version
+            weights: list[float] = []
+            kept_weights: list[float] = []
+            kept: dict[tuple[int, ...], complex] = {}
+            crossing = {}
+            for t, a in amps.items():
+                last = t[-1]
+                for i, c in pending:
+                    ac = a * c
+                    w = abs(ac) ** 2
+                    weights.append(w)
+                    if i % 2 != last % 2:
+                        continue
+                    u = t[:-1] + (i, last, i) if last % 2 else t + (i, i)
+                    kept[u] = ac
+                    kept_weights.append(w)
+                    if i != last:
+                        crossing.setdefault(last, []).append(u)
+                        crossing.setdefault(i, []).append(u)
+            amps, pending = kept, None
+            total, nsq = sum(weights), sum(kept_weights)
             report.record(stage.label, nsq / total)
             scale = 1.0 / math.sqrt(nsq)
-            keep(stage.label, {ia, ib}, parity_rule)
-            crossing = {}
-            for t in amps:
-                if t[ia] != t[ib]:
-                    crossing.setdefault(t[ia], []).append(t)
-                    crossing.setdefault(t[ib], []).append(t)
+            if report.keep:
+                k = stage.junction
+                keep(stage.label, {2 * k + 1, 2 * k + 2}, parity_rule)
         elif stage.kind == "aux_interfere":
             removed = 0.0
             for t in crossing.pop(stage.aux_pair[1], ()):
@@ -627,13 +654,18 @@ def _run_rules(plan: ProtocolPlan, report: RunReport) -> PhotonicState:
         elif stage.kind == "aux_pas":
             report.pair_analysis(stage.label, 0.5, 1.0)
             scale = 1.0 / math.sqrt(nsq)
-            j, k = stage.aux_pair[1], stage.junction
-            keep(stage.label, {2 * k + 1, 2 * k + 2}, lambda path: V if path == j else H)
+            if report.keep:
+                j, k = stage.aux_pair[1], stage.junction
+                keep(stage.label, {2 * k + 1, 2 * k + 2}, lambda path: V if path == j else H)
         elif stage.kind == "reduce":
             # photon 0 always shares its source partner's path, so dropping it
             # never merges kets; outcome probabilities are uniform 1/d
             report.reduction(stage.label, 1.0 / d, 1.0)
 
+    if pending is not None:
+        raise InvalidParameters(
+            f"stage {pending_label!r} adds a source that no pbs_filter consumes"
+        )
     state = _materialize_paths(d, amps, scale, plan.output_photons(), lambda photon, path: H)
     report.keep_state("final", state)
     return state
@@ -680,15 +712,22 @@ def reduce_to_odd(
 ) -> RunReport:
     """Measure the first photon of an even-photon state in the Fourier path
     basis, reporting the odd-photon result honestly (non-GHZ inputs allowed).
-    An unknown mode, fewer than two photon port groups, a group without d
-    ports, or groups that repeat or share a port raise InvalidParameters
-    before anything is measured."""
+    Without ``port_groups`` the occupied ports, in order, are split into
+    groups of d; that guess stands only if every ket holds exactly one
+    photon in each group (a path no ket occupies shifts it).  An unknown
+    mode, groups that cannot be inferred, fewer than two photon port groups,
+    a group without d ports, or groups that repeat or share a port raise
+    InvalidParameters before anything is measured."""
     mode = analysis.resolve_odd_mode(mode, feedforward=True)
     if port_groups is None:
         ports = sorted(state.ports())
-        if len(ports) % d != 0:
-            raise InvalidParameters("cannot infer photon port groups; pass port_groups")
         port_groups = [ports[i : i + d] for i in range(0, len(ports), d)]
+        group_of = {port: g for g, group in enumerate(port_groups) for port in group}
+        each_once = tuple(range(len(port_groups)))  # kets are sorted, so groups come in order
+        if len(ports) % d or any(
+            tuple(group_of[m >> 1] for m in ket) != each_once for ket in state.kets
+        ):
+            raise InvalidParameters("cannot infer photon port groups; pass port_groups")
     groups = [list(g) for g in port_groups]
     if len(groups) < 2:
         raise InvalidParameters(f"need at least two photon port groups, got {len(groups)}")

@@ -115,6 +115,13 @@ class TestPlan:
         opts = gf.ProtocolOptions(d=3, n=5, feedforward=True)
         assert json.loads(out)["plan"] == gf.compile_plan(opts).to_jsonable()
 
+    @pytest.mark.parametrize("fmt", ["csv", "pretty", None])
+    def test_full_without_json_is_a_usage_error(self, capsys, fmt):
+        argv = ["plan", "--d", "3", "--n", "4", "--full"] + (["--format", fmt] if fmt else [])
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: plan --full needs --format json, got --format {fmt or 'pretty'}\n"
+
     def test_csv_bytes(self, capsys):
         code, out, _ = run_cli(capsys, "plan", "--d", "3", "--n", "4", "--format", "csv")
         assert code == 0
@@ -209,13 +216,29 @@ class TestRun:
             ("rule_run_16_8_ff.json", ["run", "--d", "16", "--n", "8", "--feedforward"]),
             ("oracle_run_4_6.json", ["run", "--d", "4", "--n", "6", "--backend", "oracle"]),
             ("reduce_odd_3_4.json", ["reduce-odd", "--d", "3", "--n", "4"]),
+            # rule runs through odd-path exchanges, zero coefficients and odd n
+            ("rule_run_5_7_coeffs.json", ["run", "--d", "5", "--n", "7",
+                                          "--coeffs", "0.6,0,0.48,0.64,0"]),
+            ("rule_run_6_9_single.json", ["run", "--d", "6", "--n", "9", "--odd-mode", "single"]),
+            ("rule_run_6_9_single.txt", ["run", "--d", "6", "--n", "9", "--odd-mode", "single"]),
+            ("rule_run_4_5_coeffs_ff.json", ["run", "--d", "4", "--n", "5", "--feedforward",
+                                             "--odd-mode", "fourier",
+                                             "--coeffs", "0.5,0.5,0,0.7071068"]),
         ],
     )
     def test_element_run_matches_its_stored_output(self, capsys, stored, argv):
-        # the final kets in the same order, every float within 1e-12 relative
-        code, out, _ = run_cli(capsys, *argv, "--format", "json")
-        assert code == 0
+        # the final kets in the same order, every float within 1e-12 relative;
+        # a stored pretty report (.txt) must come back byte for byte
+        pretty = stored.endswith(".txt")
+        code, out, _ = run_cli(capsys, *argv, "--format", "pretty" if pretty else "json")
+        if pretty:
+            assert code == 0 and out == (DATA / stored).read_text()
+            return
         got, want = json.loads(out), json.loads((DATA / stored).read_text())
+        # the exit code is the stored report's verdict; a --coeffs run has no
+        # prediction and is checked against the uniform GHZ state, so it exits 1
+        assert code == (0 if want["prob_matches"] is not False
+                         and states.fidelity_matches(want["fidelity"]) else 1)
         assert [e["modes"] for e in got["final_state"]] == [e["modes"] for e in want["final_state"]]
         assert_json_close(got, want)
 

@@ -698,6 +698,17 @@ class TestReduceToOdd:
         with pytest.raises(InvalidParameters, match="cannot infer photon port groups"):
             gf.reduce_to_odd(state, 2)
 
+    def test_an_unoccupied_path_stops_port_groups_being_inferred(self, monkeypatch):
+        # path 1 carries no amplitude, so the occupied ports 0, 2, 3, 4, 6, ...
+        # do not split into photons by fours
+        coeffs = (0.5**0.5, 0.0, 0.5, 0.5)
+        even = gf.run(4, 4, feedforward=True, input_coeffs=coeffs).final_state
+        report = gf.reduce_to_odd(even, 4, port_groups=analysis.default_port_groups(4, 4))
+        assert report.prob == pytest.approx(1.0, rel=1e-12)
+        monkeypatch.setattr(measurement, "fourier_measure_path", None)  # never reached
+        with pytest.raises(InvalidParameters, match="cannot infer photon port groups"):
+            gf.reduce_to_odd(even, 4)
+
     def test_fourier_branches_that_differ_raise_naming_the_outcome(self):
         # (|0,2> + |0,3> + |1,2>)/sqrt(3): outcome 0 leaves (2|2> + |3>)/sqrt(5)
         # and outcome 1 leaves -|3> after its correction, so they cannot merge
@@ -885,6 +896,41 @@ class TestIndexedRuleExecutor:
         assert report.prob_matches is True
         assert report.fidelity >= 1.0 - 1e-9
         assert len(report.final_state.terms) == 64
+
+
+def _move_before(labels, label, anchor):
+    labels.remove(label)
+    labels.insert(labels.index(anchor), label)
+    return labels
+
+
+class TestPendingSource:
+    """The rule executor's invariant: each source after the first is consumed
+    by the next ``pbs_filter``; a stage list of a (3, 6) plan that breaks it
+    raises naming the stage instead of filtering the wrong photons."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda labels: [x for x in labels if x != "j1.source"],
+             "stage 'j1.step_i' has no pending source to filter"),
+            (lambda labels: _move_before(labels, "j1.source", "j1.step_i_untag"),
+             "stage 'j1.step_i' has no pending source to filter"),
+            (lambda labels: _move_before(labels, "j1.source", "j0.step_i_tag"),
+             "stage 'j1.source' adds source 2 while the source of stage 'sources' is pending"),
+            (lambda labels: [x for x in labels if x != "j1.step_i"],
+             "stage 'j1.source' adds a source that no pbs_filter consumes"),
+        ],
+        ids=["source-dropped", "source-after-its-filter", "source-while-pending",
+             "source-left-pending"],
+    )
+    def test_a_broken_stage_list_raises_naming_the_stage(self, edit, message):
+        plan = gf.compile_plan(gf.ProtocolOptions(d=3, n=6))
+        by_label = {s.label: s for s in plan.stages}
+        labels = edit([s.label for s in plan.stages])
+        broken = dataclasses.replace(plan, stages=[by_label[x] for x in labels])
+        with pytest.raises(InvalidParameters, match=f"^{message}$"):
+            gf.execute(broken, backend="rule")
 
 
 @dataclass
