@@ -44,8 +44,6 @@ from .protocol import (
     ProtocolOptions,
     ProtocolPlan,
     RunReport,
-    build_aux_source,
-    build_epr_source,
     compile_plan,
     execute,
     polarization_tag,
@@ -81,8 +79,7 @@ __all__ = [
     "postselect_coincidence", "project_polarization_pair",
     "fourier_measure_path", "feedforward",
     "ProtocolOptions", "ProtocolPlan", "RunReport", "compile_plan", "execute",
-    "run", "reduce_to_odd", "build_epr_source", "build_aux_source",
-    "polarization_tag", "SINGLE_OUTCOME", "FULL_FOURIER",
+    "run", "reduce_to_odd", "polarization_tag", "SINGLE_OUTCOME", "FULL_FOURIER",
     "ghz_reference", "fidelity", "aux_count", "aux_pairs",
     "errors",
 ]

@@ -150,8 +150,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
         ]
         for k, rate in enumerate(analysis.eta2_exact(d), 1):
             lines.append(f"  helper stage {k} rate:   {_prob_line(float(rate), rate)}")
-        for label, exact in (("corrected", exact_ff), ("filtered", exact_filtered)):
-            lines.append(f"  {f'predicted ({label}):':23}{_prob_line(float(exact), exact)}")
+        for label, key in (("corrected", "ff"), ("filtered", "filtered")):
+            x, exact = record[f"predicted_prob_{key}"], record[f"predicted_prob_{key}_exact"]
+            lines.append(f"  {f'predicted ({label}):':23}{exact} ({x:.12g})")
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 

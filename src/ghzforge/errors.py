@@ -38,9 +38,5 @@ class InvalidCoefficients(InvalidParameters):
     """Source coefficients are not a unit-norm real vector of length d."""
 
 
-class InvalidAuxPair(InvalidParameters):
-    """Auxiliary pair indices must satisfy i < j with equal parity."""
-
-
 class OracleTooLarge(GhzforgeError):
     """Requested parameters exceed the brute-force enumeration bound."""

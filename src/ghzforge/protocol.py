@@ -17,10 +17,11 @@ measurement of the first photon.
 
 A plan is compiled as geometry only: stage labels and kinds, junctions, aux
 pairs and each helper stage's ports.  ``ProtocolPlan.stage_steps`` is the one
-place that builds a stage's optical steps from it.  ``ProtocolPlan.optics``
-calls it once per stage the first time the element backend or circuit export
-needs the optics, and the plan keeps that table for every later execute, so
-compiling or running a plan on the rule or oracle backend builds no optics.
+place that builds a stage's optical steps from it, the pair-source and helper
+states it injects included.  ``ProtocolPlan.optics`` calls it once per stage
+the first time the element backend or circuit export needs the optics, and
+the plan keeps that table for every later execute, so compiling or running a
+plan on the rule or oracle backend builds no optics.
 The table holds steps, never their results: every execute still applies
 each step through ``Step.apply``.
 
@@ -67,7 +68,7 @@ from typing import Callable, Mapping, Sequence
 from . import analysis, elements, measurement, states
 from .analysis import FULL_FOURIER, SINGLE_OUTCOME  # re-exported as gf.*
 from .elements import BDMerge, BDSplit, HWP, Inject, PBS
-from .errors import InvalidAuxPair, InvalidParameters, PortCollision
+from .errors import BranchMismatch, InvalidParameters, PortCollision
 from .measurement import CoincidencePattern, CoincidenceSelect, PasPairSelect
 from .states import EPS, H, V, PhotonicState
 
@@ -173,22 +174,26 @@ class ProtocolPlan:
     def stage_steps(self, stage: PlanStage) -> list:
         """The optical steps of ``stage``, built from its geometry.
 
-        This is the one place that knows how a stage becomes elements: its
-        sources become ``Inject`` steps, a junction's tag and filter become
-        HWPs, PBSs and a coincidence post-selection on the junction photons,
-        and a helper stage's ten ports carry its injection, interference
-        block, analysis rotation, pair projection and untag.  The ``reduce``
-        stage has no steps; the executors measure it themselves.
+        This is the one place that knows how a stage becomes elements, the
+        states it injects included: each source s becomes an ``Inject`` of
+        sum_i c_i |i>|i> on photons 2s and 2s + 1 (no ket where |c_i| <
+        ``EPS``), a junction's tag and filter become HWPs, PBSs and a
+        coincidence post-selection on the junction photons, and a helper
+        stage's ten ports carry its injection (the helper pair on the first
+        four), interference block, analysis rotation, pair projection and
+        untag.  ``compile_plan`` has checked d, the coefficients and the pairs.
+        The ``reduce`` stage has no steps; the executors measure it themselves.
         """
         d, k, kind = self.d, stage.junction, stage.kind
         if kind == "reduce":
             return []
-        if kind == "sources":
+        if kind == "sources":  # both photons horizontal
+            coeffs = states.validated_coeffs(d, self.options.input_coeffs)
             return [
-                Inject(build_epr_source(
-                    d, self.options.input_coeffs,
-                    self.photon_ports(2 * s), self.photon_ports(2 * s + 1),
-                ))
+                Inject(states._from_kets({
+                    (2 * (2 * s * d + i), 2 * ((2 * s + 1) * d + i)): complex(c)
+                    for i, c in enumerate(coeffs) if abs(c) >= EPS
+                }))
                 for s in self.stage_sources(stage)
             ]
         pa, pb = self.photon_ports(2 * k + 1), self.photon_ports(2 * k + 2)
@@ -203,8 +208,10 @@ class ProtocolPlan:
         x = stage.helper_port
         px, py = {i: x, j: x + 1}, {i: x + 2, j: x + 3}
         ma, mx, mb, my, ax, ay = range(x + 4, x + 10)
-        if kind == "aux_inject":
-            return [HWP(pa[j], _TAG), HWP(pb[j], _TAG), Inject(build_aux_source(i, j, px, py))]
+        if kind == "aux_inject":  # the helper pair (|i_H i_H> + |j_V j_V>)/sqrt(2)
+            amp = complex(1.0 / math.sqrt(2.0))
+            helper = states._from_kets({(2 * x, 2 * x + 4): amp, (2 * x + 3, 2 * x + 7): amp})
+            return [HWP(pa[j], _TAG), HWP(pb[j], _TAG), Inject(helper)]
         if kind == "aux_interfere":
             return [
                 BDMerge(pa[i], pa[j], ma),
@@ -265,41 +272,6 @@ class ProtocolPlan:
             ],
             "circuit": elements.circuit_to_jsonable(self.circuit_steps()),
         }
-
-
-def build_epr_source(
-    d: int,
-    coeffs: Sequence[float] | None,
-    ports_a: Sequence[int],
-    ports_b: Sequence[int],
-) -> PhotonicState:
-    """sum_i c_i |i>|i>, photon A on ports_a[i] and photon B on ports_b[i],
-    both horizontal; path-to-polarization tagging happens later per stage."""
-    if len(ports_a) != d or len(ports_b) != d or len({*ports_a, *ports_b}) != 2 * d:
-        raise PortCollision("sources need d disjoint ports per photon")
-    for port in (*ports_a, *ports_b):
-        states.mode(port, H)
-    return states._from_kets({
-        tuple(sorted((2 * a, 2 * b))): complex(c)
-        for a, b, c in zip(ports_a, ports_b, states.validated_coeffs(d, coeffs))
-        if abs(c) >= EPS
-    })
-
-
-def build_aux_source(
-    i: int, j: int, ports_x: Mapping[int, int], ports_y: Mapping[int, int]
-) -> PhotonicState:
-    """Helper pair (|i_H i_H> + |j_V j_V>)/sqrt(2) on the given path ports."""
-    if not (0 <= i < j) or i % 2 != j % 2:
-        raise InvalidAuxPair(f"need i < j with equal parity, got ({i}, {j})")
-    xi, yi, xj, yj = ports_x[i], ports_y[i], ports_x[j], ports_y[j]
-    for port in (xi, yi, xj, yj):
-        states.mode(port, H)
-    amp = complex(1.0 / math.sqrt(2.0))
-    return states._from_kets({
-        tuple(sorted((2 * xi, 2 * yi))): amp,
-        tuple(sorted((2 * xj + 1, 2 * yj + 1))): amp,
-    })
 
 
 def polarization_tag(
@@ -658,8 +630,13 @@ def _run_rules(plan: ProtocolPlan, report: RunReport) -> PhotonicState:
                 j, k = stage.aux_pair[1], stage.junction
                 keep(stage.label, {2 * k + 1, 2 * k + 2}, lambda path: V if path == j else H)
         elif stage.kind == "reduce":
-            # photon 0 always shares its source partner's path, so dropping it
-            # never merges kets; outcome probabilities are uniform 1/d
+            # photon 0 shares photon 1's or 2's path: dropping it merges no kets, each
+            # outcome has 1/d, and outcome 1 merges only where photon 1 shares it too
+            if report.odd_mode == FULL_FOURIER and any(
+                2 * abs(a * math.sin(math.pi * (t[0] - t[1]) / d)) * scale > states.MERGE_TOL
+                for t, a in amps.items()
+            ):
+                raise BranchMismatch("outcome 1 does not merge with the reference branch")
             report.reduction(stage.label, 1.0 / d, 1.0)
 
     if pending is not None:

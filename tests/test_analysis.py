@@ -32,7 +32,9 @@ class TestGhzReference:
 
     def test_two_photon_case_is_pair_source(self):
         ref = gf.ghz_reference(4, 2)
-        src = gf.build_epr_source(4, None, [0, 1, 2, 3], [4, 5, 6, 7])
+        plan = protocol.compile_plan(protocol.ProtocolOptions(d=4, n=2))
+        (inject,) = plan.stage_steps(plan.stages[0])
+        src = inject.state
         assert gf.fidelity(src, ref) == pytest.approx(1.0, abs=1e-12)
 
     def test_invalid_params(self):

@@ -87,6 +87,19 @@ class TestPlan:
             assert not value.startswith("0 ")
             assert value == f"1/{Decimal(exact.denominator)} (0)"
 
+    def test_pretty_renders_each_exact_prediction_once(self, capsys, monkeypatch):
+        exact_text, rendered = cli._exact_text, []
+
+        def counted(exact):
+            rendered.append(exact)
+            return exact_text(exact)
+
+        monkeypatch.setattr(cli, "_exact_text", counted)
+        code, _, _ = run_cli(capsys, "plan", "--d", "200", "--n", "4")
+        assert code == 0
+        for ff in (True, False):
+            assert rendered.count(analysis.predicted_prob_for_options(200, 4, ff)) == 1
+
     @pytest.mark.parametrize("d,n", [(6, 8), (200, 4)])
     def test_json_carries_the_exact_predictions(self, capsys, d, n):
         # at (200, 4) both floats underflow to 0.0 and the filtered
@@ -414,10 +427,23 @@ class TestRun:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    def test_negative_coefficients_need_the_equals_form(self, capsys):
+        # argparse reads a spaced value that starts with "-" as a flag
+        reports = {}
+        for backend in ("rule", "element"):
+            code, out, err = run_cli(
+                capsys, "run", "--d", "3", "--n", "4", "--coeffs=-0.6,0,0.8", "--backend", backend,
+            )
+            assert (code, err) == (1, "")  # non-uniform coefficients: no GHZ match
+            reports[backend] = {k: v for k, v in json.loads(out).items() if k != "backend"}
+        assert_json_close(reports["element"], reports["rule"], rel=1e-9)
+        code, out, err = run_cli(capsys, "run", "--d", "3", "--n", "4", "--coeffs", "-0.6,0,0.8")
+        assert (code, out) == (2, "")
+        assert "argument --coeffs: expected one argument" in err
+
     def test_usage_errors_are_one_type(self):
         # cli.main reports InvalidParameters, and so every usage error, as exit 2
         assert issubclass(gf.errors.InvalidCoefficients, gf.errors.InvalidParameters)
-        assert issubclass(gf.errors.InvalidAuxPair, gf.errors.InvalidParameters)
 
     def test_halved_probability_fails_the_gate(self):
         # at (6,8) the filtered probability is 2**-39 / 27, far below any

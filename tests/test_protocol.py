@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import itertools
 import math
 import random
 import sys
@@ -13,70 +14,81 @@ import ghzforge as gf
 from ghzforge import analysis, elements, golden, measurement, protocol, states
 from ghzforge.errors import (
     BranchMismatch,
-    InvalidAuxPair,
+    GhzforgeError,
     InvalidCoefficients,
     InvalidParameters,
-    PortCollision,
 )
 from ghzforge.measurement import CoincidencePattern, CoincidenceSelect, PasPairSelect
 
 from conftest import raw_amplitudes
 
 
+def _injected(d, n, kind, coeffs=None, aux_order=None):
+    """The state of every ``Inject`` that ``stage_steps`` builds for the
+    ``kind`` stages of the (d, n) plan, in stage order."""
+    opts = gf.ProtocolOptions(d=d, n=n, input_coeffs=coeffs)
+    plan = gf.compile_plan(opts, aux_order=aux_order)
+    return [
+        step.state
+        for stage in plan.stages if stage.kind == kind
+        for step in plan.stage_steps(stage) if isinstance(step, gf.Inject)
+    ]
+
+
 class TestBuilders:
+    """The pair-source and helper states ``stage_steps`` injects."""
+
     def test_qubit_source_uniform(self):
-        s = gf.build_epr_source(2, None, [0, 1], [2, 3])
+        s, t = _injected(2, 4, "sources")
         assert s.amplitude(gf.ket((0, "H"), (2, "H"))) == pytest.approx(1 / math.sqrt(2))
         assert s.amplitude(gf.ket((1, "H"), (3, "H"))) == pytest.approx(1 / math.sqrt(2))
+        assert t.amplitude(gf.ket((5, "H"), (7, "H"))) == pytest.approx(1 / math.sqrt(2))
 
     def test_qutrit_source_uniform(self):
-        s = gf.build_epr_source(3, None, [0, 1, 2], [3, 4, 5])
+        s = _injected(3, 4, "sources")[0]
         assert len(s.terms) == 3
         for amp in s.terms.values():
             assert amp == pytest.approx(1 / math.sqrt(3))
 
     def test_degenerate_coefficients_give_product_state(self):
-        s = gf.build_epr_source(3, (1.0, 0.0, 0.0), [0, 1, 2], [3, 4, 5])
+        s = _injected(3, 4, "sources", (1.0, 0.0, 0.0))[0]
         assert list(s.terms) == [gf.ket((0, "H"), (3, "H"))]
 
     def test_bad_coefficients(self):
+        # compile_plan rejects them before any state is built
         with pytest.raises(InvalidCoefficients):
-            gf.build_epr_source(3, (0.9, 0.1, 0.1), [0, 1, 2], [3, 4, 5])
+            _injected(3, 4, "sources", (0.9, 0.1, 0.1))
         with pytest.raises(InvalidCoefficients):
-            gf.build_epr_source(3, (1.0, 0.0), [0, 1, 2], [3, 4, 5])
+            _injected(3, 4, "sources", (1.0, 0.0))
 
     @pytest.mark.parametrize("coeffs", [None, (0.6, 0.0, 0.8), (1e-12, 0.6, 0.8)])
     def test_source_equals_the_make_state_build(self, coeffs):
-        # kets in order, exact amplitudes, sub-tolerance coefficients dropped
+        # kets in order, exact amplitudes, sub-tolerance coefficients dropped,
+        # for every source of the chain
         values = states.validated_coeffs(3, coeffs)
-        want = gf.make_state(
-            [(gf.ket((i, "H"), (3 + i, "H")), c) for i, c in enumerate(values) if c != 0.0]
-        )
-        got = gf.build_epr_source(3, coeffs, [0, 1, 2], [3, 4, 5])
-        assert list(got.terms.items()) == list(want.terms.items())
-
-    def test_source_ports_must_be_distinct(self):
-        with pytest.raises(PortCollision):
-            gf.build_epr_source(2, None, [0, 0], [2, 3])
-        with pytest.raises(PortCollision):
-            gf.build_epr_source(2, None, [0, 1], [1, 2])
+        got = _injected(3, 6, "sources", coeffs)
+        assert len(got) == 3
+        for s, source in enumerate(got):
+            want = gf.make_state([
+                (gf.ket((6 * s + i, "H"), (6 * s + 3 + i, "H")), c)
+                for i, c in enumerate(values) if c != 0.0
+            ])
+            assert list(source.terms.items()) == list(want.terms.items())
 
     def test_aux_source_matches_walkthrough(self):
-        s = gf.build_aux_source(0, 2, {0: 12, 2: 13}, {0: 14, 2: 15})
+        (s,) = _injected(3, 4, "aux_inject")
         assert s.amplitude(gf.ket((12, "H"), (14, "H"))) == pytest.approx(1 / math.sqrt(2))
         assert s.amplitude(gf.ket((13, "V"), (15, "V"))) == pytest.approx(1 / math.sqrt(2))
 
     def test_aux_source_odd_parity_pair(self):
-        s = gf.build_aux_source(1, 3, {1: 0, 3: 1}, {1: 2, 3: 3})
-        assert len(s.terms) == 2
-        assert s.norm_sq() == pytest.approx(1.0)
-
-    def test_aux_source_parity_mismatch(self):
-        with pytest.raises(InvalidAuxPair):
-            gf.build_aux_source(0, 1, {0: 0, 1: 1}, {0: 2, 1: 3})
+        even, odd = _injected(4, 4, "aux_inject", aux_order=[[(0, 2), (1, 3)]])
+        # the (1, 3) helper sits on the ten ports after the (0, 2) helper's
+        assert list(odd.terms) == [gf.ket((26, "H"), (28, "H")), gf.ket((27, "V"), (29, "V"))]
+        assert len(even.terms) == 2
+        assert odd.norm_sq() == pytest.approx(1.0)
 
     def test_polarization_tag_rules(self):
-        s = gf.build_epr_source(3, None, [0, 1, 2], [3, 4, 5])
+        s = _injected(3, 4, "sources")[0]
         tagged = gf.polarization_tag(s, [3, 4, 5], protocol.parity_rule)
         assert tagged.amplitude(gf.ket((1, "H"), (4, "V"))) == pytest.approx(
             1 / math.sqrt(3)
@@ -228,6 +240,30 @@ class TestElementGolden:
         assert product == pytest.approx(report.prob, abs=1e-12)
 
 
+@st.composite
+def edited_plans(draw):
+    """A compiled plan with any subset of each junction's helper blocks
+    dropped and the rest permuted within the junction."""
+    opts = gf.ProtocolOptions(
+        d=draw(st.integers(2, 5)), n=draw(st.integers(2, 7)), feedforward=draw(st.booleans()),
+        odd_n_mode=draw(st.sampled_from([None, protocol.SINGLE_OUTCOME, protocol.FULL_FOURIER])),
+    )
+    plan = gf.compile_plan(opts)
+    size = len(protocol._HELPER_STAGES)
+    stages = []
+    for (_, helper), run in itertools.groupby(
+        plan.stages, key=lambda s: (s.junction, s.aux_pair is not None)
+    ):
+        run = list(run)
+        if not helper:
+            stages += run
+            continue
+        blocks = draw(st.permutations([run[q : q + size] for q in range(0, len(run), size)]))
+        keep = draw(st.lists(st.booleans(), min_size=len(blocks), max_size=len(blocks)))
+        stages += [stage for block, k in zip(blocks, keep) if k for stage in block]
+    return dataclasses.replace(plan, stages=stages)
+
+
 class TestBackendAgreement:
     @pytest.mark.parametrize(
         "d,n", [(d, n) for d in range(2, 7) for n in range(4, 7) if (d, n) != (6, 6)]
@@ -290,6 +326,40 @@ class TestBackendAgreement:
         expected = sorted([0.6**2, 0.8**2])
         got = sorted(abs(a) * math.sqrt(sum(c**4 for c in coeffs)) for a in rule.final_state.terms.values())
         assert got == pytest.approx(expected, abs=1e-9)
+
+    @given(edited_plans())
+    def test_rule_matches_element_on_edited_helper_blocks(self, plan):
+        # both run, or both raise the same error; the oracle is left out
+        results = []
+        for backend in ("rule", "element"):
+            try:
+                results.append(gf.execute(plan, backend))
+            except GhzforgeError as exc:
+                results.append((type(exc), str(exc)))
+        rule, element = results
+        if isinstance(rule, tuple) or isinstance(element, tuple):
+            assert rule == element
+            return
+        assert rule.stage_labels == element.stage_labels
+        assert rule.trace == pytest.approx(element.trace, abs=1e-9)
+        for name in ("prob", "prob_filtered", "prob_feedforward"):
+            assert getattr(rule, name) == pytest.approx(getattr(element, name), rel=1e-9), name
+        assert states.states_close(rule.final_state, element.final_state, tol=states.MERGE_TOL)
+
+    def test_rule_raises_on_a_full_fourier_crossing_ket(self):
+        # without junction 0's (1, 3) helper block a ket with photons 0 and 1
+        # on different odd paths survives; the merge of Fourier outcomes fails
+        plan = gf.compile_plan(gf.ProtocolOptions(d=4, n=5, feedforward=True))
+        edited = dataclasses.replace(
+            plan, stages=[s for s in plan.stages if (s.junction, s.aux_pair) != (0, (1, 3))]
+        )
+        for backend in ("rule", "element"):
+            with pytest.raises(BranchMismatch, match="^outcome 1 does not merge"):
+                gf.execute(edited, backend)
+        single = dataclasses.replace(edited, options=dataclasses.replace(
+            plan.options, odd_n_mode=protocol.SINGLE_OUTCOME))
+        for backend in ("rule", "element"):
+            assert gf.execute(single, backend).stage_labels[-1] == "reduce"
 
 
 class TestElementNorms:
@@ -960,7 +1030,10 @@ def _reference_compile_plan(options, aux_order=None):
         return [photon * d + i for i in range(d)]
 
     def source(s):
-        return gf.Inject(protocol.build_epr_source(d, coeffs, ports(2 * s), ports(2 * s + 1)))
+        return gf.Inject(gf.make_state([
+            (gf.ket((a, "H"), (b, "H")), c)
+            for a, b, c in zip(ports(2 * s), ports(2 * s + 1), coeffs) if abs(c) >= states.EPS
+        ]))
 
     stages = [_EagerStage("sources", "sources", [source(s) for s in range(min(m, 2))])]
 
@@ -995,7 +1068,10 @@ def _reference_compile_plan(options, aux_order=None):
             inject = [
                 gf.HWP(pa[j], protocol._TAG),
                 gf.HWP(pb[j], protocol._TAG),
-                gf.Inject(protocol.build_aux_source(i, j, px, py)),
+                gf.Inject(gf.make_state([
+                    (gf.ket((px[i], "H"), (py[i], "H")), 1 / math.sqrt(2)),
+                    (gf.ket((px[j], "V"), (py[j], "V")), 1 / math.sqrt(2)),
+                ])),
             ]
             interfere = [
                 gf.BDMerge(pa[i], pa[j], ma),
@@ -1084,8 +1160,7 @@ class TestPlanGeometry:
         def forbidden(*args, **kwargs):
             raise AssertionError("the rule path built optics")
 
-        for name in ("build_aux_source", "build_epr_source"):
-            monkeypatch.setattr(protocol, name, forbidden)
+        monkeypatch.setattr(protocol.ProtocolPlan, "stage_steps", forbidden)
         for module in (elements, measurement):
             for name, obj in list(vars(module).items()):
                 if not (inspect.isfunction(obj) or inspect.isclass(obj)):
