@@ -201,18 +201,20 @@ def oracle_run(plan, report) -> PhotonicState:
     It reads d, n and the source coefficients from the plan, which
     ``protocol.compile_plan`` checked, and walks ``plan.stages``, recording
     each measuring stage under its label; ``execute`` makes and finishes
-    the report.  The product input is enumerated up front as source-value
-    tuples, so ``sources`` stages fall through, as do the other stages that
-    measure nothing.  A ``pbs_filter`` stage drops cross-parity tuples; an
-    ``aux_interfere`` stage removes exactly its two targeted cross terms and
-    records half the squared weight left (the coincidence retains half of
-    each survivor's weight); ``aux_pas`` keeps half the outcomes filtered
-    and all with feedforward.  Survivors keep their source amplitudes, and
-    no stage removes a tuple whose values are all equal, so the enumeration
-    never empties; the state is normalised once, at the end.  Past
-    ``ORACLE_MAX_D`` or ``ORACLE_MAX_N`` it raises OracleTooLarge; asked to
-    keep intermediate states (``report.keep``), which it has none of, it
-    raises InvalidParameters."""
+    the report.  A plan holds only a list in its stage grammar, so the
+    product input is enumerated up front as source-value tuples, and
+    ``sources`` stages fall through, as do ``tag`` stages (no-ops by
+    construction: the grammar fixes where each stands) and the other stages
+    that measure nothing.  A ``pbs_filter`` stage drops cross-parity
+    tuples; an ``aux_interfere`` stage removes exactly its two targeted
+    cross terms and records half the squared weight left (the coincidence
+    retains half of each survivor's weight); ``aux_pas`` keeps half the
+    outcomes filtered and all with feedforward.  Survivors keep their
+    source amplitudes, and no stage removes a tuple whose values are all
+    equal, so the enumeration never empties; the state is normalised once,
+    at the end.  Past ``ORACLE_MAX_D`` or ``ORACLE_MAX_N`` it raises
+    OracleTooLarge; asked to keep intermediate states (``report.keep``),
+    which it has none of, it raises InvalidParameters."""
     d, n = plan.d, plan.n
     if d > ORACLE_MAX_D or n > ORACLE_MAX_N:
         raise OracleTooLarge(

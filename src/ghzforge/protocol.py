@@ -28,8 +28,8 @@ each step through ``Step.apply``.
 Three executors interpret a plan, each a function from (plan, report) to
 the run's final state.  Each walks ``plan.stages`` and acts on each stage's
 kind, junction and aux pair, recording what it measures under the stage's
-label; kinds it has no use for fall through.  So ``compile_plan`` alone
-decides which stages run, in what order and under what labels:
+label; kinds it has no use for fall through.  A plan refuses any stage
+list outside the grammar it is built from, so executors police none:
 
 * the element backend folds the literal optical circuit (the golden
   reference),
@@ -60,6 +60,7 @@ a report of its own.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -70,7 +71,7 @@ from .analysis import FULL_FOURIER, SINGLE_OUTCOME  # re-exported as gf.*
 from .elements import BDMerge, BDSplit, HWP, Inject, PBS
 from .errors import BranchMismatch, InvalidParameters, PortCollision
 from .measurement import CoincidencePattern, CoincidenceSelect, PasPairSelect
-from .states import EPS, H, V, PhotonicState
+from .states import H, V, PhotonicState
 
 _TAG = math.pi / 4.0      # HWP angle swapping H and V
 _DIAGONAL = math.pi / 8.0  # HWP angle rotating into the +/- basis
@@ -101,6 +102,26 @@ class PlanStage:
     helper_port: int | None = None  # helper stages: the first of their ten ports
 
 
+def _stage_rows(n: int, blocks: Sequence[Sequence[tuple[tuple[int, int], int]]]) -> list[tuple]:
+    """The one stage grammar: the (label, kind, junction, aux pair, helper
+    port) row of each stage of an n-photon chain whose junction k holds the
+    helper blocks ``blocks[k]``, each an (aux pair, helper port), in order;
+    junction k >= 1 starts by injecting source k + 1."""
+    rows = [("sources", "sources", None, None, None)]
+    for k, junction_blocks in enumerate(blocks):
+        if k > 0:
+            rows.append((f"j{k}.source", "sources", k, None, None))
+        rows += [(f"j{k}.step_i_tag", "tag", k, None, None),
+                 (f"j{k}.step_i", "pbs_filter", k, None, None),
+                 (f"j{k}.step_i_untag", "tag", k, None, None)]
+        for q, (pair, port) in enumerate(junction_blocks):
+            block = f"j{k}.aux{q}."
+            rows += [(block + suffix, kind, k, pair, port) for suffix, kind in _HELPER_STAGES]
+    if n % 2 == 1:
+        rows.append(("reduce", "reduce", None, None, None))
+    return rows
+
+
 @dataclass
 class ProtocolPlan:
     """A compiled (d, n) protocol: its options and its ordered stage list.
@@ -112,7 +133,12 @@ class ProtocolPlan:
     output photons (``reference``) and the exact prediction (``predicted``,
     None for non-uniform coefficients).  The optics are built on first
     element use and kept (``optics``).  So a compiled plan is not to be
-    mutated: a changed stage list or option would not reach these."""
+    mutated: a changed stage list or option would not reach these.
+    Made or remade (``dataclasses.replace``), a plan raises InvalidParameters
+    naming the first stage of a list outside ``_stage_rows``' grammar, in
+    which a junction holds any sequence of whole helper blocks, each with a
+    same-parity pair and helper ports past the source photons' ports, and
+    labels are unique.  So the executors see only valid lists."""
 
     options: ProtocolOptions
     stages: list[PlanStage]
@@ -120,6 +146,24 @@ class ProtocolPlan:
     predicted: Fraction | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        m, pairs = self.epr_pair_count, set(analysis.aux_pairs(self.d))
+        blocks: list[list] = [[] for _ in range(m - 1)]
+        for s in self.stages:  # a block outside the grammar is left out, so it mismatches
+            if (s.kind == "aux_inject" and s.junction in range(m - 1) and s.aux_pair in pairs
+                    and isinstance(s.helper_port, int) and s.helper_port >= 2 * m * self.d):
+                blocks[s.junction].append((s.aux_pair, s.helper_port))
+        labels: set[str] = set()
+        for stage, row in itertools.zip_longest(self.stages, _stage_rows(self.n, blocks)):
+            if stage is None:
+                raise InvalidParameters(f"the stage list ends before stage {row[0]!r}")
+            if row is None or row[1:] != (stage.kind, stage.junction, stage.aux_pair,
+                                          stage.helper_port):
+                want = "the end of the list" if row is None else f"stage {row[0]!r}"
+                raise InvalidParameters(
+                    f"stage {stage.label!r} breaks the stage grammar: expected {want}")
+            if stage.label in labels:
+                raise InvalidParameters(f"stage {stage.label!r} repeats a label")
+            labels.add(stage.label)
         opts = self.options
         groups = self.output_port_groups()
         self.reference = analysis.ghz_reference(self.d, len(groups), groups)
@@ -176,12 +220,12 @@ class ProtocolPlan:
 
         This is the one place that knows how a stage becomes elements, the
         states it injects included: each source s becomes an ``Inject`` of
-        sum_i c_i |i>|i> on photons 2s and 2s + 1 (no ket where |c_i| <
-        ``EPS``), a junction's tag and filter become HWPs, PBSs and a
-        coincidence post-selection on the junction photons, and a helper
-        stage's ten ports carry its injection (the helper pair on the first
-        four), interference block, analysis rotation, pair projection and
-        untag.  ``compile_plan`` has checked d, the coefficients and the pairs.
+        sum_i c_i |i>|i> on photons 2s and 2s + 1 (no ket where c_i = 0), a
+        junction's tag and filter become HWPs, PBSs and a coincidence
+        post-selection on the junction photons, and a helper stage's ten
+        ports carry its injection (the helper pair on the first four),
+        interference block, analysis rotation, pair projection and untag.
+        ``compile_plan`` has checked d and the coefficients, the plan its stages.
         The ``reduce`` stage has no steps; the executors measure it themselves.
         """
         d, k, kind = self.d, stage.junction, stage.kind
@@ -192,7 +236,7 @@ class ProtocolPlan:
             return [
                 Inject(states._from_kets({
                     (2 * (2 * s * d + i), 2 * ((2 * s + 1) * d + i)): complex(c)
-                    for i, c in enumerate(coeffs) if abs(c) >= EPS
+                    for i, c in enumerate(coeffs) if c != 0.0
                 }))
                 for s in self.stage_sources(stage)
             ]
@@ -293,16 +337,12 @@ def compile_plan(
     options: ProtocolOptions,
     aux_order: Sequence[Sequence[tuple[int, int]]] | None = None,
 ) -> ProtocolPlan:
-    """Synthesize the stage list for (d, n): labels, kinds and geometry only.
-
-    The ``sources`` stage injects sources 0 and 1; every later source k + 1
-    is injected by its own ``sources``-kind stage ``j{k}.source`` just before
-    junction k's first tag.  Each helper stage records its junction, its aux
-    pair and the first of the ten ports its helper pair uses; the optics are
-    built from that by ``ProtocolPlan.stage_steps`` when ``ProtocolPlan.optics``
-    is first read.
-    ``aux_order`` optionally overrides the per-junction auxiliary pair order;
-    it must be a permutation of the same-parity pair set for each junction.
+    """Synthesize the stage list for (d, n): the rows of ``_stage_rows``,
+    labels, kinds and geometry only, each helper block on the next ten ports.
+    ``ProtocolPlan.stage_steps`` builds the optics from them when
+    ``ProtocolPlan.optics`` is first read.  ``aux_order`` optionally
+    overrides the per-junction auxiliary pair order; it must be a
+    permutation of the same-parity pair set for each junction.
     """
     d, n = options.d, options.n
     analysis._check_params(d, n)
@@ -322,25 +362,9 @@ def compile_plan(
                 "aux_order must permute the same-parity pair set per junction"
             )
 
-    stages = [PlanStage("sources", "sources")]
-    next_port = 2 * m * d
-    for k in range(junctions):
-        if k > 0:
-            stages.append(PlanStage(f"j{k}.source", "sources", junction=k))
-        stages += [
-            PlanStage(f"j{k}.step_i_tag", "tag", junction=k),
-            PlanStage(f"j{k}.step_i", "pbs_filter", junction=k),
-            PlanStage(f"j{k}.step_i_untag", "tag", junction=k),
-        ]
-        for q, pair in enumerate(junction_pairs[k]):
-            stages += [  # positional: this runs d(d - 2) / 4 times per junction
-                PlanStage(f"j{k}.aux{q}.{suffix}", kind, k, pair, next_port)
-                for suffix, kind in _HELPER_STAGES
-            ]
-            next_port += 10
-    if n % 2 == 1:
-        stages.append(PlanStage("reduce", "reduce"))
-
+    ports = itertools.count(2 * m * d, 10)
+    blocks = [[(pair, next(ports)) for pair in pairs] for pairs in junction_pairs]
+    stages = [PlanStage(*row) for row in _stage_rows(n, blocks)]
     return ProtocolPlan(options, stages)
 
 
@@ -530,10 +554,10 @@ def _run_rules(plan: ProtocolPlan, report: RunReport) -> PhotonicState:
     only the pairs whose junction photons' paths share a parity are built,
     as t + (i, i), or as t[:-1] + (i, t[-1], i) when both paths are odd, as
     the optics' PBS row sends each odd path's V photon to the other port
-    group.  ``compile_plan`` always puts the filter right after the source,
-    with only a ``tag`` stage between them; a stage list where a filter finds
-    no pending source, a source is added while another is pending, or a
-    source is never consumed raises InvalidParameters naming the stage.  At
+    group.  The plan's grammar puts a ``tag`` stage between each source and
+    its filter, so every pending source is consumed, and it fixes where each
+    tag stands, so ``tag`` stages are no-ops here by construction: a kept
+    state is materialised with the polarisation the optics give it.  At
     an ``aux_interfere`` stage targeting (i, j) a ket survives the
     interference coincidence exactly when its junction photons either both
     sit on path j (riding the vertical helper branch) or both avoid it (the
@@ -558,11 +582,8 @@ def _run_rules(plan: ProtocolPlan, report: RunReport) -> PhotonicState:
     source = [(i, c) for i, c in enumerate(coeffs) if c != 0.0]
     amps: dict[tuple[int, ...], complex] = {}
     scale = 1.0  # amps times scale is the normalised chain state
-    nsq = 1.0  # squared norm of amps
     present = range(0)  # the photons injected so far
-    pending: list[tuple[int, complex]] | None = None  # the next source, times scale
-    pending_label = ""  # the stage that added it
-    crossing: dict[int, list[tuple[int, ...]]] = {}
+    pending: list[tuple[int, complex]] = []  # the next source, times scale
 
     def keep(label: str, tagged: set[int], rule: Callable[[int], str]) -> None:
         report.keep_state(label, _materialize_paths(
@@ -575,24 +596,16 @@ def _run_rules(plan: ProtocolPlan, report: RunReport) -> PhotonicState:
             for s in plan.stage_sources(stage):
                 if s == 0:
                     amps = {(i, i): c + 0j for i, c in source}
-                elif pending is not None:
-                    raise InvalidParameters(
-                        f"stage {stage.label!r} adds source {s} while the source of stage "
-                        f"{pending_label!r} is pending"
-                    )
                 else:
-                    pending, pending_label = [(i, c * scale) for i, c in source], stage.label
-                    scale = 1.0
+                    pending, scale = [(i, c * scale) for i, c in source], 1.0
                 present = range(2 * s + 2)
         elif stage.kind == "pbs_filter":
-            if pending is None:
-                raise InvalidParameters(f"stage {stage.label!r} has no pending source to filter")
             # ``sum`` over the weights in (t, i) order rounds exactly as a
             # sum over the full product would, on every Python version
             weights: list[float] = []
             kept_weights: list[float] = []
             kept: dict[tuple[int, ...], complex] = {}
-            crossing = {}
+            crossing: dict[int, list[tuple[int, ...]]] = {}
             for t, a in amps.items():
                 last = t[-1]
                 for i, c in pending:
@@ -607,8 +620,8 @@ def _run_rules(plan: ProtocolPlan, report: RunReport) -> PhotonicState:
                     if i != last:
                         crossing.setdefault(last, []).append(u)
                         crossing.setdefault(i, []).append(u)
-            amps, pending = kept, None
-            total, nsq = sum(weights), sum(kept_weights)
+            amps = kept
+            total, nsq = sum(weights), sum(kept_weights)  # nsq: squared norm of amps
             report.record(stage.label, nsq / total)
             scale = 1.0 / math.sqrt(nsq)
             if report.keep:
@@ -639,10 +652,6 @@ def _run_rules(plan: ProtocolPlan, report: RunReport) -> PhotonicState:
                 raise BranchMismatch("outcome 1 does not merge with the reference branch")
             report.reduction(stage.label, 1.0 / d, 1.0)
 
-    if pending is not None:
-        raise InvalidParameters(
-            f"stage {pending_label!r} adds a source that no pbs_filter consumes"
-        )
     state = _materialize_paths(d, amps, scale, plan.output_photons(), lambda photon, path: H)
     report.keep_state("final", state)
     return state

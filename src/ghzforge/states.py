@@ -84,7 +84,8 @@ def validated_coeffs(d: int, coeffs: Sequence[float] | None) -> list[float]:
     """The d source coefficients as floats; None gives the uniform 1/sqrt(d).
 
     Raises InvalidCoefficients unless there are d finite reals whose squares
-    sum to 1 within ``COEFF_TOL``."""
+    sum to 1 within ``COEFF_TOL``.  One support rule for every executor: a
+    coefficient below ``EPS`` in magnitude comes back as 0.0."""
     if coeffs is None:
         return [1.0 / math.sqrt(d)] * d
     values = [float(c) for c in coeffs]
@@ -94,7 +95,7 @@ def validated_coeffs(d: int, coeffs: Sequence[float] | None) -> list[float]:
         raise InvalidCoefficients("coefficients must be finite reals")
     if abs(sum(c * c for c in values) - 1.0) > COEFF_TOL:
         raise InvalidCoefficients("squared coefficients must sum to 1")
-    return values
+    return [c if abs(c) >= EPS else 0.0 for c in values]
 
 
 def mode(port: int, pol: str) -> Mode:

@@ -242,8 +242,10 @@ class TestElementGolden:
 
 @st.composite
 def edited_plans(draw):
-    """A compiled plan with any subset of each junction's helper blocks
-    dropped and the rest permuted within the junction."""
+    """A compiled plan and an edited stage list for it: each junction's
+    helper blocks redrawn as any sequence of them (so dropped, permuted or
+    repeated, a repeat under fresh labels), then maybe one stage dropped,
+    duplicated under a fresh label, moved, or swapped with another."""
     opts = gf.ProtocolOptions(
         d=draw(st.integers(2, 5)), n=draw(st.integers(2, 7)), feedforward=draw(st.booleans()),
         odd_n_mode=draw(st.sampled_from([None, protocol.SINGLE_OUTCOME, protocol.FULL_FOURIER])),
@@ -258,10 +260,23 @@ def edited_plans(draw):
         if not helper:
             stages += run
             continue
-        blocks = draw(st.permutations([run[q : q + size] for q in range(0, len(run), size)]))
-        keep = draw(st.lists(st.booleans(), min_size=len(blocks), max_size=len(blocks)))
-        stages += [stage for block, k in zip(blocks, keep) if k for stage in block]
-    return dataclasses.replace(plan, stages=stages)
+        blocks = [run[q : q + size] for q in range(0, len(run), size)]
+        picks = draw(st.lists(st.sampled_from(range(len(blocks))), max_size=len(blocks) + 1))
+        for r, q in enumerate(picks):
+            copy = picks[:r].count(q)
+            stages += [dataclasses.replace(s, label=f"{s.label}~{copy}") if copy else s
+                       for s in blocks[q]]
+    edit = draw(st.sampled_from(["none", "none", "drop", "duplicate", "move", "swap"]))
+    at, to = (draw(st.integers(0, len(stages) - 1)) for _ in range(2))
+    if edit == "drop":
+        del stages[at]
+    elif edit == "duplicate":
+        stages.insert(to, dataclasses.replace(stages[at], label=stages[at].label + "~dup"))
+    elif edit == "move":
+        stages.insert(to, stages.pop(at))
+    elif edit == "swap":
+        stages[at], stages[to] = stages[to], stages[at]
+    return plan, stages
 
 
 class TestBackendAgreement:
@@ -327,9 +342,32 @@ class TestBackendAgreement:
         got = sorted(abs(a) * math.sqrt(sum(c**4 for c in coeffs)) for a in rule.final_state.terms.values())
         assert got == pytest.approx(expected, abs=1e-9)
 
+    def test_every_backend_keeps_the_same_source_support(self):
+        # validated_coeffs zeroes a coefficient below EPS, so the rule path
+        # keeps no 1e-12 ket that the optics prune
+        coeffs = (1e-12, 0.6, 0.8)
+        assert states.validated_coeffs(3, coeffs) == [0.0, 0.6, 0.8]
+        plan = gf.compile_plan(gf.ProtocolOptions(d=3, n=4, feedforward=True, input_coeffs=coeffs))
+        rule = gf.execute(plan, "rule", keep_intermediates=True)
+        element = gf.execute(plan, "element", keep_intermediates=True)
+        last = list(element.intermediates.values())[-1]
+        for label, (state, _) in rule.intermediates.items():
+            want, _ = element.intermediates.get(label, last)
+            assert len(state.kets) == len(want.kets), label
+        assert len(rule.intermediates["j0.step_i"][0].kets) == 2
+        assert len(gf.execute(plan, "oracle").final_state.kets) == len(rule.final_state.kets)
+
     @given(edited_plans())
-    def test_rule_matches_element_on_edited_helper_blocks(self, plan):
-        # both run, or both raise the same error; the oracle is left out
+    def test_rule_matches_element_on_edited_helper_blocks(self, edit):
+        # the edited list is refused when the plan is made, or every backend
+        # that admits the cell runs it alike; rule and element may both
+        # raise, and then raise the same error
+        plan, stages = edit
+        try:
+            plan = dataclasses.replace(plan, stages=stages)
+        except InvalidParameters as exc:
+            assert str(exc).startswith(("stage '", "the stage list ends before stage '"))
+            return
         results = []
         for backend in ("rule", "element"):
             try:
@@ -338,13 +376,22 @@ class TestBackendAgreement:
                 results.append((type(exc), str(exc)))
         rule, element = results
         if isinstance(rule, tuple) or isinstance(element, tuple):
+            # the oracle's per-source tuples hold no crossing ket, so its
+            # reduce has no merge to refuse and it is left out here
             assert rule == element
             return
         assert rule.stage_labels == element.stage_labels
         assert rule.trace == pytest.approx(element.trace, abs=1e-9)
-        for name in ("prob", "prob_filtered", "prob_feedforward"):
-            assert getattr(rule, name) == pytest.approx(getattr(element, name), rel=1e-9), name
         assert states.states_close(rule.final_state, element.final_state, tol=states.MERGE_TOL)
+        reports = [rule, element]
+        if plan.d <= analysis.ORACLE_MAX_D and plan.n <= analysis.ORACLE_MAX_N:
+            reports.append(gf.execute(plan, "oracle"))
+        for report in reports[1:]:
+            assert report.stage_labels == rule.stage_labels, report.backend
+            for name in ("prob", "prob_filtered", "prob_feedforward"):
+                assert getattr(report, name) == pytest.approx(getattr(rule, name), rel=1e-9), name
+            assert report.fidelity == pytest.approx(rule.fidelity, abs=1e-9), report.backend
+            assert report.matches == rule.matches, report.backend
 
     def test_rule_raises_on_a_full_fourier_crossing_ket(self):
         # without junction 0's (1, 3) helper block a ket with photons 0 and 1
@@ -974,33 +1021,63 @@ def _move_before(labels, label, anchor):
     return labels
 
 
+def _swap(labels, a, b):
+    i, j = labels.index(a), labels.index(b)
+    labels[i], labels[j] = b, a
+    return labels
+
+
 class TestPendingSource:
-    """The rule executor's invariant: each source after the first is consumed
-    by the next ``pbs_filter``; a stage list of a (3, 6) plan that breaks it
-    raises naming the stage instead of filtering the wrong photons."""
+    """Stage lists outside the grammar ``compile_plan`` builds, such as a
+    source that no filter directly follows or a dropped or moved ``tag``
+    stage, are refused when the plan is made, naming a stage, before any
+    backend could run them."""
 
     @pytest.mark.parametrize(
-        "edit, message",
+        "n, feedforward, edit, message",
         [
-            (lambda labels: [x for x in labels if x != "j1.source"],
-             "stage 'j1.step_i' has no pending source to filter"),
-            (lambda labels: _move_before(labels, "j1.source", "j1.step_i_untag"),
-             "stage 'j1.step_i' has no pending source to filter"),
-            (lambda labels: _move_before(labels, "j1.source", "j0.step_i_tag"),
-             "stage 'j1.source' adds source 2 while the source of stage 'sources' is pending"),
-            (lambda labels: [x for x in labels if x != "j1.step_i"],
-             "stage 'j1.source' adds a source that no pbs_filter consumes"),
+            (6, False, lambda labels: [x for x in labels if x != "j1.source"],
+             "stage 'j1.step_i_tag' breaks the stage grammar: expected stage 'j1.source'"),
+            (6, False, lambda labels: _move_before(labels, "j1.source", "j1.step_i_untag"),
+             "stage 'j1.step_i_tag' breaks the stage grammar: expected stage 'j1.source'"),
+            (6, False, lambda labels: _move_before(labels, "j1.source", "j0.step_i_tag"),
+             "stage 'j1.source' breaks the stage grammar: expected stage 'j0.step_i_tag'"),
+            (6, False, lambda labels: [x for x in labels if x != "j1.step_i"],
+             "stage 'j1.step_i_untag' breaks the stage grammar: expected stage 'j1.step_i'"),
+            (6, False, lambda labels: _swap(labels, "sources", "j1.source"),
+             "stage 'j1.source' breaks the stage grammar: expected stage 'sources'"),
+            (4, True, lambda labels: [x for x in labels if x != "j0.aux0.untag"],
+             "the stage list ends before stage 'j0.aux0.untag'"),
+            (4, True, lambda labels: _swap(labels, "j0.step_i_tag", "j0.step_i"),
+             "stage 'j0.step_i' breaks the stage grammar: expected stage 'j0.step_i_tag'"),
+            (4, True, lambda labels: labels + ["j0.aux0.untag"],
+             "stage 'j0.aux0.untag' breaks the stage grammar: expected the end of the list"),
         ],
         ids=["source-dropped", "source-after-its-filter", "source-while-pending",
-             "source-left-pending"],
+             "source-left-pending", "sources-swapped", "untag-dropped", "tag-after-filter",
+             "stage-past-the-end"],
     )
-    def test_a_broken_stage_list_raises_naming_the_stage(self, edit, message):
-        plan = gf.compile_plan(gf.ProtocolOptions(d=3, n=6))
+    def test_a_broken_stage_list_raises_naming_the_stage(self, n, feedforward, edit, message):
+        plan = gf.compile_plan(gf.ProtocolOptions(d=3, n=n, feedforward=feedforward))
         by_label = {s.label: s for s in plan.stages}
-        labels = edit([s.label for s in plan.stages])
-        broken = dataclasses.replace(plan, stages=[by_label[x] for x in labels])
+        stages = [by_label[x] for x in edit([s.label for s in plan.stages])]
         with pytest.raises(InvalidParameters, match=f"^{message}$"):
-            gf.execute(broken, backend="rule")
+            dataclasses.replace(plan, stages=stages)
+        with pytest.raises(InvalidParameters, match=f"^{message}$"):
+            protocol.ProtocolPlan(plan.options, stages)
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"aux_pair": (0, 1)}, {"aux_pair": (0, 4)}, {"helper_port": 11}, {"junction": 1}],
+        ids=["cross-parity-pair", "pair-past-d", "helper-port-on-a-photon", "junction-past-n"],
+    )
+    def test_a_helper_block_outside_the_grammar_is_refused(self, change):
+        # every stage of the block changed alike, so only the block's own
+        # pair, ports or junction break the grammar
+        plan = gf.compile_plan(gf.ProtocolOptions(d=3, n=4))
+        stages = [dataclasses.replace(s, **change) if s.aux_pair else s for s in plan.stages]
+        with pytest.raises(InvalidParameters, match="^stage 'j0.aux0.inject' breaks the stage"):
+            dataclasses.replace(plan, stages=stages)
 
 
 @dataclass
