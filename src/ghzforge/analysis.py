@@ -201,8 +201,8 @@ def oracle_run(plan, report) -> PhotonicState:
     It reads d, n and the source coefficients from the plan, which
     ``protocol.compile_plan`` checked, and walks ``plan.stages``, recording
     each measuring stage under its label; ``execute`` makes and finishes
-    the report.  A plan holds only a list in its stage grammar, so the
-    product input is enumerated up front as source-value tuples, and
+    the report.  The plan builds its stage list from its one grammar, so
+    the product input is enumerated up front as source-value tuples, and
     ``sources`` stages fall through, as do ``tag`` stages (no-ops by
     construction: the grammar fixes where each stands) and the other stages
     that measure nothing.  A ``pbs_filter`` stage drops cross-parity

@@ -15,21 +15,23 @@ coincidences, rotates the helper arms into the diagonal basis and projects
 them as a pair.  Odd photon numbers finish with a Fourier-basis path
 measurement of the first photon.
 
-A plan is compiled as geometry only: stage labels and kinds, junctions, aux
-pairs and each helper stage's ports.  ``ProtocolPlan.stage_steps`` is the one
-place that builds a stage's optical steps from it, the pair-source and helper
-states it injects included.  ``ProtocolPlan.optics`` calls it once per stage
-the first time the element backend or circuit export needs the optics, and
-the plan keeps that table for every later execute, so compiling or running a
-plan on the rule or oracle backend builds no optics.
-The table holds steps, never their results: every execute still applies
-each step through ``Step.apply``.
+A plan is its options and each junction's helper pairs.  It builds its
+stage list from them once, when it is made, as geometry only: stage labels
+and kinds, junctions, aux pairs and each helper stage's ports.
+``ProtocolPlan.stage_steps`` is the one place that builds a stage's optical
+steps from it, the pair-source and helper states it injects included.
+``ProtocolPlan.optics`` calls it once per stage the first time the element
+backend or circuit export needs the optics, and the plan keeps that table
+for every later execute, so compiling or running a plan on the rule or
+oracle backend builds no optics.  The table holds steps, never their
+results: every execute still applies each step through ``Step.apply``.
 
 Three executors interpret a plan, each a function from (plan, report) to
 the run's final state.  Each walks ``plan.stages`` and acts on each stage's
 kind, junction and aux pair, recording what it measures under the stage's
-label; kinds it has no use for fall through.  A plan refuses any stage
-list outside the grammar it is built from, so executors police none:
+label; kinds it has no use for fall through.  The plan builds its stage
+list from the one grammar (``_stage_rows``), so the executors see only
+grammatical lists and police none:
 
 * the element backend folds the literal optical circuit (the golden
   reference),
@@ -102,68 +104,63 @@ class PlanStage:
     helper_port: int | None = None  # helper stages: the first of their ten ports
 
 
-def _stage_rows(n: int, blocks: Sequence[Sequence[tuple[tuple[int, int], int]]]) -> list[tuple]:
-    """The one stage grammar: the (label, kind, junction, aux pair, helper
-    port) row of each stage of an n-photon chain whose junction k holds the
-    helper blocks ``blocks[k]``, each an (aux pair, helper port), in order;
-    junction k >= 1 starts by injecting source k + 1."""
-    rows = [("sources", "sources", None, None, None)]
-    for k, junction_blocks in enumerate(blocks):
+def _stage_rows(d: int, n: int, junction_aux_pairs: Sequence[Sequence]) -> list[PlanStage]:
+    """The one stage grammar: the stages of an n-photon chain whose junction
+    k holds one helper block per pair of ``junction_aux_pairs[k]``, in order,
+    each block on the next ten ports past the source photons'; junction
+    k >= 1 starts by injecting source k + 1."""
+    ports = itertools.count(2 * -(n // -2) * d, 10)
+    stages = [PlanStage("sources", "sources")]
+    for k, pairs in enumerate(junction_aux_pairs):
         if k > 0:
-            rows.append((f"j{k}.source", "sources", k, None, None))
-        rows += [(f"j{k}.step_i_tag", "tag", k, None, None),
-                 (f"j{k}.step_i", "pbs_filter", k, None, None),
-                 (f"j{k}.step_i_untag", "tag", k, None, None)]
-        for q, (pair, port) in enumerate(junction_blocks):
-            block = f"j{k}.aux{q}."
-            rows += [(block + suffix, kind, k, pair, port) for suffix, kind in _HELPER_STAGES]
+            stages.append(PlanStage(f"j{k}.source", "sources", k))
+        stages += [PlanStage(f"j{k}.step_i_tag", "tag", k),
+                   PlanStage(f"j{k}.step_i", "pbs_filter", k),
+                   PlanStage(f"j{k}.step_i_untag", "tag", k)]
+        for q, pair in enumerate(pairs):
+            port = next(ports)
+            stages += [PlanStage(f"j{k}.aux{q}.{suffix}", kind, k, pair, port)
+                       for suffix, kind in _HELPER_STAGES]
     if n % 2 == 1:
-        rows.append(("reduce", "reduce", None, None, None))
-    return rows
+        stages.append(PlanStage("reduce", "reduce"))
+    return stages
 
 
 @dataclass
 class ProtocolPlan:
-    """A compiled (d, n) protocol: its options and its ordered stage list.
+    """A compiled (d, n) protocol: its options and each junction's helper
+    pairs, in order (``junction_aux_pairs``).
 
-    Its counts are read off those two on access (``epr_pair_count`` from n,
-    ``aux_pair_count`` and ``junction_aux_pairs`` from the ``aux_pas``
-    stages), so an export describes the stages that run.  What every
-    report needs is built once with the plan: the GHZ reference on the
-    output photons (``reference``) and the exact prediction (``predicted``,
-    None for non-uniform coefficients).  The optics are built on first
-    element use and kept (``optics``).  So a compiled plan is not to be
-    mutated: a changed stage list or option would not reach these.
-    Made or remade (``dataclasses.replace``), a plan raises InvalidParameters
-    naming the first stage of a list outside ``_stage_rows``' grammar, in
-    which a junction holds any sequence of whole helper blocks, each with a
-    same-parity pair and helper ports past the source photons' ports, and
-    labels are unique.  So the executors see only valid lists."""
+    Everything else is built once from those two when the plan is made (or
+    remade, by ``dataclasses.replace``): the ordered stage list (``stages``,
+    from ``_stage_rows``, so the executors see only lists in its grammar),
+    the GHZ reference on the output photons (``reference``) and the exact
+    prediction (``predicted``, None for non-uniform coefficients).  The
+    optics are built on first element use and kept (``optics``).  So a
+    compiled plan is not to be mutated: a changed option or pair list would
+    not reach these.  A junction may hold any sequence of same-parity path
+    pairs of d, dropped, permuted or repeated; each pair may be any
+    two-item sequence (a JSON list too).  Anything else, or a pair list
+    count other than one per junction, raises InvalidParameters."""
 
     options: ProtocolOptions
-    stages: list[PlanStage]
+    junction_aux_pairs: list[list[tuple[int, int]]]
+    stages: list[PlanStage] = field(init=False, repr=False, compare=False)
     reference: PhotonicState = field(init=False, repr=False, compare=False)
     predicted: Fraction | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        m, pairs = self.epr_pair_count, set(analysis.aux_pairs(self.d))
-        blocks: list[list] = [[] for _ in range(m - 1)]
-        for s in self.stages:  # a block outside the grammar is left out, so it mismatches
-            if (s.kind == "aux_inject" and s.junction in range(m - 1) and s.aux_pair in pairs
-                    and isinstance(s.helper_port, int) and s.helper_port >= 2 * m * self.d):
-                blocks[s.junction].append((s.aux_pair, s.helper_port))
-        labels: set[str] = set()
-        for stage, row in itertools.zip_longest(self.stages, _stage_rows(self.n, blocks)):
-            if stage is None:
-                raise InvalidParameters(f"the stage list ends before stage {row[0]!r}")
-            if row is None or row[1:] != (stage.kind, stage.junction, stage.aux_pair,
-                                          stage.helper_port):
-                want = "the end of the list" if row is None else f"stage {row[0]!r}"
-                raise InvalidParameters(
-                    f"stage {stage.label!r} breaks the stage grammar: expected {want}")
-            if stage.label in labels:
-                raise InvalidParameters(f"stage {stage.label!r} repeats a label")
-            labels.add(stage.label)
+        same_parity = {pair: pair for pair in analysis.aux_pairs(self.d)}
+        try:
+            pairs = [[same_parity[tuple(p)] for p in ps] for ps in self.junction_aux_pairs]
+        except (KeyError, TypeError):
+            pairs = None
+        if pairs is None or len(pairs) != self.epr_pair_count - 1:
+            raise InvalidParameters(
+                f"junction_aux_pairs needs a list of same-parity path pairs of d = {self.d} "
+                f"per junction, {self.epr_pair_count - 1} in all")
+        self.junction_aux_pairs = pairs
+        self.stages = _stage_rows(self.d, self.n, pairs)
         opts = self.options
         groups = self.output_port_groups()
         self.reference = analysis.ghz_reference(self.d, len(groups), groups)
@@ -179,17 +176,7 @@ class ProtocolPlan:
 
     @property
     def aux_pair_count(self) -> int:
-        return sum(stage.kind == "aux_pas" for stage in self.stages)
-
-    @property
-    def junction_aux_pairs(self) -> list[list[tuple[int, int]]]:
-        """Each junction's helper pairs in stage order; a junction with none
-        gets an empty list."""
-        pairs: list[list[tuple[int, int]]] = [[] for _ in range(self.epr_pair_count - 1)]
-        for stage in self.stages:
-            if stage.kind == "aux_pas":
-                pairs[stage.junction].append(stage.aux_pair)
-        return pairs
+        return sum(map(len, self.junction_aux_pairs))
 
     @property
     def d(self) -> int:
@@ -225,7 +212,8 @@ class ProtocolPlan:
         post-selection on the junction photons, and a helper stage's ten
         ports carry its injection (the helper pair on the first four),
         interference block, analysis rotation, pair projection and untag.
-        ``compile_plan`` has checked d and the coefficients, the plan its stages.
+        ``compile_plan`` has checked d and the coefficients, and the plan
+        built its stages.
         The ``reduce`` stage has no steps; the executors measure it themselves.
         """
         d, k, kind = self.d, stage.junction, stage.kind
@@ -337,35 +325,29 @@ def compile_plan(
     options: ProtocolOptions,
     aux_order: Sequence[Sequence[tuple[int, int]]] | None = None,
 ) -> ProtocolPlan:
-    """Synthesize the stage list for (d, n): the rows of ``_stage_rows``,
-    labels, kinds and geometry only, each helper block on the next ten ports.
-    ``ProtocolPlan.stage_steps`` builds the optics from them when
-    ``ProtocolPlan.optics`` is first read.  ``aux_order`` optionally
+    """Check the options and make the plan for (d, n) with every
+    same-parity path pair at each junction; the plan builds its stage list,
+    geometry only, and ``ProtocolPlan.stage_steps`` builds the optics from
+    it when ``ProtocolPlan.optics`` is first read.  ``aux_order`` optionally
     overrides the per-junction auxiliary pair order; it must be a
-    permutation of the same-parity pair set for each junction.
+    permutation of the same-parity pair set for each junction, its pairs
+    tuples or JSON lists, as the plan takes them.
     """
     d, n = options.d, options.n
     analysis._check_params(d, n)
     states.validated_coeffs(d, options.input_coeffs)
     options.resolved_odd_mode()  # validates the mode string early
-    m = -(n // -2)
     default_pairs = analysis.aux_pairs(d)
-    junctions = m - 1
     if aux_order is None:
-        junction_pairs = [list(default_pairs) for _ in range(junctions)]
-    else:
-        junction_pairs = [list(p) for p in aux_order]
-        if len(junction_pairs) != junctions or any(
-            sorted(p) != sorted(default_pairs) for p in junction_pairs
-        ):
-            raise InvalidParameters(
-                "aux_order must permute the same-parity pair set per junction"
-            )
-
-    ports = itertools.count(2 * m * d, 10)
-    blocks = [[(pair, next(ports)) for pair in pairs] for pairs in junction_pairs]
-    stages = [PlanStage(*row) for row in _stage_rows(n, blocks)]
-    return ProtocolPlan(options, stages)
+        return ProtocolPlan(options, [default_pairs] * (-(n // -2) - 1))
+    try:  # the plan turns each pair into a tuple and refuses any other shape
+        plan = ProtocolPlan(options, aux_order)
+    except InvalidParameters:
+        plan = None
+    want = sorted(default_pairs)
+    if plan is None or any(sorted(p) != want for p in plan.junction_aux_pairs):
+        raise InvalidParameters("aux_order must permute the same-parity pair set per junction")
+    return plan
 
 
 @dataclass
@@ -554,16 +536,16 @@ def _run_rules(plan: ProtocolPlan, report: RunReport) -> PhotonicState:
     only the pairs whose junction photons' paths share a parity are built,
     as t + (i, i), or as t[:-1] + (i, t[-1], i) when both paths are odd, as
     the optics' PBS row sends each odd path's V photon to the other port
-    group.  The plan's grammar puts a ``tag`` stage between each source and
-    its filter, so every pending source is consumed, and it fixes where each
-    tag stands, so ``tag`` stages are no-ops here by construction: a kept
-    state is materialised with the polarisation the optics give it.  At
-    an ``aux_interfere`` stage targeting (i, j) a ket survives the
-    interference coincidence exactly when its junction photons either both
-    sit on path j (riding the vertical helper branch) or both avoid it (the
-    horizontal branch); every survivor is damped by 1/(2*sqrt(2)) once the
-    ``aux_pas`` projection picks an outcome, and the four outcomes merge by
-    feedforward.
+    group.  The plan builds its stage list from one grammar, which puts a
+    ``tag`` stage between each source and its filter, so every pending
+    source is consumed, and fixes where each tag stands, so ``tag`` stages
+    are no-ops here by construction: a kept state is materialised with the
+    polarisation the optics give it.  At an ``aux_interfere`` stage
+    targeting (i, j) a ket survives the interference coincidence exactly
+    when its junction photons either both sit on path j (riding the vertical
+    helper branch) or both avoid it (the horizontal branch); every survivor
+    is damped by 1/(2*sqrt(2)) once the ``aux_pas`` projection picks an
+    outcome, and the four outcomes merge by feedforward.
 
     Survivors keep their amplitudes, so a stage only removes kets.  As the
     filter builds each kept ket whose junction photons sit on different

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -378,21 +377,10 @@ class TestOracle:
             assert p == pytest.approx(q, rel=1e-12)
 
     def test_a_long_helper_chain_does_not_underflow(self):
-        # the (3, 4, ff) helper block 700 times over, each repeat under fresh
-        # labels: the probability falls to about 6e-212, and amplitudes
-        # damped at every stage would reach 0
-        plan = gf.compile_plan(gf.ProtocolOptions(d=3, n=4, feedforward=True))
-        first = [s.kind for s in plan.stages].index("aux_inject")
-        end = first + len(protocol._HELPER_STAGES)
-        block = plan.stages[first:end]
-        repeats = [
-            dataclasses.replace(s, label=s.label.replace("aux0", f"aux{q}"))
-            for q in range(700) for s in block
-        ]
-        stages = plan.stages[:first] + repeats + plan.stages[end:]
-        long = dataclasses.replace(plan, stages=stages)
-        with pytest.raises(InvalidParameters, match="^stage 'j0.aux0.inject' repeats a label$"):
-            dataclasses.replace(plan, stages=plan.stages[:first] + block * 2 + plan.stages[end:])
+        # the (3, 4, ff) helper pair 700 times over: the probability falls
+        # to about 6e-212, and amplitudes damped at every stage would reach 0
+        opts = gf.ProtocolOptions(d=3, n=4, feedforward=True)
+        long = protocol.ProtocolPlan(opts, [[(0, 2)] * 700])
         rule, oracle = gf.execute(long, "rule"), gf.execute(long, "oracle")
         assert 0.0 < rule.prob < 1e-200
         assert states.prob_matches(oracle.prob, rule.prob)

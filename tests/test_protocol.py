@@ -1,6 +1,5 @@
 import dataclasses
 import inspect
-import itertools
 import math
 import random
 import sys
@@ -162,32 +161,39 @@ class TestCompile:
         assert inject.ports() == set(plan.photon_ports(4) + plan.photon_ports(5))
         assert len(plan.stage_steps(plan.stages[0])) == 2
 
-    def test_a_plan_is_its_options_and_stages(self):
+    def test_a_plan_is_its_options_and_helper_pairs(self):
         assert [f.name for f in dataclasses.fields(protocol.ProtocolPlan) if f.init] == [
-            "options", "stages",
+            "options", "junction_aux_pairs",
         ]
         plan = gf.compile_plan(gf.ProtocolOptions(d=3, n=7, feedforward=True))
         assert plan.predicted == analysis.predicted_prob_for_options(3, 7, True)
         coeffs = gf.compile_plan(gf.ProtocolOptions(d=2, n=4, input_coeffs=(0.6, 0.8)))
         assert coeffs.predicted is None
 
+    def test_compile_plan_builds_the_stages_once(self, monkeypatch):
+        calls = []
+        stage_rows = protocol._stage_rows
+        monkeypatch.setattr(
+            protocol, "_stage_rows", lambda *args: calls.append(args) or stage_rows(*args)
+        )
+        for d, n in [(2, 2), (3, 5), (4, 8)]:
+            plan = gf.compile_plan(gf.ProtocolOptions(d=d, n=n))
+            assert len(calls) == 1, (d, n)
+            assert plan.stages == stage_rows(*calls.pop())
+
     def test_swapped_helper_blocks_are_what_the_plan_reports(self):
         plan = gf.compile_plan(gf.ProtocolOptions(d=4, n=4, feedforward=True))
-        kinds = [s.kind for s in plan.stages]
-        first = kinds.index("aux_inject")
-        size = len(protocol._HELPER_STAGES)
-        head, blocks = plan.stages[:first], plan.stages[first:]
-        assert len(blocks) == 2 * size
-        swapped = dataclasses.replace(plan, stages=head + blocks[size:] + blocks[:size])
-        assert swapped.junction_aux_pairs == [[(1, 3), (0, 2)]]
+        swapped = protocol.ProtocolPlan(plan.options, [[(1, 3), (0, 2)]])
+        assert swapped == dataclasses.replace(plan, junction_aux_pairs=[[(1, 3), (0, 2)]])
         assert swapped.to_jsonable()["junction_aux_pairs"] == [[[1, 3], [0, 2]]]
         assert swapped.aux_pair_count == 2
         assert swapped.to_jsonable()["aux_pair_count"] == 2
+        assert [s.aux_pair for s in swapped.stages if s.kind == "aux_pas"] == [(1, 3), (0, 2)]
         for backend in ("rule", "element", "oracle"):
             report = gf.execute(swapped, backend)
             assert report.matches and report.prob_matches, backend
             pas = [label for label in report.stage_labels if label.endswith(".pas")]
-            assert pas == ["j0.aux1.pas", "j0.aux0.pas"], backend
+            assert pas == ["j0.aux0.pas", "j0.aux1.pas"], backend
 
     def test_plan_serialization(self):
         plan = gf.compile_plan(gf.ProtocolOptions(d=3, n=4))
@@ -242,41 +248,15 @@ class TestElementGolden:
 
 @st.composite
 def edited_plans(draw):
-    """A compiled plan and an edited stage list for it: each junction's
-    helper blocks redrawn as any sequence of them (so dropped, permuted or
-    repeated, a repeat under fresh labels), then maybe one stage dropped,
-    duplicated under a fresh label, moved, or swapped with another."""
+    """A plan whose junctions each hold any sequence of the same-parity path
+    pairs of d, so a pair may be dropped, permuted or repeated."""
     opts = gf.ProtocolOptions(
         d=draw(st.integers(2, 5)), n=draw(st.integers(2, 7)), feedforward=draw(st.booleans()),
         odd_n_mode=draw(st.sampled_from([None, protocol.SINGLE_OUTCOME, protocol.FULL_FOURIER])),
     )
-    plan = gf.compile_plan(opts)
-    size = len(protocol._HELPER_STAGES)
-    stages = []
-    for (_, helper), run in itertools.groupby(
-        plan.stages, key=lambda s: (s.junction, s.aux_pair is not None)
-    ):
-        run = list(run)
-        if not helper:
-            stages += run
-            continue
-        blocks = [run[q : q + size] for q in range(0, len(run), size)]
-        picks = draw(st.lists(st.sampled_from(range(len(blocks))), max_size=len(blocks) + 1))
-        for r, q in enumerate(picks):
-            copy = picks[:r].count(q)
-            stages += [dataclasses.replace(s, label=f"{s.label}~{copy}") if copy else s
-                       for s in blocks[q]]
-    edit = draw(st.sampled_from(["none", "none", "drop", "duplicate", "move", "swap"]))
-    at, to = (draw(st.integers(0, len(stages) - 1)) for _ in range(2))
-    if edit == "drop":
-        del stages[at]
-    elif edit == "duplicate":
-        stages.insert(to, dataclasses.replace(stages[at], label=stages[at].label + "~dup"))
-    elif edit == "move":
-        stages.insert(to, stages.pop(at))
-    elif edit == "swap":
-        stages[at], stages[to] = stages[to], stages[at]
-    return plan, stages
+    pairs = analysis.aux_pairs(opts.d)
+    junction = st.lists(st.sampled_from(pairs), max_size=len(pairs) + 1) if pairs else st.just([])
+    return protocol.ProtocolPlan(opts, [draw(junction) for _ in range(-(opts.n // -2) - 1)])
 
 
 class TestBackendAgreement:
@@ -358,16 +338,9 @@ class TestBackendAgreement:
         assert len(gf.execute(plan, "oracle").final_state.kets) == len(rule.final_state.kets)
 
     @given(edited_plans())
-    def test_rule_matches_element_on_edited_helper_blocks(self, edit):
-        # the edited list is refused when the plan is made, or every backend
-        # that admits the cell runs it alike; rule and element may both
-        # raise, and then raise the same error
-        plan, stages = edit
-        try:
-            plan = dataclasses.replace(plan, stages=stages)
-        except InvalidParameters as exc:
-            assert str(exc).startswith(("stage '", "the stage list ends before stage '"))
-            return
+    def test_rule_matches_element_on_edited_helper_blocks(self, plan):
+        # every backend that admits the cell runs the plan alike; rule and
+        # element may both raise, and then raise the same error
         results = []
         for backend in ("rule", "element"):
             try:
@@ -397,9 +370,7 @@ class TestBackendAgreement:
         # without junction 0's (1, 3) helper block a ket with photons 0 and 1
         # on different odd paths survives; the merge of Fourier outcomes fails
         plan = gf.compile_plan(gf.ProtocolOptions(d=4, n=5, feedforward=True))
-        edited = dataclasses.replace(
-            plan, stages=[s for s in plan.stages if (s.junction, s.aux_pair) != (0, (1, 3))]
-        )
+        edited = protocol.ProtocolPlan(plan.options, [[(0, 2)], [(0, 2), (1, 3)]])
         for backend in ("rule", "element"):
             with pytest.raises(BranchMismatch, match="^outcome 1 does not merge"):
                 gf.execute(edited, backend)
@@ -637,8 +608,7 @@ _MEASURED_KINDS = ("pbs_filter", "aux_interfere", "aux_pas", "reduce")
 
 class TestLabelsFromPlan:
     """Every executor walks ``plan.stages``: a run reports the labels of the
-    plan's measuring stages, in plan order, whatever the aux order and
-    whatever the labels are."""
+    plan's measuring stages, in plan order, whatever the aux order."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -653,22 +623,6 @@ class TestLabelsFromPlan:
         want = [s.label for s in plan.stages if s.kind in _MEASURED_KINDS]
         for backend in ("rule", "element", "oracle"):
             assert gf.execute(plan, backend).stage_labels == want, backend
-
-    def test_relabelled_stages_are_reported(self):
-        plan = gf.compile_plan(gf.ProtocolOptions(d=4, n=5, feedforward=True))
-        plan = dataclasses.replace(plan, stages=[
-            dataclasses.replace(s, label=f"stage {q} {s.kind}") for q, s in enumerate(plan.stages)
-        ])
-        want = [s.label for s in plan.stages if s.kind in _MEASURED_KINDS]
-        assert want[0] == "stage 2 pbs_filter" and want[-1].endswith(" reduce")
-        for backend in ("rule", "element", "oracle"):
-            report = gf.execute(plan, backend)
-            assert report.stage_labels == want, backend
-            assert report.matches, backend
-        kept = gf.execute(plan, "rule", keep_intermediates=True).intermediates
-        assert list(kept) == [
-            s.label for s in plan.stages if s.kind in ("pbs_filter", "aux_pas")
-        ] + ["final"]
 
 
 class TestEdgeCases:
@@ -1015,69 +969,45 @@ class TestIndexedRuleExecutor:
         assert len(report.final_state.terms) == 64
 
 
-def _move_before(labels, label, anchor):
-    labels.remove(label)
-    labels.insert(labels.index(anchor), label)
-    return labels
-
-
-def _swap(labels, a, b):
-    i, j = labels.index(a), labels.index(b)
-    labels[i], labels[j] = b, a
-    return labels
-
-
-class TestPendingSource:
-    """Stage lists outside the grammar ``compile_plan`` builds, such as a
-    source that no filter directly follows or a dropped or moved ``tag``
-    stage, are refused when the plan is made, naming a stage, before any
-    backend could run them."""
+class TestPlanPairs:
+    """A plan is made from its options and one list of helper pairs per
+    junction; it builds its stage list from them, so no stage list outside
+    the grammar exists to refuse.  Pairs may come as tuples or as the JSON
+    lists of a plan export; anything else is refused when the plan is made."""
 
     @pytest.mark.parametrize(
-        "n, feedforward, edit, message",
-        [
-            (6, False, lambda labels: [x for x in labels if x != "j1.source"],
-             "stage 'j1.step_i_tag' breaks the stage grammar: expected stage 'j1.source'"),
-            (6, False, lambda labels: _move_before(labels, "j1.source", "j1.step_i_untag"),
-             "stage 'j1.step_i_tag' breaks the stage grammar: expected stage 'j1.source'"),
-            (6, False, lambda labels: _move_before(labels, "j1.source", "j0.step_i_tag"),
-             "stage 'j1.source' breaks the stage grammar: expected stage 'j0.step_i_tag'"),
-            (6, False, lambda labels: [x for x in labels if x != "j1.step_i"],
-             "stage 'j1.step_i_untag' breaks the stage grammar: expected stage 'j1.step_i'"),
-            (6, False, lambda labels: _swap(labels, "sources", "j1.source"),
-             "stage 'j1.source' breaks the stage grammar: expected stage 'sources'"),
-            (4, True, lambda labels: [x for x in labels if x != "j0.aux0.untag"],
-             "the stage list ends before stage 'j0.aux0.untag'"),
-            (4, True, lambda labels: _swap(labels, "j0.step_i_tag", "j0.step_i"),
-             "stage 'j0.step_i' breaks the stage grammar: expected stage 'j0.step_i_tag'"),
-            (4, True, lambda labels: labels + ["j0.aux0.untag"],
-             "stage 'j0.aux0.untag' breaks the stage grammar: expected the end of the list"),
-        ],
-        ids=["source-dropped", "source-after-its-filter", "source-while-pending",
-             "source-left-pending", "sources-swapped", "untag-dropped", "tag-after-filter",
-             "stage-past-the-end"],
+        "d, n, feedforward, order",
+        [(3, 4, False, None), (4, 6, True, [[(1, 3), (0, 2)], [(0, 2), (1, 3)]]),
+         (5, 7, True, None), (2, 5, False, None)],
     )
-    def test_a_broken_stage_list_raises_naming_the_stage(self, n, feedforward, edit, message):
-        plan = gf.compile_plan(gf.ProtocolOptions(d=3, n=n, feedforward=feedforward))
-        by_label = {s.label: s for s in plan.stages}
-        stages = [by_label[x] for x in edit([s.label for s in plan.stages])]
-        with pytest.raises(InvalidParameters, match=f"^{message}$"):
-            dataclasses.replace(plan, stages=stages)
-        with pytest.raises(InvalidParameters, match=f"^{message}$"):
-            protocol.ProtocolPlan(plan.options, stages)
+    def test_an_exported_pair_list_rebuilds_the_plan(self, d, n, feedforward, order):
+        plan = gf.compile_plan(gf.ProtocolOptions(d=d, n=n, feedforward=feedforward), order)
+        exported = plan.to_jsonable()["junction_aux_pairs"]
+        rebuilt = protocol.ProtocolPlan(plan.options, exported)
+        assert rebuilt == plan
+        assert rebuilt.to_jsonable() == plan.to_jsonable()
+        assert rebuilt.stages == plan.stages
+        assert gf.compile_plan(plan.options, aux_order=exported) == plan
 
     @pytest.mark.parametrize(
-        "change",
-        [{"aux_pair": (0, 1)}, {"aux_pair": (0, 4)}, {"helper_port": 11}, {"junction": 1}],
-        ids=["cross-parity-pair", "pair-past-d", "helper-port-on-a-photon", "junction-past-n"],
+        "pairs",
+        [[[[0]]], [[None]], [[[0, 1]]], [[[0, 4]]], [(0, 2)], [[(0, 2)], [(0, 2)]], [], None],
+        ids=["short-pair", "none-pair", "cross-parity-pair", "pair-past-d",
+             "junction-not-a-list", "junction-past-n", "junction-missing", "no-pair-lists"],
     )
-    def test_a_helper_block_outside_the_grammar_is_refused(self, change):
-        # every stage of the block changed alike, so only the block's own
-        # pair, ports or junction break the grammar
-        plan = gf.compile_plan(gf.ProtocolOptions(d=3, n=4))
-        stages = [dataclasses.replace(s, **change) if s.aux_pair else s for s in plan.stages]
-        with pytest.raises(InvalidParameters, match="^stage 'j0.aux0.inject' breaks the stage"):
-            dataclasses.replace(plan, stages=stages)
+    def test_a_bad_pair_list_is_refused(self, pairs):
+        opts = gf.ProtocolOptions(d=3, n=4)
+        message = (
+            "^junction_aux_pairs needs a list of same-parity path pairs of d = 3 per junction, "
+            "1 in all$"
+        )
+        with pytest.raises(InvalidParameters, match=message):
+            protocol.ProtocolPlan(opts, pairs)
+        with pytest.raises(InvalidParameters, match=message):
+            dataclasses.replace(gf.compile_plan(opts), junction_aux_pairs=pairs)
+        if pairs is not None:  # compile_plan reads None as the default order
+            with pytest.raises(InvalidParameters, match="^aux_order must permute"):
+                gf.compile_plan(opts, aux_order=pairs)
 
 
 @dataclass
