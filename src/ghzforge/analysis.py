@@ -198,8 +198,8 @@ def oracle_run(plan, report) -> PhotonicState:
     term-list pipeline sharing no simulation machinery with the other
     executors, its stages recorded in ``report`` (a ``protocol.RunReport``).
 
-    It reads d, n and the source coefficients from the plan, which
-    ``protocol.compile_plan`` checked, and walks ``plan.stages``, recording
+    It reads d, n and the source terms from the plan's options, which
+    checked them when they were made, and walks ``plan.stages``, recording
     each measuring stage under its label; ``execute`` makes and finishes
     the report.  The plan builds its stage list from its one grammar, so
     the product input is enumerated up front as source-value tuples, and
@@ -222,15 +222,11 @@ def oracle_run(plan, report) -> PhotonicState:
         )
     if report.keep:
         raise InvalidParameters("the oracle keeps no intermediate states")
-    coeffs = states.validated_coeffs(d, plan.options.input_coeffs)
     sources = -(n // -2)
-
-    # every source-value assignment, with its product amplitude
-    tuples: dict[tuple[int, ...], complex] = {}
-    for t in product(range(d), repeat=sources):
-        amp = math.prod((coeffs[i] for i in t), start=1.0 + 0j)
-        if abs(amp) > 0.0:
-            tuples[t] = amp
+    tuples = {  # every assignment of the sources' terms, with its product amplitude
+        tuple(i for i, _ in terms): math.prod((c for _, c in terms), start=1.0 + 0j)
+        for terms in product(plan.options.source, repeat=sources)
+    }
 
     for stage in plan.stages:
         if stage.kind == "pbs_filter":

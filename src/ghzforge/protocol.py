@@ -15,9 +15,10 @@ coincidences, rotates the helper arms into the diagonal basis and projects
 them as a pair.  Odd photon numbers finish with a Fourier-basis path
 measurement of the first photon.
 
-A plan is its options and each junction's helper pairs.  It builds its
-stage list from them once, when it is made, as geometry only: stage labels
-and kinds, junctions, aux pairs and each helper stage's ports.
+A plan is its options, which check themselves when they are made, and each
+junction's helper pairs.  It builds its stage list from them once, when it
+is made, as geometry only: stage labels and kinds, junctions, aux pairs and
+each helper stage's ports.
 ``ProtocolPlan.stage_steps`` is the one place that builds a stage's optical
 steps from it, the pair-source and helper states it injects included.
 ``ProtocolPlan.optics`` calls it once per stage the first time the element
@@ -29,9 +30,9 @@ results: every execute still applies each step through ``Step.apply``.
 Three executors interpret a plan, each a function from (plan, report) to
 the run's final state.  Each walks ``plan.stages`` and acts on each stage's
 kind, junction and aux pair, recording what it measures under the stage's
-label; kinds it has no use for fall through.  The plan builds its stage
-list from the one grammar (``_stage_rows``), so the executors see only
-grammatical lists and police none:
+label; kinds it has no use for fall through.  They read the source terms
+and the odd-n mode off the checked options, and the plan builds its stage
+list from one grammar (``_stage_rows``), so the executors police neither:
 
 * the element backend folds the literal optical circuit (the golden
   reference),
@@ -85,14 +86,26 @@ _HELPER_STAGES = (  # (label suffix, kind) of each helper stage, in order
 
 @dataclass(frozen=True)
 class ProtocolOptions:
+    """A run's inputs, checked once, when made (by ``dataclasses.replace``
+    too): d and n, the coefficients (``states.validated_coeffs``) and the
+    odd-n mode, in that order.  Outside equality, hash and repr they hold
+    ``source``, each pair source's (path, coefficient) terms that the one
+    support rule leaves nonzero, and ``odd_mode``, the resolved mode."""
+
     d: int
     n: int
     feedforward: bool = False
     odd_n_mode: str | None = None  # None pairs the mode with the feedforward flag
     input_coeffs: tuple[float, ...] | None = None
+    source: tuple[tuple[int, float], ...] = field(init=False, compare=False, repr=False)
+    odd_mode: str = field(init=False, compare=False, repr=False)
 
-    def resolved_odd_mode(self) -> str:
-        return analysis.resolve_odd_mode(self.odd_n_mode, self.feedforward)
+    def __post_init__(self) -> None:
+        analysis._check_params(self.d, self.n)
+        coeffs = enumerate(states.validated_coeffs(self.d, self.input_coeffs))
+        mode = analysis.resolve_odd_mode(self.odd_n_mode, self.feedforward)
+        object.__setattr__(self, "source", tuple((i, c) for i, c in coeffs if c != 0.0))
+        object.__setattr__(self, "odd_mode", mode)
 
 
 @dataclass(slots=True)
@@ -207,24 +220,22 @@ class ProtocolPlan:
 
         This is the one place that knows how a stage becomes elements, the
         states it injects included: each source s becomes an ``Inject`` of
-        sum_i c_i |i>|i> on photons 2s and 2s + 1 (no ket where c_i = 0), a
+        sum_i c_i |i>|i> on photons 2s and 2s + 1 (the options' ``source``), a
         junction's tag and filter become HWPs, PBSs and a coincidence
         post-selection on the junction photons, and a helper stage's ten
         ports carry its injection (the helper pair on the first four),
         interference block, analysis rotation, pair projection and untag.
-        ``compile_plan`` has checked d and the coefficients, and the plan
-        built its stages.
-        The ``reduce`` stage has no steps; the executors measure it themselves.
+        The options checked d and the coefficients when they were made.  The
+        ``reduce`` stage has no steps; the executors measure it themselves.
         """
         d, k, kind = self.d, stage.junction, stage.kind
         if kind == "reduce":
             return []
         if kind == "sources":  # both photons horizontal
-            coeffs = states.validated_coeffs(d, self.options.input_coeffs)
             return [
                 Inject(states._from_kets({
                     (2 * (2 * s * d + i), 2 * ((2 * s + 1) * d + i)): complex(c)
-                    for i, c in enumerate(coeffs) if c != 0.0
+                    for i, c in self.options.source
                 }))
                 for s in self.stage_sources(stage)
             ]
@@ -291,7 +302,7 @@ class ProtocolPlan:
             "d": self.d,
             "n": self.n,
             "feedforward": self.options.feedforward,
-            "odd_n_mode": self.options.resolved_odd_mode() if self.n % 2 else None,
+            "odd_n_mode": self.options.odd_mode if self.n % 2 else None,
             "epr_pair_count": self.epr_pair_count,
             "aux_pair_count": self.aux_pair_count,
             "junction_aux_pairs": [
@@ -325,7 +336,7 @@ def compile_plan(
     options: ProtocolOptions,
     aux_order: Sequence[Sequence[tuple[int, int]]] | None = None,
 ) -> ProtocolPlan:
-    """Check the options and make the plan for (d, n) with every
+    """Make the plan for (d, n), whose options checked themselves, with every
     same-parity path pair at each junction; the plan builds its stage list,
     geometry only, and ``ProtocolPlan.stage_steps`` builds the optics from
     it when ``ProtocolPlan.optics`` is first read.  ``aux_order`` optionally
@@ -333,13 +344,9 @@ def compile_plan(
     permutation of the same-parity pair set for each junction, its pairs
     tuples or JSON lists, as the plan takes them.
     """
-    d, n = options.d, options.n
-    analysis._check_params(d, n)
-    states.validated_coeffs(d, options.input_coeffs)
-    options.resolved_odd_mode()  # validates the mode string early
-    default_pairs = analysis.aux_pairs(d)
+    default_pairs = analysis.aux_pairs(options.d)
     if aux_order is None:
-        return ProtocolPlan(options, [default_pairs] * (-(n // -2) - 1))
+        return ProtocolPlan(options, [default_pairs] * (-(options.n // -2) - 1))
     try:  # the plan turns each pair into a tuple and refuses any other shape
         plan = ProtocolPlan(options, aux_order)
     except InvalidParameters:
@@ -559,18 +566,17 @@ def _run_rules(plan: ProtocolPlan, report: RunReport) -> PhotonicState:
     pending and at the end.  A junction costs O(d**2) whatever its d**2 / 4
     helper stages remove.
     """
-    d = plan.d
-    coeffs = states.validated_coeffs(d, plan.options.input_coeffs)
-    source = [(i, c) for i, c in enumerate(coeffs) if c != 0.0]
+    d, source = plan.d, plan.options.source
     amps: dict[tuple[int, ...], complex] = {}
     scale = 1.0  # amps times scale is the normalised chain state
-    present = range(0)  # the photons injected so far
     pending: list[tuple[int, complex]] = []  # the next source, times scale
 
-    def keep(label: str, tagged: set[int], rule: Callable[[int], str]) -> None:
-        report.keep_state(label, _materialize_paths(
-            d, amps, scale, present,
-            lambda photon, path: rule(path) if photon in tagged else H,
+    def keep(stage: PlanStage, rule: Callable[[int], str]) -> None:
+        # junction k has seen photons 0 .. 2k + 3 and tags its pair 2k + 1, 2k + 2
+        k = stage.junction
+        report.keep_state(stage.label, _materialize_paths(
+            d, amps, scale, range(2 * k + 4),
+            lambda photon, path: rule(path) if photon in (2 * k + 1, 2 * k + 2) else H,
         ))
 
     for stage in plan.stages:
@@ -580,7 +586,6 @@ def _run_rules(plan: ProtocolPlan, report: RunReport) -> PhotonicState:
                     amps = {(i, i): c + 0j for i, c in source}
                 else:
                     pending, scale = [(i, c * scale) for i, c in source], 1.0
-                present = range(2 * s + 2)
         elif stage.kind == "pbs_filter":
             # ``sum`` over the weights in (t, i) order rounds exactly as a
             # sum over the full product would, on every Python version
@@ -607,8 +612,7 @@ def _run_rules(plan: ProtocolPlan, report: RunReport) -> PhotonicState:
             report.record(stage.label, nsq / total)
             scale = 1.0 / math.sqrt(nsq)
             if report.keep:
-                k = stage.junction
-                keep(stage.label, {2 * k + 1, 2 * k + 2}, parity_rule)
+                keep(stage, parity_rule)
         elif stage.kind == "aux_interfere":
             removed = 0.0
             for t in crossing.pop(stage.aux_pair[1], ()):
@@ -622,8 +626,7 @@ def _run_rules(plan: ProtocolPlan, report: RunReport) -> PhotonicState:
             report.pair_analysis(stage.label, 0.5, 1.0)
             scale = 1.0 / math.sqrt(nsq)
             if report.keep:
-                j, k = stage.aux_pair[1], stage.junction
-                keep(stage.label, {2 * k + 1, 2 * k + 2}, lambda path: V if path == j else H)
+                keep(stage, lambda path: V if path == stage.aux_pair[1] else H)
         elif stage.kind == "reduce":
             # photon 0 shares photon 1's or 2's path: dropping it merges no kets, each
             # outcome has 1/d, and outcome 1 merges only where photon 1 shares it too
@@ -651,7 +654,7 @@ def execute(
         raise InvalidParameters(f"unknown backend {backend!r}")
     opts = plan.options
     report = RunReport(plan.d, plan.n, backend, opts.feedforward, plan.predicted,
-                       opts.resolved_odd_mode(), keep_intermediates)
+                       opts.odd_mode, keep_intermediates)
     return report.finish(executor(plan, report), plan.reference)
 
 

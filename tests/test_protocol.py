@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import math
 import random
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -54,7 +55,7 @@ class TestBuilders:
         assert list(s.terms) == [gf.ket((0, "H"), (3, "H"))]
 
     def test_bad_coefficients(self):
-        # compile_plan rejects them before any state is built
+        # the options reject them before any state is built
         with pytest.raises(InvalidCoefficients):
             _injected(3, 4, "sources", (0.9, 0.1, 0.1))
         with pytest.raises(InvalidCoefficients):
@@ -138,7 +139,7 @@ class TestCompile:
     def test_odd_n_plans_end_with_reduction(self):
         plan = gf.compile_plan(gf.ProtocolOptions(d=3, n=5, feedforward=True))
         assert plan.stages[-1].kind == "reduce"
-        assert plan.options.resolved_odd_mode() == protocol.FULL_FOURIER
+        assert plan.options.odd_mode == protocol.FULL_FOURIER
         assert plan.epr_pair_count == 3
         assert plan.output_photons() == [1, 2, 3, 4, 5]
 
@@ -201,6 +202,87 @@ class TestCompile:
         assert data["epr_pair_count"] == 2
         assert data["aux_count"] if "aux_count" in data else data["aux_pair_count"] == 1
         assert any(step["elem"] == "inject" for step in data["circuit"])
+
+
+_PARAMS = "need integer d >= 2 and n >= 2, got d={}, n={}"
+_BOGUS = "unknown odd-n mode 'bogus'"
+
+
+class TestOptions:
+    """Options check themselves when they are made and hold the checked
+    source terms and odd-n mode."""
+
+    @pytest.mark.parametrize(
+        "kwargs, error, message",
+        [
+            (dict(d=2.5, n=4), InvalidParameters, _PARAMS.format(2.5, 4)),
+            (dict(d="3", n=4), InvalidParameters, _PARAMS.format(3, 4)),
+            (dict(d=3, n=1), InvalidParameters, _PARAMS.format(3, 1)),
+            (dict(d=3, n=4, input_coeffs=(0.6, 0.8)), InvalidCoefficients,
+             "need 3 coefficients, got 2"),
+            (dict(d=3, n=4, input_coeffs=(math.nan, 0.0, 1.0)), InvalidCoefficients,
+             "coefficients must be finite reals"),
+            (dict(d=3, n=4, input_coeffs=(0.9, 0.1, 0.1)), InvalidCoefficients,
+             "squared coefficients must sum to 1"),
+            (dict(d=3, n=4, odd_n_mode="bogus"), InvalidParameters, _BOGUS),
+            (dict(d=3, n=5, odd_n_mode="bogus"), InvalidParameters, _BOGUS),
+            (dict(d=3, n=4, odd_n_mode="bogus", input_coeffs=(0.6, 0.0, 0.8)),
+             InvalidParameters, _BOGUS),
+            (dict(d=3, n=5, odd_n_mode="bogus", input_coeffs=(0.6, 0.0, 0.8)),
+             InvalidParameters, _BOGUS),
+            # compile_plan's order: d and n, then the coefficients, then the mode
+            (dict(d=1, n=4, odd_n_mode="bogus", input_coeffs=(1.0,)), InvalidParameters,
+             _PARAMS.format(1, 4)),
+            (dict(d=3, n=5, odd_n_mode="bogus", input_coeffs=(1.0,)), InvalidCoefficients,
+             "need 3 coefficients, got 1"),
+        ],
+        ids=["d-float", "d-str", "n-1", "coeffs-length", "coeffs-nan", "coeffs-norm",
+             "mode-even", "mode-odd", "mode-even-coeffs", "mode-odd-coeffs",
+             "d-before-the-rest", "coeffs-before-mode"],
+    )
+    def test_bad_options_are_refused_when_made(self, kwargs, error, message):
+        match = f"^{re.escape(message)}$"
+        with pytest.raises(error, match=match):
+            gf.ProtocolOptions(**kwargs)
+        with pytest.raises(error, match=match):
+            dataclasses.replace(gf.ProtocolOptions(d=3, n=4), **kwargs)
+
+    def test_options_hold_the_source_and_the_mode(self):
+        assert [f.name for f in dataclasses.fields(protocol.ProtocolOptions) if f.init] == [
+            "d", "n", "feedforward", "odd_n_mode", "input_coeffs",
+        ]
+        opts = gf.ProtocolOptions(d=3, n=5, feedforward=True, input_coeffs=(1e-12, 0.6, 0.8))
+        assert opts.source == ((1, 0.6), (2, 0.8))
+        assert opts.odd_mode == protocol.FULL_FOURIER
+        assert repr(opts) == (
+            "ProtocolOptions(d=3, n=5, feedforward=True, odd_n_mode=None, "
+            "input_coeffs=(1e-12, 0.6, 0.8))"
+        )
+        assert hash(opts) == hash((3, 5, True, None, (1e-12, 0.6, 0.8)))
+        assert opts == gf.ProtocolOptions(3, 5, True, None, (1e-12, 0.6, 0.8))
+        uniform = gf.ProtocolOptions(d=2, n=4, odd_n_mode=protocol.FULL_FOURIER)
+        assert uniform.source == ((0, 1 / math.sqrt(2)), (1, 1 / math.sqrt(2)))
+        assert uniform.odd_mode == protocol.FULL_FOURIER
+
+    @pytest.mark.parametrize("coeffs", [None, (0.6, 0.0, 0.8)])
+    def test_options_are_checked_once(self, monkeypatch, coeffs):
+        calls = {"validated_coeffs": 0, "resolve_odd_mode": 0}
+        for module, name in ((states, "validated_coeffs"), (analysis, "resolve_odd_mode")):
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        opts = gf.ProtocolOptions(d=3, n=5, feedforward=True, input_coeffs=coeffs)
+        assert calls == {"validated_coeffs": 1, "resolve_odd_mode": 1}
+        plan = gf.compile_plan(opts)
+        assert calls["validated_coeffs"] == 1
+        calls.update(validated_coeffs=0, resolve_odd_mode=0)
+        assert "optics" not in vars(plan)  # the first element execute builds them
+        for backend, keep in [("rule", False), ("rule", True), ("element", True),
+                              ("element", False), ("oracle", False)]:
+            gf.execute(plan, backend, keep_intermediates=keep)
+            assert calls == {"validated_coeffs": 0, "resolve_odd_mode": 0}, backend
 
 
 @pytest.fixture(scope="module")
@@ -805,7 +887,7 @@ def _reference_run_rules(plan, keep_intermediates):
     ]
     amps = {(i, i): c + 0j for i, c in source}
     report = protocol.RunReport(
-        d, plan.n, "rule", opts.feedforward, plan.predicted, opts.resolved_odd_mode(),
+        d, plan.n, "rule", opts.feedforward, plan.predicted, opts.odd_mode,
     )
     intermediates = report.intermediates
 
@@ -856,7 +938,7 @@ def _reference_run_rules(plan, keep_intermediates):
 
     if plan.n % 2 == 1:
         p_single = 1.0 / d
-        single = plan.options.resolved_odd_mode() == protocol.SINGLE_OUTCOME
+        single = plan.options.odd_mode == protocol.SINGLE_OUTCOME
         report.record("reduce", p_single if single else 1.0, p_single, 1.0)
     state = protocol._materialize_paths(
         d, amps, 1.0, plan.output_photons(), lambda photon, path: "H"
@@ -1116,7 +1198,7 @@ def _reference_compile_plan(options, aux_order=None):
     if n % 2 == 1:
         stages.append(
             _EagerStage("reduce", "reduce", [],
-                        info={"mode": options.resolved_odd_mode(), "ports": ports(0)})
+                        info={"mode": options.odd_mode, "ports": ports(0)})
         )
     return stages
 
@@ -1156,7 +1238,7 @@ class TestPlanGeometry:
             assert plan.stage_steps(stage) == eager.steps, stage.label
         assert plan.circuit_steps() == [step for s in want for step in s.steps]
         if opts.n % 2 == 1:
-            assert plan.options.resolved_odd_mode() == want[-1].info["mode"]
+            assert plan.options.odd_mode == want[-1].info["mode"]
 
     @pytest.mark.parametrize(
         "d, n, feedforward, coeffs",
