@@ -16,6 +16,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from . import analysis, elements, golden, protocol, states
 from .errors import GhzforgeError, InvalidCoefficients, InvalidParameters, OracleTooLarge
@@ -51,18 +52,25 @@ def _prob_line(x: float | None, exact: Fraction | None = None) -> str:
     return f"{_exact_text(exact)} ({x:.12g})"
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
+def _emit(args: argparse.Namespace, data, pretty: Callable[[], list[str]],
+          columns: tuple[str, ...] = ()) -> None:
+    """The one output path: ``data`` as JSON, or as CSV rows under ``columns``
+    (a dict is one row), or the lines ``pretty()`` returns, as ``--format``
+    asks, written to ``--out`` or to stdout.  Only pretty output calls
+    ``pretty``."""
+    if args.format == "json":
+        text = json.dumps(data, indent=2) + "\n"
+    elif args.format == "csv":
+        text = _csv(columns, data if isinstance(data, list) else [data])
+    else:
+        text = "\n".join(pretty()) + "\n"
+    if args.out:
         try:
-            Path(out_path).write_text(text, encoding="utf-8")
+            Path(args.out).write_text(text, encoding="utf-8")
         except OSError as exc:  # no such directory, a directory, no permission
             raise InvalidParameters(f"cannot write output file: {exc}") from None
     else:
         sys.stdout.write(text)
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
 
 
 def _csv(columns: tuple[str, ...], rows: list[dict]) -> str:
@@ -134,14 +142,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
         "predicted_prob_ff_exact": _exact_text(exact_ff),
         "predicted_prob_filtered_exact": _exact_text(exact_filtered),
     }
-    if args.format == "json":
-        if args.full:
-            opts = protocol.ProtocolOptions(d=d, n=n, feedforward=args.feedforward)
-            record["plan"] = protocol.compile_plan(opts).to_jsonable()
-        _emit(_json_text(record), args.out)
-    elif args.format == "csv":
-        _emit(_csv(tuple(key for key in record if key != "eta2"), [record]), args.out)
-    else:
+    if args.full:
+        opts = protocol.ProtocolOptions(d=d, n=n, feedforward=args.feedforward)
+        record["plan"] = protocol.compile_plan(opts).to_jsonable()
+
+    def pretty() -> list[str]:
         lines = [
             f"preparation plan for d={d}, n={n}",
             f"  pair sources:          {record['epr_count']}",
@@ -153,11 +158,13 @@ def cmd_plan(args: argparse.Namespace) -> int:
         for label, key in (("corrected", "ff"), ("filtered", "filtered")):
             x, exact = record[f"predicted_prob_{key}"], record[f"predicted_prob_{key}_exact"]
             lines.append(f"  {f'predicted ({label}):':23}{exact} ({x:.12g})")
-        _emit("\n".join(lines) + "\n", args.out)
+        return lines
+
+    _emit(args, record, pretty, tuple(key for key in record if key != "eta2"))
     return 0
 
 
-def _report_pretty(report: protocol.RunReport) -> str:
+def _report_pretty(report: protocol.RunReport) -> list[str]:
     lines = [
         f"run d={report.d} n={report.n} backend={report.backend} "
         f"feedforward={'on' if report.feedforward else 'off'}",
@@ -179,18 +186,13 @@ def _report_pretty(report: protocol.RunReport) -> str:
     for term, amp in report.final_state.sorted_items():
         labels = " ".join(f"{p}{pol}" for (p, pol), c in term for _ in range(c))
         lines.append(f"    ({amp.real:+.6f}{amp.imag:+.6f}j) |{labels}>")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def _emit_report(report: protocol.RunReport, args: argparse.Namespace) -> None:
-    if args.format == "json":
-        _emit(_json_text(report.to_jsonable()), args.out)
-    else:
-        _emit(_report_pretty(report), args.out)
-
-
-def _gate(report: protocol.RunReport) -> int:
-    """Exit 1 unless the report matches (``RunReport.matches``)."""
+def _emit_report(report: protocol.RunReport, args: argparse.Namespace) -> int:
+    """Write ``report`` and return its exit code: 1 unless it matches
+    (``RunReport.matches``)."""
+    _emit(args, report.to_jsonable(), lambda: _report_pretty(report))
     return 0 if report.matches else 1
 
 
@@ -212,13 +214,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             "probability": prob,
             "final_state": states.state_to_jsonable(final),
         }
-        if args.format == "json":
-            _emit(_json_text(payload), args.out)
-        else:
-            lines = [f"circuit run: {args.circuit}", f"  trace: {trace}",
-                     f"  probability: {_prob_line(prob)}",
-                     f"  final state: {len(final.kets)} terms"]
-            _emit("\n".join(lines) + "\n", args.out)
+        _emit(args, payload, lambda: [
+            f"circuit run: {args.circuit}", f"  trace: {trace}",
+            f"  probability: {_prob_line(prob)}", f"  final state: {len(final.kets)} terms",
+        ])
         return 0
     report = protocol.run(
         args.d,
@@ -228,8 +227,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         odd_n_mode=_odd_mode(args.odd_mode),
         input_coeffs=_parse_coeffs(args.coeffs),
     )
-    _emit_report(report, args)
-    return _gate(report)
+    return _emit_report(report, args)
 
 
 def _sweep_cell(d: int, n: int, backend: str, feedforward: bool) -> dict:
@@ -250,9 +248,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for d in range(d_lo, d_hi + 1)
         for n in range(n_lo, n_hi + 1)
     ]
-    if args.format == "json":
-        _emit(_json_text(rows), args.out)
-    elif args.format == "pretty":
+
+    def pretty() -> list[str]:
         lines = ["d  n  predicted      simulated      fidelity      status"]
         for r in rows:
             if r["status"] == "skipped":
@@ -263,32 +260,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     f"{r['simulated_prob']:.6e}  {r['fidelity']:.9f}  "
                     f"{'match' if r['match'] else 'MISMATCH'}"
                 )
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_csv(SWEEP_COLUMNS, rows), args.out)
+        return lines
+
+    _emit(args, rows, pretty, SWEEP_COLUMNS)
     return 1 if any(r["match"] is False for r in rows) else 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     checks = golden.run_checks()
     failed = [c for c in checks if not c.passed]
-    if args.format == "json":
-        payload = [
-            {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
-        ]
-        _emit(_json_text(payload), args.out)
-    else:
+
+    def pretty() -> list[str]:
         lines = []
         for c in checks:
             mark = "PASS" if c.passed else "FAIL"
             suffix = f"  [{c.detail}]" if c.detail else ""
             lines.append(f"{mark}  {c.name}{suffix}")
-        lines.append(
-            f"{len(checks) - len(failed)}/{len(checks)} checks passed"
-        )
+        lines.append(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
         if failed:
             lines.append("failed anchors: " + "; ".join(c.name for c in failed))
-        _emit("\n".join(lines) + "\n", args.out)
+        return lines
+
+    payload = [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks]
+    _emit(args, payload, pretty)
     return 1 if failed else 0
 
 
@@ -304,8 +298,7 @@ def cmd_reduce_odd(args: argparse.Namespace) -> int:
         even.final_state, args.d, mode,
         port_groups=analysis.default_port_groups(args.d, args.n),
     )
-    _emit_report(report, args)
-    return _gate(report)
+    return _emit_report(report, args)
 
 
 # --- parser -----------------------------------------------------------------

@@ -16,9 +16,10 @@ them as a pair.  Odd photon numbers finish with a Fourier-basis path
 measurement of the first photon.
 
 A plan is its options, which check themselves when they are made, and each
-junction's helper pairs.  It builds its stage list from them once, when it
-is made, as geometry only: stage labels and kinds, junctions, aux pairs and
-each helper stage's ports.
+junction's helper pairs, and it is frozen: ``dataclasses.replace`` is the one
+way to change it.  It builds its stage list from them once, when it is made,
+as geometry only: stage labels and kinds, junctions, aux pairs and each
+helper stage's ports.
 ``ProtocolPlan.stage_steps`` is the one place that builds a stage's optical
 steps from it, the pair-source and helper states it injects included.
 ``ProtocolPlan.optics`` calls it once per stage the first time the element
@@ -67,7 +68,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import analysis, elements, measurement, states
 from .analysis import FULL_FOURIER, SINGLE_OUTCOME  # re-exported as gf.*
@@ -108,8 +109,7 @@ class ProtocolOptions:
         object.__setattr__(self, "odd_mode", mode)
 
 
-@dataclass(slots=True)
-class PlanStage:
+class PlanStage(NamedTuple):
     label: str
     kind: str  # sources | tag | pbs_filter | aux_inject | aux_interfere | aux_analysis | aux_pas | reduce
     junction: int | None = None
@@ -117,12 +117,13 @@ class PlanStage:
     helper_port: int | None = None  # helper stages: the first of their ten ports
 
 
-def _stage_rows(d: int, n: int, junction_aux_pairs: Sequence[Sequence]) -> list[PlanStage]:
+def _stage_rows(d: int, n: int, junction_aux_pairs: Sequence[Sequence]) -> tuple[PlanStage, ...]:
     """The one stage grammar: the stages of an n-photon chain whose junction
     k holds one helper block per pair of ``junction_aux_pairs[k]``, in order,
     each block on the next ten ports past the source photons'; junction
     k >= 1 starts by injecting source k + 1."""
     ports = itertools.count(2 * -(n // -2) * d, 10)
+    new = tuple.__new__  # about half the cost of PlanStage's generated constructor
     stages = [PlanStage("sources", "sources")]
     for k, pairs in enumerate(junction_aux_pairs):
         if k > 0:
@@ -131,57 +132,55 @@ def _stage_rows(d: int, n: int, junction_aux_pairs: Sequence[Sequence]) -> list[
                    PlanStage(f"j{k}.step_i", "pbs_filter", k),
                    PlanStage(f"j{k}.step_i_untag", "tag", k)]
         for q, pair in enumerate(pairs):
-            port = next(ports)
-            stages += [PlanStage(f"j{k}.aux{q}.{suffix}", kind, k, pair, port)
+            port, prefix = next(ports), f"j{k}.aux{q}."
+            stages += [new(PlanStage, (prefix + suffix, kind, k, pair, port))
                        for suffix, kind in _HELPER_STAGES]
     if n % 2 == 1:
         stages.append(PlanStage("reduce", "reduce"))
-    return stages
+    return tuple(stages)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolPlan:
     """A compiled (d, n) protocol: its options and each junction's helper
-    pairs, in order (``junction_aux_pairs``).
+    pairs, in order (``junction_aux_pairs``, a tuple of tuples).
 
-    Everything else is built once from those two when the plan is made (or
-    remade, by ``dataclasses.replace``): the ordered stage list (``stages``,
-    from ``_stage_rows``, so the executors see only lists in its grammar),
-    the GHZ reference on the output photons (``reference``) and the exact
-    prediction (``predicted``, None for non-uniform coefficients).  The
-    optics are built on first element use and kept (``optics``).  So a
-    compiled plan is not to be mutated: a changed option or pair list would
-    not reach these.  A junction may hold any sequence of same-parity path
-    pairs of d, dropped, permuted or repeated; each pair may be any
-    two-item sequence (a JSON list too).  Anything else, or a pair list
-    count other than one per junction, raises InvalidParameters."""
+    Everything else is built once from those two when the plan is made: the
+    ordered stage list (``stages``, a tuple of ``PlanStage`` from
+    ``_stage_rows``, so the executors see only lists in its grammar), the GHZ
+    reference on the output photons (``reference``) and the exact prediction
+    (``predicted``, None for non-uniform coefficients).  The optics are built
+    on first element use and kept (``optics``).  A plan is frozen, so
+    ``dataclasses.replace``, which makes all of these again, is the one way to
+    change it; plans compare and hash by (options, pairs).  A junction may
+    hold any sequence of same-parity path pairs of d, dropped, permuted or
+    repeated; each pair may be any two-item sequence (a JSON list too).
+    Anything else, or a pair list count other than one per junction, raises
+    InvalidParameters."""
 
     options: ProtocolOptions
-    junction_aux_pairs: list[list[tuple[int, int]]]
-    stages: list[PlanStage] = field(init=False, repr=False, compare=False)
+    junction_aux_pairs: tuple[tuple[tuple[int, int], ...], ...]
+    stages: tuple[PlanStage, ...] = field(init=False, repr=False, compare=False)
     reference: PhotonicState = field(init=False, repr=False, compare=False)
     predicted: Fraction | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         same_parity = {pair: pair for pair in analysis.aux_pairs(self.d)}
         try:
-            pairs = [[same_parity[tuple(p)] for p in ps] for ps in self.junction_aux_pairs]
+            pairs = tuple(tuple([same_parity[tuple(p)] for p in ps])
+                          for ps in self.junction_aux_pairs)
         except (KeyError, TypeError):
             pairs = None
         if pairs is None or len(pairs) != self.epr_pair_count - 1:
             raise InvalidParameters(
                 f"junction_aux_pairs needs a list of same-parity path pairs of d = {self.d} "
                 f"per junction, {self.epr_pair_count - 1} in all")
-        self.junction_aux_pairs = pairs
-        self.stages = _stage_rows(self.d, self.n, pairs)
-        opts = self.options
-        groups = self.output_port_groups()
-        self.reference = analysis.ghz_reference(self.d, len(groups), groups)
-        self.predicted = (
-            analysis.predicted_prob_for_options(self.d, self.n, opts.feedforward, opts.odd_n_mode)
-            if opts.input_coeffs is None
-            else None
-        )
+        opts, groups = self.options, self.output_port_groups()
+        object.__setattr__(self, "junction_aux_pairs", pairs)
+        object.__setattr__(self, "stages", _stage_rows(self.d, self.n, pairs))
+        object.__setattr__(self, "reference", analysis.ghz_reference(self.d, len(groups), groups))
+        object.__setattr__(self, "predicted", None if opts.input_coeffs is not None else (
+            analysis.predicted_prob_for_options(self.d, self.n, opts.feedforward, opts.odd_mode)))
 
     @property
     def epr_pair_count(self) -> int:
@@ -407,11 +406,11 @@ class RunReport:
         if self.keep:
             self.intermediates[label] = (state, self.prob)
 
-    def finish(self, state: PhotonicState, reference: PhotonicState | None) -> RunReport:
+    def finish(self, state: PhotonicState, reference: PhotonicState) -> RunReport:
         """Set the final state from an executor's ``state``, normalised once,
         and its fidelity against the GHZ ``reference``.  An empty state
         reports every probability and the fidelity as 0, so it never matches
-        a prediction (and ``reference`` may be None).  Returns the report."""
+        a prediction (``reference`` goes unread).  Returns the report."""
         if state.is_empty:
             self.prob = self.prob_filtered = self.prob_feedforward = 0.0
         else:
@@ -580,13 +579,14 @@ def _run_rules(plan: ProtocolPlan, report: RunReport) -> PhotonicState:
         ))
 
     for stage in plan.stages:
-        if stage.kind == "sources":
+        kind = stage.kind  # read once: a NamedTuple field read costs about two slot reads
+        if kind == "sources":
             for s in plan.stage_sources(stage):
                 if s == 0:
                     amps = {(i, i): c + 0j for i, c in source}
                 else:
                     pending, scale = [(i, c * scale) for i, c in source], 1.0
-        elif stage.kind == "pbs_filter":
+        elif kind == "pbs_filter":
             # ``sum`` over the weights in (t, i) order rounds exactly as a
             # sum over the full product would, on every Python version
             weights: list[float] = []
@@ -613,7 +613,7 @@ def _run_rules(plan: ProtocolPlan, report: RunReport) -> PhotonicState:
             scale = 1.0 / math.sqrt(nsq)
             if report.keep:
                 keep(stage, parity_rule)
-        elif stage.kind == "aux_interfere":
+        elif kind == "aux_interfere":
             removed = 0.0
             for t in crossing.pop(stage.aux_pair[1], ()):
                 a = amps.pop(t, None)
@@ -622,12 +622,12 @@ def _run_rules(plan: ProtocolPlan, report: RunReport) -> PhotonicState:
             # the helper branch carries 1/sqrt(2) each way
             report.record(stage.label, 0.5 * (nsq - removed) / nsq)
             nsq -= removed
-        elif stage.kind == "aux_pas":
+        elif kind == "aux_pas":
             report.pair_analysis(stage.label, 0.5, 1.0)
             scale = 1.0 / math.sqrt(nsq)
             if report.keep:
                 keep(stage, lambda path: V if path == stage.aux_pair[1] else H)
-        elif stage.kind == "reduce":
+        elif kind == "reduce":
             # photon 0 shares photon 1's or 2's path: dropping it merges no kets, each
             # outcome has 1/d, and outcome 1 merges only where photon 1 shares it too
             if report.odd_mode == FULL_FOURIER and any(
@@ -686,7 +686,7 @@ def reduce_to_odd(
     Without ``port_groups`` the occupied ports, in order, are split into
     groups of d; that guess stands only if every ket holds exactly one
     photon in each group (a path no ket occupies shifts it).  An unknown
-    mode, groups that cannot be inferred, fewer than two photon port groups,
+    mode, groups that cannot be inferred, fewer than three photon port groups,
     a group without d ports, or groups that repeat or share a port raise
     InvalidParameters before anything is measured."""
     mode = analysis.resolve_odd_mode(mode, feedforward=True)
@@ -700,14 +700,14 @@ def reduce_to_odd(
         ):
             raise InvalidParameters("cannot infer photon port groups; pass port_groups")
     groups = [list(g) for g in port_groups]
-    if len(groups) < 2:
-        raise InvalidParameters(f"need at least two photon port groups, got {len(groups)}")
+    if len(groups) < 3:
+        raise InvalidParameters(f"need at least three photon port groups, got {len(groups)}")
     if any(len(g) != d for g in groups):
         raise InvalidParameters(f"every photon port group needs d = {d} ports")
     analysis._check_ports(groups)
+    reference = analysis.ghz_reference(d, len(groups) - 1, groups[1:])
     report = RunReport(d, len(groups) - 1, "reduce", mode == FULL_FOURIER,
                        Fraction(1, d) if mode == SINGLE_OUTCOME else Fraction(1), mode)
     post, p_single, p_full = _reduce_even_state(state, mode, groups[0], groups[1])
     report.reduction("reduce", p_single, p_full)
-    reference = None if post.is_empty else analysis.ghz_reference(d, len(groups) - 1, groups[1:])
     return report.finish(post, reference)

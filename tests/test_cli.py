@@ -279,6 +279,37 @@ class TestRun:
         data = json.loads(target.read_text(encoding="utf-8"))
         assert data["prob"] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plan", "--d", "5", "--n", "4"],
+            ["plan", "--d", "5", "--n", "4", "--format", "json"],
+            ["plan", "--d", "5", "--n", "4", "--format", "csv"],
+            ["plan", "--d", "3", "--n", "5", "--full", "--format", "json"],
+            ["run", "--d", "3", "--n", "5"],
+            ["run", "--d", "3", "--n", "5", "--format", "pretty"],
+            ["run", "--circuit", "CIRCUIT"],
+            ["run", "--circuit", "CIRCUIT", "--format", "pretty"],
+            ["sweep", "--d", "2..3", "--n", "3..4"],
+            ["sweep", "--d", "2..3", "--n", "3..4", "--format", "json"],
+            ["sweep", "--d", "2..3", "--n", "3..4", "--format", "pretty"],
+            ["verify"],
+            ["reduce-odd", "--d", "3", "--n", "4"],
+            ["reduce-odd", "--d", "3", "--n", "4", "--format", "pretty"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_out_writes_the_bytes_stdout_would(self, capsys, tmp_path, argv):
+        circuit = tmp_path / "chain.json"
+        plan = gf.compile_plan(gf.ProtocolOptions(d=3, n=4))
+        circuit.write_text(json.dumps(plan.to_jsonable()["circuit"]), encoding="utf-8")
+        argv = [str(circuit) if arg == "CIRCUIT" else arg for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and out
+        target = tmp_path / "out.txt"
+        assert run_cli(capsys, *argv, "--out", str(target)) == (code, "", "")
+        assert target.read_bytes() == out.encode("utf-8")
+
     def test_circuit_file_replay(self, capsys, tmp_path):
         plan = gf.compile_plan(gf.ProtocolOptions(d=3, n=4))
         path = tmp_path / "chain.json"
@@ -445,11 +476,11 @@ class TestRun:
         # cli.main reports InvalidParameters, and so every usage error, as exit 2
         assert issubclass(gf.errors.InvalidCoefficients, gf.errors.InvalidParameters)
 
-    def test_halved_probability_fails_the_gate(self):
+    def test_halved_probability_fails_the_gate(self, capsys, monkeypatch):
         # at (6,8) the filtered probability is 2**-39 / 27, far below any
         # absolute tolerance; the relative comparison still sees the halving
         report = gf.run(6, 8, backend="rule")
-        assert report.prob_matches is True and cli._gate(report) == 0
+        assert report.prob_matches is True and report.matches
         halved = protocol.RunReport(
             6, 8, "rule", False, report.predicted, protocol.SINGLE_OUTCOME,
             trace=report.trace, stage_labels=report.stage_labels,
@@ -457,10 +488,11 @@ class TestRun:
             prob_feedforward=report.prob_feedforward,
         ).finish(report.final_state, analysis.ghz_reference(6, 8))
         assert halved.fidelity == pytest.approx(1.0, abs=1e-12)
-        assert halved.prob_matches is False
-        assert cli._gate(halved) == 1
+        assert halved.prob_matches is False and not halved.matches
+        monkeypatch.setattr(protocol, "run", lambda *args, **kwargs: halved)
+        assert run_cli(capsys, "run", "--d", "6", "--n", "8")[0] == 1
 
-    def test_fidelity_short_by_1e8_fails_every_verdict(self, monkeypatch):
+    def test_fidelity_short_by_1e8_fails_every_verdict(self, capsys, monkeypatch):
         # a GHZ state with a stray ket at amplitude 1e-4 has fidelity
         # 1 - 1e-8: outside FIDELITY_TOL, so the run, its fidelity flag and
         # its sweep row all read as a mismatch
@@ -475,9 +507,9 @@ class TestRun:
         assert 1.0 - 2e-8 < near.fidelity < 1.0 - states.FIDELITY_TOL
         assert near.prob_matches is True
         assert near.fidelity_matches is False and near.matches is False
-        assert cli._gate(near) == 1
         monkeypatch.setattr(protocol, "run", lambda *args, **kwargs: near)
         assert cli._sweep_cell(3, 4, "rule", False)["match"] is False
+        assert run_cli(capsys, "run", "--d", "3", "--n", "4")[0] == 1
 
     def test_tiny_probability_never_prints_as_zero(self, capsys):
         code, out, _ = run_cli(

@@ -106,7 +106,7 @@ class TestCompile:
         plan = gf.compile_plan(gf.ProtocolOptions(d=2, n=4))
         assert plan.epr_pair_count == 2
         assert plan.aux_pair_count == 0
-        assert plan.junction_aux_pairs == [[]]
+        assert plan.junction_aux_pairs == ((),)
         kinds = [s.kind for s in plan.stages]
         assert kinds == ["sources", "tag", "pbs_filter", "tag"]
 
@@ -114,7 +114,7 @@ class TestCompile:
         plan = gf.compile_plan(gf.ProtocolOptions(d=3, n=4))
         assert plan.epr_pair_count == 2
         assert plan.aux_pair_count == 1
-        assert plan.junction_aux_pairs == [[(0, 2)]]
+        assert plan.junction_aux_pairs == (((0, 2),),)
 
     def test_five_level_six_photon_counts(self):
         plan = gf.compile_plan(gf.ProtocolOptions(d=5, n=6))
@@ -147,7 +147,7 @@ class TestCompile:
         opts = gf.ProtocolOptions(d=5, n=4)
         order = [list(reversed(analysis.aux_pairs(5)))]
         plan = gf.compile_plan(opts, aux_order=order)
-        assert plan.junction_aux_pairs == order
+        assert plan.junction_aux_pairs == (tuple(order[0]),)
         with pytest.raises(InvalidParameters):
             gf.compile_plan(opts, aux_order=[[(0, 2)]])
 
@@ -204,7 +204,55 @@ class TestCompile:
         assert any(step["elem"] == "inject" for step in data["circuit"])
 
 
-_PARAMS = "need integer d >= 2 and n >= 2, got d={}, n={}"
+class TestPlanIsAValue:
+    """A plan is frozen: every in-place edit raises, and ``dataclasses.replace``,
+    which makes the stages, reference and prediction again, is the one way to
+    change it.  Plans compare and hash by (options, pairs)."""
+
+    @pytest.fixture()
+    def plan(self):
+        plan = gf.compile_plan(gf.ProtocolOptions(d=4, n=4, feedforward=True))
+        assert gf.execute(plan, "element").matches  # caches the optics
+        return plan
+
+    def test_every_in_place_edit_raises(self, plan):
+        with pytest.raises(TypeError):
+            del plan.stages[1]
+        for name in protocol.PlanStage._fields:
+            with pytest.raises(AttributeError):
+                setattr(plan.stages[1], name, None)
+        with pytest.raises(AttributeError):
+            plan.junction_aux_pairs[0].pop()
+        for name in [f.name for f in dataclasses.fields(plan)] + ["optics"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(plan, name, None)
+        for backend in ("rule", "element", "oracle"):
+            assert gf.execute(plan, backend).matches, backend
+
+    def test_replace_makes_the_plan_again(self, plan):
+        pairs = [[(0, 2)], [(1, 3), (0, 2)]]
+        wider = dataclasses.replace(
+            plan, options=dataclasses.replace(plan.options, n=6), junction_aux_pairs=pairs
+        )
+        assert wider == protocol.ProtocolPlan(gf.ProtocolOptions(d=4, n=6, feedforward=True), pairs)
+        assert wider.junction_aux_pairs == (((0, 2),), ((1, 3), (0, 2)))
+        assert wider.stages == protocol._stage_rows(4, 6, pairs)
+        assert states.states_close(wider.reference, analysis.ghz_reference(4, 6), tol=0.0)
+        assert wider.predicted == analysis.predicted_prob_for_options(4, 6, True)
+        assert "optics" not in vars(wider)  # the element run builds the new stages' optics
+        element, rule = (gf.execute(wider, backend) for backend in ("element", "rule"))
+        assert element.stage_labels == rule.stage_labels
+        assert len(wider.optics) == len(wider.stages)
+
+    def test_equal_plans_are_equal_values(self, plan):
+        same = protocol.ProtocolPlan(plan.options, [[[0, 2], [1, 3]]])  # JSON lists
+        swapped = dataclasses.replace(plan, junction_aux_pairs=[[(1, 3), (0, 2)]])
+        assert same == plan and hash(same) == hash(plan)
+        assert swapped != plan
+        assert len({plan, same, swapped, dataclasses.replace(swapped)}) == 2
+
+
+_PARAMS ="need integer d >= 2 and n >= 2, got d={}, n={}"
 _BOGUS = "unknown odd-n mode 'bogus'"
 
 
@@ -330,15 +378,17 @@ class TestElementGolden:
 
 @st.composite
 def edited_plans(draw):
-    """A plan whose junctions each hold any sequence of the same-parity path
-    pairs of d, so a pair may be dropped, permuted or repeated."""
+    """A compiled plan remade by ``dataclasses.replace`` so that its junctions
+    each hold any sequence of the same-parity path pairs of d: a pair may be
+    dropped, permuted or repeated."""
     opts = gf.ProtocolOptions(
         d=draw(st.integers(2, 5)), n=draw(st.integers(2, 7)), feedforward=draw(st.booleans()),
         odd_n_mode=draw(st.sampled_from([None, protocol.SINGLE_OUTCOME, protocol.FULL_FOURIER])),
     )
     pairs = analysis.aux_pairs(opts.d)
     junction = st.lists(st.sampled_from(pairs), max_size=len(pairs) + 1) if pairs else st.just([])
-    return protocol.ProtocolPlan(opts, [draw(junction) for _ in range(-(opts.n // -2) - 1)])
+    edited = [draw(junction) for _ in range(-(opts.n // -2) - 1)]
+    return dataclasses.replace(gf.compile_plan(opts), junction_aux_pairs=edited)
 
 
 class TestBackendAgreement:
@@ -801,11 +851,13 @@ class TestReduceToOdd:
             (states.PhotonicState({}), None),
             (gf.make_state([(gf.ket((0, "H")), 0.6), (gf.ket((1, "H")), 0.8)]), None),
             (gf.make_state([(gf.ket((0, "H"), (2, "H")), 1.0)]), [[0, 1]]),
+            (gf.run(2, 2, feedforward=True).final_state, None),
         ],
-        ids=["empty", "one-photon", "one-group"],
+        ids=["empty", "one-photon", "one-group", "two-groups"],
     )
-    def test_fewer_than_two_photon_groups_rejected(self, state, port_groups):
-        with pytest.raises(InvalidParameters, match="two photon port groups"):
+    def test_fewer_than_three_photon_groups_rejected(self, monkeypatch, state, port_groups):
+        monkeypatch.setattr(measurement, "fourier_measure_path", None)  # nothing is measured
+        with pytest.raises(InvalidParameters, match="three photon port groups"):
             gf.reduce_to_odd(state, 2, port_groups=port_groups)
 
     @pytest.mark.parametrize(
@@ -839,9 +891,10 @@ class TestReduceToOdd:
         # photon 0 in (|0> - |1>)/sqrt(2) is orthogonal to the uniform outcome
         half = 1 / math.sqrt(2)
         state = gf.make_state([
-            (gf.ket((0, "H"), (2, "H")), half), (gf.ket((1, "H"), (2, "H")), -half),
+            (gf.ket((0, "H"), (2, "H"), (4, "H")), half),
+            (gf.ket((1, "H"), (2, "H"), (4, "H")), -half),
         ])
-        report = gf.reduce_to_odd(state, 2, protocol.SINGLE_OUTCOME, [[0, 1], [2, 3]])
+        report = gf.reduce_to_odd(state, 2, protocol.SINGLE_OUTCOME, [[0, 1], [2, 3], [4, 5]])
         assert report.trace == [0.0] and report.final_state.is_empty
         assert (report.prob, report.prob_filtered, report.prob_feedforward) == (0.0, 0.0, 0.0)
         assert report.fidelity == 0.0 and report.prob_matches is False
@@ -863,16 +916,16 @@ class TestReduceToOdd:
             gf.reduce_to_odd(even, 4)
 
     def test_fourier_branches_that_differ_raise_naming_the_outcome(self):
-        # (|0,2> + |0,3> + |1,2>)/sqrt(3): outcome 0 leaves (2|2> + |3>)/sqrt(5)
+        # (|0,2> + |0,3> + |1,2>)/sqrt(3) (x) |4>: outcome 0 leaves (2|2> + |3>)/sqrt(5)
         # and outcome 1 leaves -|3> after its correction, so they cannot merge
         third = 1 / math.sqrt(3)
         state = gf.make_state([
-            (gf.ket((0, "H"), (2, "H")), third),
-            (gf.ket((0, "H"), (3, "H")), third),
-            (gf.ket((1, "H"), (2, "H")), third),
+            (gf.ket((0, "H"), (2, "H"), (4, "H")), third),
+            (gf.ket((0, "H"), (3, "H"), (4, "H")), third),
+            (gf.ket((1, "H"), (2, "H"), (4, "H")), third),
         ])
         with pytest.raises(BranchMismatch, match="outcome 1 does not merge"):
-            gf.reduce_to_odd(state, 2, protocol.FULL_FOURIER)
+            gf.reduce_to_odd(state, 2, protocol.FULL_FOURIER, [[0, 1], [2, 3], [4, 5]])
 
 
 def _reference_run_rules(plan, keep_intermediates):
