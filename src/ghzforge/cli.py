@@ -294,10 +294,7 @@ def cmd_reduce_odd(args: argparse.Namespace) -> int:
         input_coeffs=_parse_coeffs(args.coeffs),
     )
     mode = _odd_mode(args.odd_mode) or protocol.FULL_FOURIER
-    report = protocol.reduce_to_odd(
-        even.final_state, args.d, mode,
-        port_groups=analysis.default_port_groups(args.d, args.n),
-    )
+    report = protocol.reduce_to_odd(even.final_state, args.d, mode)
     return _emit_report(report, args)
 
 

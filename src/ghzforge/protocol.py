@@ -89,7 +89,8 @@ _HELPER_STAGES = (  # (label suffix, kind) of each helper stage, in order
 class ProtocolOptions:
     """A run's inputs, checked once, when made (by ``dataclasses.replace``
     too): d and n, the coefficients (``states.validated_coeffs``) and the
-    odd-n mode, in that order.  Outside equality, hash and repr they hold
+    odd-n mode, in that order.  Given coefficients are kept as the tuple
+    that check returns.  Outside equality, hash and repr the options hold
     ``source``, each pair source's (path, coefficient) terms that the one
     support rule leaves nonzero, and ``odd_mode``, the resolved mode."""
 
@@ -103,9 +104,10 @@ class ProtocolOptions:
 
     def __post_init__(self) -> None:
         analysis._check_params(self.d, self.n)
-        coeffs = enumerate(states.validated_coeffs(self.d, self.input_coeffs))
+        coeffs = tuple(states.validated_coeffs(self.d, self.input_coeffs))
         mode = analysis.resolve_odd_mode(self.odd_n_mode, self.feedforward)
-        object.__setattr__(self, "source", tuple((i, c) for i, c in coeffs if c != 0.0))
+        object.__setattr__(self, "input_coeffs", None if self.input_coeffs is None else coeffs)
+        object.__setattr__(self, "source", tuple((i, c) for i, c in enumerate(coeffs) if c != 0.0))
         object.__setattr__(self, "odd_mode", mode)
 
 
@@ -149,7 +151,8 @@ class ProtocolPlan:
     ordered stage list (``stages``, a tuple of ``PlanStage`` from
     ``_stage_rows``, so the executors see only lists in its grammar), the GHZ
     reference on the output photons (``reference``) and the exact prediction
-    (``predicted``, None for non-uniform coefficients).  The optics are built
+    (``predicted``, None for non-uniform coefficients), whose auxiliary-pair
+    count N is the plan's own (``aux_pair_count``).  The optics are built
     on first element use and kept (``optics``).  A plan is frozen, so
     ``dataclasses.replace``, which makes all of these again, is the one way to
     change it; plans compare and hash by (options, pairs).  A junction may
@@ -179,8 +182,12 @@ class ProtocolPlan:
         object.__setattr__(self, "junction_aux_pairs", pairs)
         object.__setattr__(self, "stages", _stage_rows(self.d, self.n, pairs))
         object.__setattr__(self, "reference", analysis.ghz_reference(self.d, len(groups), groups))
+        # the closed form counts the paper's helper pairs; each one more or
+        # fewer that the plan holds costs or gives back 1/2 (1/4 filtered)
+        extra = self.aux_pair_count - len(same_parity) * (self.epr_pair_count - 1)
         object.__setattr__(self, "predicted", None if opts.input_coeffs is not None else (
-            analysis.predicted_prob_for_options(self.d, self.n, opts.feedforward, opts.odd_mode)))
+            analysis.predicted_prob_for_options(self.d, self.n, opts.feedforward, opts.odd_mode)
+            / Fraction(2 if opts.feedforward else 4) ** extra))
 
     @property
     def epr_pair_count(self) -> int:
@@ -675,38 +682,22 @@ def run(
     return execute(compile_plan(opts), backend=backend, keep_intermediates=keep_intermediates)
 
 
-def reduce_to_odd(
-    state: PhotonicState,
-    d: int,
-    mode: str = FULL_FOURIER,
-    port_groups: Sequence[Sequence[int]] | None = None,
-) -> RunReport:
-    """Measure the first photon of an even-photon state in the Fourier path
-    basis, reporting the odd-photon result honestly (non-GHZ inputs allowed).
-    Without ``port_groups`` the occupied ports, in order, are split into
-    groups of d; that guess stands only if every ket holds exactly one
-    photon in each group (a path no ket occupies shifts it).  An unknown
-    mode, groups that cannot be inferred, fewer than three photon port groups,
-    a group without d ports, or groups that repeat or share a port raise
+def reduce_to_odd(state: PhotonicState, d: int, mode: str = FULL_FOURIER) -> RunReport:
+    """Measure photon 0 of an even-photon state in the Fourier path basis,
+    reporting the odd-photon result honestly (non-GHZ inputs allowed).  The
+    state is read in the package's port layout (``default_port_groups``:
+    photon p's path i is port p*d + i); for another layout call
+    ``measurement.fourier_measure_path`` directly.  An unknown mode, fewer
+    than three photon port groups or a d that is not an integer >= 2 raise
     InvalidParameters before anything is measured."""
     mode = analysis.resolve_odd_mode(mode, feedforward=True)
-    if port_groups is None:
-        ports = sorted(state.ports())
-        port_groups = [ports[i : i + d] for i in range(0, len(ports), d)]
-        group_of = {port: g for g, group in enumerate(port_groups) for port in group}
-        each_once = tuple(range(len(port_groups)))  # kets are sorted, so groups come in order
-        if len(ports) % d or any(
-            tuple(group_of[m >> 1] for m in ket) != each_once for ket in state.kets
-        ):
-            raise InvalidParameters("cannot infer photon port groups; pass port_groups")
-    groups = [list(g) for g in port_groups]
-    if len(groups) < 3:
-        raise InvalidParameters(f"need at least three photon port groups, got {len(groups)}")
-    if any(len(g) != d for g in groups):
-        raise InvalidParameters(f"every photon port group needs d = {d} ports")
-    analysis._check_ports(groups)
-    reference = analysis.ghz_reference(d, len(groups) - 1, groups[1:])
-    report = RunReport(d, len(groups) - 1, "reduce", mode == FULL_FOURIER,
+    n = state.photon_number() - 1  # the photons left once photon 0 is measured
+    if n < 2:
+        raise InvalidParameters(f"need at least three photon port groups, got {n + 1}")
+    analysis._check_params(d, n)
+    groups = analysis.default_port_groups(d, n + 1)
+    reference = analysis.ghz_reference(d, n, groups[1:])
+    report = RunReport(d, n, "reduce", mode == FULL_FOURIER,
                        Fraction(1, d) if mode == SINGLE_OUTCOME else Fraction(1), mode)
     post, p_single, p_full = _reduce_even_state(state, mode, groups[0], groups[1])
     report.reduction("reduce", p_single, p_full)

@@ -238,7 +238,8 @@ class TestPlanIsAValue:
         assert wider.junction_aux_pairs == (((0, 2),), ((1, 3), (0, 2)))
         assert wider.stages == protocol._stage_rows(4, 6, pairs)
         assert states.states_close(wider.reference, analysis.ghz_reference(4, 6), tol=0.0)
-        assert wider.predicted == analysis.predicted_prob_for_options(4, 6, True)
+        # three helper pairs, one fewer than the paper's four: half its cost
+        assert wider.predicted == analysis.predicted_prob_for_options(4, 6, True) * 2
         assert "optics" not in vars(wider)  # the element run builds the new stages' optics
         element, rule = (gf.execute(wider, backend) for backend in ("element", "rule"))
         assert element.stage_labels == rule.stage_labels
@@ -302,15 +303,23 @@ class TestOptions:
         opts = gf.ProtocolOptions(d=3, n=5, feedforward=True, input_coeffs=(1e-12, 0.6, 0.8))
         assert opts.source == ((1, 0.6), (2, 0.8))
         assert opts.odd_mode == protocol.FULL_FOURIER
-        assert repr(opts) == (
+        assert repr(opts) == (  # the checked coefficients, as validated_coeffs returns them
             "ProtocolOptions(d=3, n=5, feedforward=True, odd_n_mode=None, "
-            "input_coeffs=(1e-12, 0.6, 0.8))"
+            "input_coeffs=(0.0, 0.6, 0.8))"
         )
-        assert hash(opts) == hash((3, 5, True, None, (1e-12, 0.6, 0.8)))
+        assert hash(opts) == hash((3, 5, True, None, (0.0, 0.6, 0.8)))
         assert opts == gf.ProtocolOptions(3, 5, True, None, (1e-12, 0.6, 0.8))
         uniform = gf.ProtocolOptions(d=2, n=4, odd_n_mode=protocol.FULL_FOURIER)
         assert uniform.source == ((0, 1 / math.sqrt(2)), (1, 1 / math.sqrt(2)))
         assert uniform.odd_mode == protocol.FULL_FOURIER
+
+    def test_options_made_from_a_list_equal_those_made_from_a_tuple(self):
+        listed = gf.ProtocolOptions(d=2, n=4, input_coeffs=[0.6, 0.8])
+        tupled = gf.ProtocolOptions(d=2, n=4, input_coeffs=(0.6, 0.8))
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert listed.input_coeffs == (0.6, 0.8)
+        assert dataclasses.replace(listed) == listed
+        assert hash(gf.compile_plan(listed)) == hash(gf.compile_plan(tupled))
 
     @pytest.mark.parametrize("coeffs", [None, (0.6, 0.0, 0.8)])
     def test_options_are_checked_once(self, monkeypatch, coeffs):
@@ -497,6 +506,9 @@ class TestBackendAgreement:
                 assert getattr(report, name) == pytest.approx(getattr(rule, name), rel=1e-9), name
             assert report.fidelity == pytest.approx(rule.fidelity, abs=1e-9), report.backend
             assert report.matches == rule.matches, report.backend
+        for report in reports:
+            # a run that reaches the GHZ state does so with its plan's prediction
+            assert report.prob_matches is True or not report.fidelity_matches, report.backend
 
     def test_rule_raises_on_a_full_fourier_crossing_ket(self):
         # without junction 0's (1, 3) helper block a ket with photons 0 and 1
@@ -839,53 +851,29 @@ class TestReduceToOdd:
                 (gf.ket((1, "H"), (3, "H"), (5, "H"), (7, "H")), math.sqrt(0.1)),
             ]
         )
-        report = gf.reduce_to_odd(
-            lopsided, 2, protocol.SINGLE_OUTCOME,
-            port_groups=[[0, 1], [2, 3], [4, 5], [6, 7]],
-        )
+        report = gf.reduce_to_odd(lopsided, 2, protocol.SINGLE_OUTCOME)
         assert report.fidelity < 1.0 - 1e-6
 
     @pytest.mark.parametrize(
-        "state, port_groups",
+        "state",
         [
-            (states.PhotonicState({}), None),
-            (gf.make_state([(gf.ket((0, "H")), 0.6), (gf.ket((1, "H")), 0.8)]), None),
-            (gf.make_state([(gf.ket((0, "H"), (2, "H")), 1.0)]), [[0, 1]]),
-            (gf.run(2, 2, feedforward=True).final_state, None),
+            states.PhotonicState({}),
+            gf.make_state([(gf.ket((0, "H")), 0.6), (gf.ket((1, "H")), 0.8)]),
+            gf.run(2, 2, feedforward=True).final_state,
         ],
-        ids=["empty", "one-photon", "one-group", "two-groups"],
+        ids=["empty", "one-photon", "two-groups"],
     )
-    def test_fewer_than_three_photon_groups_rejected(self, monkeypatch, state, port_groups):
+    def test_fewer_than_three_photon_groups_rejected(self, monkeypatch, state):
         monkeypatch.setattr(measurement, "fourier_measure_path", None)  # nothing is measured
         with pytest.raises(InvalidParameters, match="three photon port groups"):
-            gf.reduce_to_odd(state, 2, port_groups=port_groups)
+            gf.reduce_to_odd(state, 2)
 
-    @pytest.mark.parametrize(
-        "port_groups",
-        [
-            [[0], [2, 3], [4, 5], [6, 7]],
-            [[0, 1], [2], [4, 5], [6, 7]],
-            [[0, 1], [2, 3], [4, 5], [6]],
-        ],
-        ids=["measured-group", "anchor-group", "later-group"],
-    )
-    def test_every_port_group_needs_d_ports(self, port_groups):
-        even = gf.run(2, 4, backend="rule")
-        with pytest.raises(InvalidParameters, match="needs d = 2 ports"):
-            gf.reduce_to_odd(even.final_state, 2, port_groups=port_groups)
-
-    def test_port_groups_that_share_a_port_are_rejected(self, monkeypatch):
-        even = gf.run(3, 4, feedforward=True).final_state
-        for groups in (None, analysis.default_port_groups(3, 4)):
-            report = gf.reduce_to_odd(even, 3, protocol.SINGLE_OUTCOME, port_groups=groups)
-            assert report.fidelity == pytest.approx(1.0, abs=1e-12)
-        monkeypatch.setattr(measurement, "fourier_measure_path", None)  # never reached
-        for groups in (
-            [[0, 1, 2], [0, 1, 2], [6, 7, 8], [9, 10, 11]],
-            [[0, 1, 1], [3, 4, 5], [6, 7, 8], [9, 10, 11]],
-        ):
-            with pytest.raises(InvalidParameters, match="port groups must not share a port"):
-                gf.reduce_to_odd(even, 3, protocol.SINGLE_OUTCOME, port_groups=groups)
+    @pytest.mark.parametrize("d", [2.5, "2", 1, True], ids=["float", "str", "one", "bool"])
+    def test_a_d_that_is_not_an_integer_from_two_is_rejected(self, monkeypatch, d):
+        even = gf.run(2, 4, feedforward=True).final_state
+        monkeypatch.setattr(measurement, "fourier_measure_path", None)  # nothing is measured
+        with pytest.raises(InvalidParameters, match="^need integer d >= 2"):
+            gf.reduce_to_odd(even, d)
 
     def test_a_vanishing_single_outcome_reports_zero(self):
         # photon 0 in (|0> - |1>)/sqrt(2) is orthogonal to the uniform outcome
@@ -894,26 +882,29 @@ class TestReduceToOdd:
             (gf.ket((0, "H"), (2, "H"), (4, "H")), half),
             (gf.ket((1, "H"), (2, "H"), (4, "H")), -half),
         ])
-        report = gf.reduce_to_odd(state, 2, protocol.SINGLE_OUTCOME, [[0, 1], [2, 3], [4, 5]])
+        report = gf.reduce_to_odd(state, 2, protocol.SINGLE_OUTCOME)
         assert report.trace == [0.0] and report.final_state.is_empty
         assert (report.prob, report.prob_filtered, report.prob_feedforward) == (0.0, 0.0, 0.0)
         assert report.fidelity == 0.0 and report.prob_matches is False
 
-    def test_ports_that_do_not_split_into_photons_need_port_groups(self):
+    def test_a_state_on_some_paths_only_reduces_in_the_layout(self):
+        # photon p's path i is port p*d + i whether or not any ket occupies it
         state = gf.make_state([(gf.ket((0, "H"), (2, "H"), (4, "H")), 1.0)])
-        with pytest.raises(InvalidParameters, match="cannot infer photon port groups"):
-            gf.reduce_to_odd(state, 2)
+        report = gf.reduce_to_odd(state, 2, protocol.SINGLE_OUTCOME)
+        assert report.prob == pytest.approx(0.5, rel=1e-12)
+        assert report.final_state.kets == gf.make_state([(gf.ket((2, "H"), (4, "H")), 1.0)]).kets
 
-    def test_an_unoccupied_path_stops_port_groups_being_inferred(self, monkeypatch):
-        # path 1 carries no amplitude, so the occupied ports 0, 2, 3, 4, 6, ...
-        # do not split into photons by fours
-        coeffs = (0.5**0.5, 0.0, 0.5, 0.5)
-        even = gf.run(4, 4, feedforward=True, input_coeffs=coeffs).final_state
-        report = gf.reduce_to_odd(even, 4, port_groups=analysis.default_port_groups(4, 4))
-        assert report.prob == pytest.approx(1.0, rel=1e-12)
-        monkeypatch.setattr(measurement, "fourier_measure_path", None)  # never reached
-        with pytest.raises(InvalidParameters, match="cannot infer photon port groups"):
-            gf.reduce_to_odd(even, 4)
+    @pytest.mark.parametrize(
+        "d, coeffs", [(3, (0.0, 0.6, 0.8)), (4, (0.5**0.5, 0.0, 0.5, 0.5))], ids=["d3", "d4"]
+    )
+    def test_an_unoccupied_path_reduces_deterministically(self, d, coeffs):
+        # no ket occupies path 0 (d = 3) or path 1 (d = 4) of any photon
+        even = gf.run(d, 4, feedforward=True, input_coeffs=coeffs).final_state
+        report = gf.reduce_to_odd(even, d)
+        assert report.prob == pytest.approx(1.0, rel=1e-12) and report.n == 3
+        norm = math.sqrt(sum(c**4 for c in coeffs))  # amplitudes follow c_i**2, as in the even state
+        got = sorted(abs(a) * norm for a in report.final_state.terms.values())
+        assert got == pytest.approx(sorted(c * c for c in coeffs if c), abs=1e-9)
 
     def test_fourier_branches_that_differ_raise_naming_the_outcome(self):
         # (|0,2> + |0,3> + |1,2>)/sqrt(3) (x) |4>: outcome 0 leaves (2|2> + |3>)/sqrt(5)
@@ -925,7 +916,7 @@ class TestReduceToOdd:
             (gf.ket((1, "H"), (2, "H"), (4, "H")), third),
         ])
         with pytest.raises(BranchMismatch, match="outcome 1 does not merge"):
-            gf.reduce_to_odd(state, 2, protocol.FULL_FOURIER, [[0, 1], [2, 3], [4, 5]])
+            gf.reduce_to_odd(state, 2, protocol.FULL_FOURIER)
 
 
 def _reference_run_rules(plan, keep_intermediates):
